@@ -41,8 +41,13 @@ lint:
 # merging anything that touches the server, the rebuild executor, the
 # fault injectors, the gateway, the store, the replication layer, or the
 # cluster router — the concurrency- and durability-sensitive layers.
+# bench/ is a module of its own that compiles against internal/ (cluster
+# above all), so the root ./... does not see it: vet and test it here, or an
+# API change that breaks the benchmark surfaces only in the acceptance run.
 verify: lint
 	$(GO) test -race ./...
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test -race ./...
 	$(GO) run ./examples/gateway -duration 200ms
 	$(GO) run ./examples/recovery
 	$(GO) run ./examples/replication
@@ -100,13 +105,16 @@ bench-bin:
 # Short fuzz passes over the History codecs (seed corpora under
 # internal/scaddar/testdata/fuzz/), the compiled-chain differential
 # fuzzer (compiled vs interpreted lookups), the write-ahead-journal
-# reader, and the binary-protocol frame handler (hostile frames against a
-# live server; the connection must survive or die per spec, never panic).
+# reader, the binary-protocol frame handler (hostile frames against a
+# live server; the connection must survive or die per spec, never panic),
+# and the router's shard-reply reader (arbitrary shard bytes: no panic, no
+# body over the 8 MiB cap or under a HEAD, no kept connection after an error).
 fuzz:
 	$(GO) test ./internal/scaddar/ -fuzz FuzzCodec -fuzztime 30s
 	$(GO) test ./internal/scaddar/ -fuzz FuzzCompiledChain -fuzztime 30s
 	$(GO) test ./internal/store/ -fuzz FuzzJournal -fuzztime 30s
 	$(GO) test ./internal/binproto/ -fuzz FuzzBinProto -fuzztime 30s
+	$(GO) test ./internal/cluster/ -fuzz FuzzShardResponse -fuzztime 30s
 
 clean:
 	$(GO) clean ./...

@@ -47,30 +47,15 @@ func (r *Router) fanout(ctx context.Context, path string) []fanResult {
 // fanOne performs a single fan-out sub-request. Errors are recorded per
 // shard (metrics + result) but never fail the aggregate.
 func (r *Router) fanOne(ctx context.Context, s *shard, path string) fanResult {
-	cctx, cancel := context.WithTimeout(ctx, r.cfg.ShardTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(cctx, http.MethodGet, s.url+path, nil)
+	rep, err := s.call(ctx, http.MethodGet, path, nil)
+	if err == nil && rep.status != http.StatusOK {
+		err = fmt.Errorf("status %d", rep.status)
+	}
 	if err != nil {
 		s.fanoutErrs.Inc()
-		return fanResult{shard: s, err: err}
+		return fanResult{shard: s, status: rep.status, err: fmt.Errorf("shard %d: %w", s.id, err)}
 	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		s.fanoutErrs.Inc()
-		return fanResult{shard: s, err: fmt.Errorf("shard %d: %w", s.id, err)}
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		s.fanoutErrs.Inc()
-		return fanResult{shard: s, err: fmt.Errorf("shard %d: %w", s.id, err)}
-	}
-	if resp.StatusCode != http.StatusOK {
-		s.fanoutErrs.Inc()
-		return fanResult{shard: s, status: resp.StatusCode,
-			err: fmt.Errorf("shard %d: status %d", s.id, resp.StatusCode)}
-	}
-	return fanResult{shard: s, status: resp.StatusCode, body: body}
+	return fanResult{shard: s, status: rep.status, body: rep.body}
 }
 
 // handleMetrics serves the cluster-wide Prometheus page: the router's own
@@ -80,6 +65,10 @@ func (r *Router) fanOne(ctx context.Context, s *shard, path string) fanResult {
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	results := r.fanout(req.Context(), "/v1/metrics")
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	for _, res := range results {
+		res.shard.connsIdle.SetInt(len(res.shard.idle))
+		res.shard.connsBusy.SetInt(int(res.shard.busy.Load()))
+	}
 	var buf bytes.Buffer
 	_ = r.reg.WritePrometheus(&buf)
 	for _, res := range results {

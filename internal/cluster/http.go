@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -85,6 +84,8 @@ func (r *Router) writeError(w http.ResponseWriter, err error) {
 		writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
 	case errors.Is(err, ErrBadShardOp):
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+	case errors.Is(err, errReplyTooLarge):
+		writeJSON(w, http.StatusBadGateway, map[string]string{"error": err.Error()})
 	case errors.Is(err, ErrUnknownObject):
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": err.Error()})
 	case errors.Is(err, context.DeadlineExceeded):
@@ -126,68 +127,51 @@ func (r *Router) routableShard(object int, forSession bool) (*shard, error) {
 	return sh, nil
 }
 
-// proxyResp is a buffered shard response awaiting delivery to the client —
-// buffered so a routed request can be retried against a different shard
-// before anything is written.
-type proxyResp struct {
-	status      int
-	body        []byte
-	contentType string
-	retryAfter  string
-}
-
-// forward performs one request against a shard under the per-shard timeout.
-// A returned error is transport-level (connect/timeout/short body); it has
-// already marked the shard unhealthy and bumped its error counter.
-func (r *Router) forward(ctx context.Context, sh *shard, method, path string, body []byte) (proxyResp, error) {
+// forward performs one request against a shard — buffered, so a routed
+// request can be retried against a different shard before anything is
+// written. A returned error has already bumped the shard's error counter; a
+// transport-level one (connect/timeout/short body) wraps ErrShardDown and
+// has marked the shard unhealthy — unless it was only a pooled connection
+// found dead by a request that may not be replayed (errStaleConn); an
+// over-limit reply is errReplyTooLarge and has not.
+func (r *Router) forward(ctx context.Context, sh *shard, method, path string, body []byte) (shardReply, error) {
 	start := time.Now()
-	cctx, cancel := context.WithTimeout(ctx, r.cfg.ShardTimeout)
-	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	preq, err := http.NewRequestWithContext(cctx, method, sh.url+path, rd)
-	if err != nil {
-		return proxyResp{}, err
-	}
-	if body != nil {
-		preq.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := r.client.Do(preq)
+	rep, err := sh.call(ctx, method, path, body)
 	if err != nil {
 		sh.routedErrs.Inc()
-		sh.setHealthy(false)
-		return proxyResp{}, fmt.Errorf("%w: shard %d: %v", ErrShardDown, sh.id, err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		sh.routedErrs.Inc()
-		return proxyResp{}, fmt.Errorf("%w: shard %d: %v", ErrShardDown, sh.id, err)
+		if errors.Is(err, errReplyTooLarge) {
+			return shardReply{}, fmt.Errorf("shard %d: %w", sh.id, err)
+		}
+		if !errors.Is(err, errStaleConn) { // the next request dials afresh and finds out
+			sh.setHealthy(false)
+		}
+		return shardReply{}, fmt.Errorf("%w: shard %d: %v", ErrShardDown, sh.id, err)
 	}
 	sh.routed.Inc()
 	sh.setHealthy(true)
 	r.m.proxySeconds.ObserveDuration(time.Since(start))
-	return proxyResp{
-		status:      resp.StatusCode,
-		body:        data,
-		contentType: resp.Header.Get("Content-Type"),
-		retryAfter:  resp.Header.Get("Retry-After"),
-	}, nil
+	return rep, nil
 }
+
+// jsonContentType is the preallocated Content-Type value of nearly every
+// forwarded reply; like shard.shardHdr it is shared, never written through.
+var jsonContentType = []string{"application/json"}
 
 // writeForwarded delivers a buffered shard response, stamping ShardHeader.
 // rewrite, when non-nil, may transform the body (session ID rewriting).
-func writeForwarded(w http.ResponseWriter, sh *shard, pr proxyResp,
+func writeForwarded(w http.ResponseWriter, sh *shard, pr shardReply,
 	rewrite func(status int, body []byte) []byte) {
 	data := pr.body
 	if rewrite != nil {
 		data = rewrite(pr.status, data)
 	}
 	h := w.Header()
-	h.Set(ShardHeader, shardLabel(sh.id))
-	if pr.contentType != "" {
+	h[ShardHeader] = sh.shardHdr // ShardHeader is in canonical form
+	switch pr.contentType {
+	case "":
+	case jsonContentType[0]:
+		h["Content-Type"] = jsonContentType
+	default:
 		h.Set("Content-Type", pr.contentType)
 	}
 	if pr.retryAfter != "" {
@@ -204,7 +188,7 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request, sh *shard, path
 	body []byte, rewrite func(status int, body []byte) []byte) {
 	pr, err := r.forward(req.Context(), sh, req.Method, path, body)
 	if err != nil {
-		r.writeUnavailable(w, err)
+		r.writeError(w, err)
 		return
 	}
 	writeForwarded(w, sh, pr, rewrite)
@@ -227,7 +211,7 @@ func (r *Router) proxyRouted(w http.ResponseWriter, req *http.Request, object in
 		}
 		pr, err := r.forward(req.Context(), sh, req.Method, path, body)
 		if err != nil {
-			r.writeUnavailable(w, err)
+			r.writeError(w, err)
 			return
 		}
 		if pr.status == http.StatusNotFound && attempt < 2 {
@@ -527,6 +511,14 @@ type ShardView struct {
 	Routed int64 `json:"routed"`
 	// RoutedErrors counts transport failures toward this shard.
 	RoutedErrors int64 `json:"routedErrors"`
+	// Dials counts connections opened to this shard; flat under steady load.
+	Dials int64 `json:"dials"`
+	// ConnRetries counts GETs replayed after a pooled connection was dead.
+	ConnRetries int64 `json:"connRetries"`
+	// ConnsIdle counts pooled connections waiting for a request right now.
+	ConnsIdle int `json:"connsIdle"`
+	// ConnsBusy counts requests in flight to this shard right now.
+	ConnsBusy int `json:"connsBusy"`
 }
 
 // TopologyView is the payload of GET /v1/cluster/shards.
@@ -558,6 +550,8 @@ func (r *Router) topologyView() TopologyView {
 		out.Shards[i] = ShardView{
 			ID: s.id, URL: s.url, State: s.State().String(), Healthy: s.healthy.Load(),
 			Routed: int64(s.routed.Value()), RoutedErrors: int64(s.routedErrs.Value()),
+			Dials: int64(s.dials.Value()), ConnRetries: int64(s.connRetries.Value()),
+			ConnsIdle: len(s.idle), ConnsBusy: int(s.busy.Load()),
 		}
 	}
 	return out

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"time"
@@ -74,16 +74,13 @@ func (r *Router) AddShard(ctx context.Context, url string) (ShardInfo, Migration
 			return ShardInfo{}, stats, fmt.Errorf("cluster: shard %d already at %s: %w", s.id, url, ErrBadShardOp)
 		}
 	}
-	sh := r.newShard(r.nextID, url, ShardActive)
-	if err := r.probe(sh); err != nil {
-		return ShardInfo{}, stats, fmt.Errorf("cluster: new shard unreachable: %w: %w", err, ErrBadShardOp)
-	}
-	cat, err := r.fetchCatalog(ctx, sh)
+	sh, err := r.newShard(r.nextID, url, ShardActive)
 	if err != nil {
-		return ShardInfo{}, stats, fmt.Errorf("cluster: new shard catalog: %w", err)
+		return ShardInfo{}, stats, err
 	}
-	if len(cat) > 0 {
-		return ShardInfo{}, stats, fmt.Errorf("cluster: new shard %s already holds %d objects: %w", url, len(cat), ErrBadShardOp)
+	if err := r.vetJoining(ctx, sh); err != nil {
+		sh.closePool() // the handle is dropped; its probe connection must not outlive it
+		return ShardInfo{}, stats, err
 	}
 	r.nextID++
 	slots := append(append([]*shard(nil), t.slots...), sh)
@@ -105,6 +102,21 @@ func (r *Router) AddShard(ctx context.Context, url string) (ShardInfo, Migration
 	r.logf("cluster: shard %d joined at %s: moved %d/%d objects (%.1f%%, ideal %.1f%%)",
 		sh.id, url, stats.Moved, stats.Objects, 100*stats.Fraction, 100*stats.Ideal)
 	return sh.info(), stats, nil
+}
+
+// vetJoining checks that a shard about to join is reachable and empty.
+func (r *Router) vetJoining(ctx context.Context, sh *shard) error {
+	if err := sh.probe(ctx); err != nil {
+		return fmt.Errorf("cluster: new shard unreachable: %w: %w", err, ErrBadShardOp)
+	}
+	cat, err := r.fetchCatalog(ctx, sh)
+	if err != nil {
+		return fmt.Errorf("cluster: new shard catalog: %w", err)
+	}
+	if len(cat) > 0 {
+		return fmt.Errorf("cluster: new shard %s already holds %d objects: %w", sh.url, len(cat), ErrBadShardOp)
+	}
+	return nil
 }
 
 // DrainShard migrates every key off the tail routing shard and marks it
@@ -186,6 +198,7 @@ func (r *Router) RemoveShard(id int) error {
 	}
 	slots := append(append([]*shard(nil), t.slots[:idx]...), t.slots[idx+1:]...)
 	r.publish(&topology{version: t.version + 1, slots: slots, buckets: t.buckets, pins: t.pins})
+	t.slots[idx].closePool()
 	return r.saveLocked()
 }
 
@@ -383,38 +396,20 @@ func retryable(status int, body []byte) error {
 // shardCall performs one admin call against a shard with the per-shard
 // timeout, retrying transient failures with capped backoff until ctx
 // expires. handle inspects the response and returns errRetry to request
-// another attempt.
+// another attempt; an over-limit reply is terminal.
 func (r *Router) shardCall(ctx context.Context, s *shard, method, path string, body []byte,
 	handle func(status int, body []byte) error) error {
 	backoff := 10 * time.Millisecond
 	for {
-		err := func() error {
-			cctx, cancel := context.WithTimeout(ctx, r.cfg.ShardTimeout)
-			defer cancel()
-			var rd io.Reader
-			if body != nil {
-				rd = bytes.NewReader(body)
-			}
-			req, err := http.NewRequestWithContext(cctx, method, s.url+path, rd)
-			if err != nil {
-				return err
-			}
-			if body != nil {
-				req.Header.Set("Content-Type", "application/json")
-			}
-			resp, err := r.client.Do(req)
-			if err != nil {
-				return errRetry{err}
-			}
-			defer resp.Body.Close()
-			data, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-			if err != nil {
-				return errRetry{err}
-			}
-			return handle(resp.StatusCode, data)
-		}()
+		rep, err := s.call(ctx, method, path, body)
+		switch {
+		case err == nil:
+			err = handle(rep.status, rep.body)
+		case !errors.Is(err, errReplyTooLarge):
+			err = errRetry{err}
+		}
 		var re errRetry
-		if err == nil || !asRetry(err, &re) {
+		if err == nil || !errors.As(err, &re) {
 			return err
 		}
 		select {
@@ -426,20 +421,4 @@ func (r *Router) shardCall(ctx context.Context, s *shard, method, path string, b
 			backoff = 500 * time.Millisecond
 		}
 	}
-}
-
-// asRetry reports whether err is (or wraps) an errRetry.
-func asRetry(err error, out *errRetry) bool {
-	for err != nil {
-		if re, ok := err.(errRetry); ok {
-			*out = re
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }

@@ -18,6 +18,13 @@ type routerMetrics struct {
 	healthy     *obs.GaugeVec
 	unavailable *obs.Counter
 
+	// Shard connection pool. The obs vecs carry one label, so the idle/busy
+	// split is two families rather than a state label.
+	dials       *obs.CounterVec
+	connRetries *obs.CounterVec
+	connsIdle   *obs.GaugeVec
+	connsBusy   *obs.GaugeVec
+
 	shards  *obs.Gauge
 	buckets *obs.Gauge
 	version *obs.Gauge
@@ -45,6 +52,14 @@ func newRouterMetrics(reg *obs.Registry) *routerMetrics {
 			"1 when the shard's last health probe (or routed request) succeeded.", "shard"),
 		unavailable: reg.NewCounter("cluster_unavailable_total",
 			"Requests answered 503 because the owning shard was down or draining."),
+		dials: reg.NewCounterVec("cluster_shard_dials_total",
+			"Connections the router dialed to each shard (label: shard ID).", "shard"),
+		connRetries: reg.NewCounterVec("cluster_shard_conn_retries_total",
+			"GETs replayed on a fresh connection after a pooled one turned out dead (label: shard ID).", "shard"),
+		connsIdle: reg.NewGaugeVec("cluster_shard_conns_idle",
+			"Pooled connections to each shard waiting for a request, as of the last scrape.", "shard"),
+		connsBusy: reg.NewGaugeVec("cluster_shard_conns_busy",
+			"Connections to each shard carrying a request, as of the last scrape.", "shard"),
 		shards:  reg.NewGauge("cluster_shards", "Shards in the topology, including drained tails."),
 		buckets: reg.NewGauge("cluster_buckets", "Routing slots that currently own keys."),
 		version: reg.NewGauge("cluster_manifest_version", "Topology version from the cluster manifest."),

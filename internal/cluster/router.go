@@ -3,7 +3,10 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net"
 	"net/http"
+	"net/url"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,13 +47,28 @@ type shard struct {
 	id  int
 	url string
 
+	// addr, host and prefix are url split for the wire; timeout is the
+	// router's ShardTimeout; shardHdr is the preallocated ShardHeader value
+	// of every reply routed here; idle, busy and poolClosed are the
+	// connection pool (shardconn.go).
+	addr, host, prefix string
+	timeout            time.Duration
+	shardHdr           []string
+	idle               chan *shardConn
+	busy               atomic.Int64
+	poolClosed         atomic.Bool
+
 	state   atomic.Int32 // ShardState
 	healthy atomic.Bool
 
-	routed     *obs.Counter
-	routedErrs *obs.Counter
-	fanoutErrs *obs.Counter
-	healthyG   *obs.Gauge
+	routed      *obs.Counter
+	routedErrs  *obs.Counter
+	fanoutErrs  *obs.Counter
+	dials       *obs.Counter
+	connRetries *obs.Counter
+	healthyG    *obs.Gauge
+	connsIdle   *obs.Gauge
+	connsBusy   *obs.Gauge
 }
 
 // State returns the shard's lifecycle state.
@@ -150,11 +168,10 @@ func (t *topology) shardByID(id int) *shard {
 // gateways, with jump-consistent-hash placement, health probing, fan-out
 // aggregation, and manifest-journaled topology operations.
 type Router struct {
-	cfg    RouterConfig
-	client *http.Client
-	mux    *http.ServeMux
-	reg    *obs.Registry
-	m      *routerMetrics
+	cfg RouterConfig
+	mux *http.ServeMux
+	reg *obs.Registry
+	m   *routerMetrics
 
 	topo atomic.Pointer[topology]
 
@@ -192,7 +209,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	r := &Router{
 		cfg:       cfg,
-		client:    &http.Client{},
 		reg:       reg,
 		m:         newRouterMetrics(reg),
 		stop:      make(chan struct{}),
@@ -227,20 +243,40 @@ func (r *Router) logf(format string, args ...any) {
 	}
 }
 
-// newShard builds a runtime handle with its metric children resolved.
-func (r *Router) newShard(id int, url string, st ShardState) *shard {
+// newShard builds a runtime handle with its metric children resolved. Shards
+// are plain-HTTP gateways: base must be http://host[:port][/prefix].
+func (r *Router) newShard(id int, base string, st ShardState) (*shard, error) {
+	u, err := url.Parse(base)
+	if err != nil || u.Scheme != "http" || u.Host == "" || u.RawQuery != "" || u.Fragment != "" {
+		return nil, fmt.Errorf("cluster: shard URL %q: want http://host[:port][/prefix]: %w", base, ErrBadShardOp)
+	}
+	addr := u.Host
+	if u.Port() == "" {
+		addr = net.JoinHostPort(u.Hostname(), "80")
+	}
+	label := shardLabel(id)
 	s := &shard{
-		id:         id,
-		url:        url,
-		routed:     r.m.routed.With(shardLabel(id)),
-		routedErrs: r.m.routedErrs.With(shardLabel(id)),
-		fanoutErrs: r.m.fanoutErrs.With(shardLabel(id)),
-		healthyG:   r.m.healthy.With(shardLabel(id)),
+		id:          id,
+		url:         base,
+		addr:        addr,
+		host:        u.Host,
+		prefix:      strings.TrimSuffix(u.EscapedPath(), "/"),
+		timeout:     r.cfg.ShardTimeout,
+		shardHdr:    []string{label},
+		idle:        make(chan *shardConn, maxIdleConns),
+		routed:      r.m.routed.With(label),
+		routedErrs:  r.m.routedErrs.With(label),
+		fanoutErrs:  r.m.fanoutErrs.With(label),
+		dials:       r.m.dials.With(label),
+		connRetries: r.m.connRetries.With(label),
+		healthyG:    r.m.healthy.With(label),
+		connsIdle:   r.m.connsIdle.With(label),
+		connsBusy:   r.m.connsBusy.With(label),
 	}
 	s.setState(st)
 	// Optimistic until the first probe or routed request says otherwise.
 	s.setHealthy(true)
-	return s
+	return s, nil
 }
 
 // restore rebuilds the runtime topology from a loaded manifest.
@@ -251,7 +287,11 @@ func (r *Router) restore(man *Manifest) error {
 		if err != nil {
 			return err
 		}
-		slots[i] = r.newShard(info.ID, info.URL, st)
+		if slots[i], err = r.newShard(info.ID, info.URL, st); err != nil {
+			// An https:// shard joined before the router dialed shards itself.
+			return fmt.Errorf("manifest shard %d: %w (the router speaks plain HTTP to its shards: "+
+				"set the shard's \"url\" in %s to its http:// address and restart)", info.ID, err, r.cfg.ManifestPath)
+		}
 	}
 	t := &topology{version: man.Version, slots: slots, buckets: man.Buckets, pins: copyPins(man.Pins)}
 	if p := man.Pending; p != nil {
@@ -329,11 +369,15 @@ func (r *Router) Topology() Manifest {
 	return *r.manifestLocked()
 }
 
-// Close stops the prober and background reconciliation. It does not touch
-// the shards — they are independent processes with their own lifecycles.
+// Close stops the prober and background reconciliation and closes the idle
+// shard connections. It does not touch the shards — they are independent
+// processes with their own lifecycles.
 func (r *Router) Close() {
 	r.stopOnce.Do(func() { close(r.stop) })
 	<-r.proberEnd
+	for _, s := range r.topo.Load().slots {
+		s.closePool()
+	}
 }
 
 // probeLoop marks shard health from periodic /v1/healthz probes.
@@ -347,27 +391,20 @@ func (r *Router) probeLoop() {
 			return
 		case <-tick.C:
 			for _, s := range r.topo.Load().slots {
-				s.setHealthy(r.probe(s) == nil)
+				s.setHealthy(s.probe(context.Background()) == nil)
 			}
 		}
 	}
 }
 
 // probe checks one shard's health endpoint.
-func (r *Router) probe(s *shard) error {
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ShardTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.url+"/v1/healthz", nil)
+func (s *shard) probe(ctx context.Context) error {
+	rep, err := s.call(ctx, http.MethodGet, "/v1/healthz", nil)
 	if err != nil {
 		return err
 	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: shard %d healthz status %d", s.id, resp.StatusCode)
+	if rep.status != http.StatusOK {
+		return fmt.Errorf("cluster: shard %d healthz status %d", s.id, rep.status)
 	}
 	return nil
 }

@@ -1,0 +1,565 @@
+package cluster
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"scaddar/internal/obs"
+)
+
+// countingListener counts accepted connections: the shard's view of how
+// often the router dialed it.
+type countingListener struct {
+	net.Listener
+	accepts atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepts.Add(1)
+	}
+	return c, err
+}
+
+// startStub serves h on addr ("127.0.0.1:0", or a fixed address to restart
+// a stub where its predecessor listened) behind a counting listener.
+func startStub(t testing.TB, addr string, h http.HandlerFunc) (*countingListener, *http.Server) {
+	t.Helper()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := &countingListener{Listener: ln}
+	srv := &http.Server{Handler: h}
+	go srv.Serve(cl)
+	t.Cleanup(func() { srv.Close() })
+	return cl, srv
+}
+
+// joinReply answers the two requests AddShard vets a joining shard with
+// (healthy, empty catalog) and reports whether req was one of them.
+func joinReply(w http.ResponseWriter, req *http.Request) bool {
+	switch {
+	case req.Method != http.MethodGet:
+		return false
+	case req.URL.Path == "/v1/healthz":
+		io.WriteString(w, `{"status":"ok"}`)
+	case req.URL.Path == "/v1/admin/objects":
+		io.WriteString(w, `[]`)
+	default:
+		return false
+	}
+	return true
+}
+
+// routerOver builds a prober-less router with the given shards joined.
+func routerOver(t testing.TB, urls ...string) *Router {
+	t.Helper()
+	r, err := NewRouter(RouterConfig{ShardTimeout: 2 * time.Second, ProbeInterval: -1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	for _, u := range urls {
+		if _, _, err := r.AddShard(context.Background(), u); err != nil {
+			t.Fatalf("AddShard %s: %v", u, err)
+		}
+	}
+	return r
+}
+
+const stubRead = "/v1/objects/7/blocks/3"
+
+// TestShardPoolReusesConnections pins the fix for the two-idle-connections
+// default the router used to inherit: 32 concurrent readers of one shard
+// cost at most 32 dials while the pool warms and none afterwards, and the
+// pool's counters say the same on /v1/cluster/shards and /v1/metrics.
+func TestShardPoolReusesConnections(t *testing.T) {
+	const readers = 32
+	var (
+		warm atomic.Bool
+		gate sync.WaitGroup // holds warm-up requests until all are in flight
+	)
+	warm.Store(true)
+	gate.Add(readers)
+	ln, _ := startStub(t, "127.0.0.1:0", func(w http.ResponseWriter, req *http.Request) {
+		if joinReply(w, req) {
+			return
+		}
+		if warm.Load() {
+			gate.Done()
+			gate.Wait()
+		}
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"object":7,"block":3,"disk":1}`)
+	})
+	r := routerOver(t, "http://"+ln.Addr().String())
+	h := r.Handler()
+	round := func(perReader int) {
+		var wg sync.WaitGroup
+		for i := 0; i < readers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for n := 0; n < perReader; n++ {
+					if rec := rawReq(h, http.MethodGet, stubRead); rec.Code != http.StatusOK {
+						t.Errorf("read: status %d: %s", rec.Code, rec.Body)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	round(1)
+	warm.Store(false)
+	dialed := ln.accepts.Load()
+	if dialed > readers {
+		t.Fatalf("warm-up dialed %d connections for %d readers", dialed, readers)
+	}
+	round(50)
+	if got := ln.accepts.Load(); got != dialed {
+		t.Fatalf("steady state dialed %d more connections", got-dialed)
+	}
+
+	var view TopologyView
+	decode(t, doReq(t, h, http.MethodGet, "/v1/cluster/shards", nil), &view)
+	if sv := view.Shards[0]; sv.Dials != dialed || sv.ConnsIdle != int(dialed) || sv.ConnsBusy != 0 || sv.ConnRetries != 0 {
+		t.Errorf("shard view %+v, want dials=idle=%d busy=0 retries=0", sv, dialed)
+	}
+	samples, err := obs.ParseText(doReq(t, h, http.MethodGet, "/v1/metrics", nil).Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := obs.NewMetricSet(samples)
+	for name, want := range map[string]float64{
+		"cluster_shard_dials_total":        float64(dialed),
+		"cluster_shard_conns_idle":         float64(dialed),
+		"cluster_shard_conns_busy":         0,
+		"cluster_shard_conn_retries_total": 0,
+	} {
+		if got, ok := ms.LabelValue(name, "shard", "0"); !ok || got != want {
+			t.Errorf("%s{shard=0} = %v (present %v), want %v", name, got, ok, want)
+		}
+	}
+}
+
+// TestShardCallStaleConnection restarts the shard's listener under the
+// pool. A GET finds its pooled connection dead, is replayed once on a
+// fresh one and succeeds without the shard being marked down; a non-GET in
+// the same position is surfaced and never reaches the shard twice.
+func TestShardCallStaleConnection(t *testing.T) {
+	var posts atomic.Int64
+	stub := func(w http.ResponseWriter, req *http.Request) {
+		if joinReply(w, req) {
+			return
+		}
+		if req.Method == http.MethodPost {
+			posts.Add(1)
+		}
+		io.WriteString(w, `{}`)
+	}
+	ln, srv := startStub(t, "127.0.0.1:0", stub)
+	addr := ln.Addr().String()
+	r := routerOver(t, "http://"+addr)
+	h := r.Handler()
+	sh := r.topo.Load().slots[0]
+	if rec := rawReq(h, http.MethodGet, stubRead); rec.Code != http.StatusOK {
+		t.Fatalf("first read: status %d", rec.Code)
+	}
+
+	srv.Close()
+	_, srv = startStub(t, addr, stub)
+	if rec := rawReq(h, http.MethodGet, stubRead); rec.Code != http.StatusOK {
+		t.Fatalf("read after restart: status %d: %s", rec.Code, rec.Body)
+	}
+	if !sh.healthy.Load() {
+		t.Error("a replayed GET marked the shard down")
+	}
+	if got := sh.connRetries.Value(); got != 1 {
+		t.Errorf("conn retries %d, want 1", got)
+	}
+
+	srv.Close()
+	startStub(t, addr, stub)
+	rec := doReq(t, h, http.MethodPost, "/v1/sessions", map[string]any{"object": 7})
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("POST on a dead pooled connection: status %d, want 503", rec.Code)
+	}
+	if got := posts.Load(); got != 0 {
+		t.Errorf("the POST reached the shard %d times; it must not be replayed", got)
+	}
+	if got := sh.connRetries.Value(); got != 1 {
+		t.Errorf("conn retries %d after the POST, want 1", got)
+	}
+	// The dead connection says nothing about the shard, which is up: it stays
+	// in rotation (there is no prober here to bring it back) and the client's
+	// retry goes through on a fresh dial.
+	if !sh.healthy.Load() {
+		t.Error("a stale connection on a POST marked the live shard down")
+	}
+	if rec := doReq(t, h, http.MethodPost, "/v1/sessions", map[string]any{"object": 7}); rec.Code != http.StatusOK || posts.Load() != 1 {
+		t.Errorf("retried POST: status %d, reached the shard %d times", rec.Code, posts.Load())
+	}
+}
+
+// TestRoutedHead checks a client HEAD — the mux's GET patterns match it and
+// the router forwards the method — gets the shard's bodiless answer at once
+// and leaves the connection and the shard in service.
+func TestRoutedHead(t *testing.T) {
+	ln, _ := startStub(t, "127.0.0.1:0", func(w http.ResponseWriter, req *http.Request) {
+		if !joinReply(w, req) {
+			w.Header().Set("Content-Type", "application/json")
+			io.WriteString(w, `{"object":7,"block":3,"disk":1}`) // net/http drops it for a HEAD, keeps its length
+		}
+	})
+	r := routerOver(t, "http://"+ln.Addr().String())
+	h := r.Handler()
+	sh := r.topo.Load().slots[0]
+	start := time.Now()
+	rec := rawReq(h, http.MethodHead, stubRead)
+	if rec.Code != http.StatusOK || rec.Body.Len() != 0 || rec.Header().Get(ShardHeader) != "0" {
+		t.Fatalf("HEAD: status %d, %d body bytes, headers %v", rec.Code, rec.Body.Len(), rec.Header())
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("HEAD took %v: the reader waited for a body", took)
+	}
+	dialed := ln.accepts.Load()
+	if rec := rawReq(h, http.MethodGet, stubRead); rec.Code != http.StatusOK || !sh.healthy.Load() {
+		t.Errorf("GET after HEAD: status %d, healthy=%v", rec.Code, sh.healthy.Load())
+	}
+	if got := ln.accepts.Load(); got != dialed {
+		t.Errorf("the HEAD's connection was not reused: %d more dials", got-dialed)
+	}
+}
+
+// TestShardReplyOverLimit checks a shard reply over maxReplyBytes is an
+// error on every path — 502 routed, an error entry fanned out, a terminal
+// (unretried) failure in migration — however the shard delimits the body,
+// and never a truncated body under the shard's 200.
+func TestShardReplyOverLimit(t *testing.T) {
+	for _, mode := range []string{"content-length", "chunked"} {
+		t.Run(mode, func(t *testing.T) {
+			var big atomic.Bool
+			var catalogs atomic.Int64
+			ln, _ := startStub(t, "127.0.0.1:0", func(w http.ResponseWriter, req *http.Request) {
+				if !big.Load() {
+					if !joinReply(w, req) {
+						io.WriteString(w, `{}`)
+					}
+					return
+				}
+				if req.URL.Path == "/v1/admin/objects" {
+					catalogs.Add(1)
+				}
+				if mode == "content-length" {
+					// Declared, not sent: the router must refuse on the header.
+					w.Header().Set("Content-Length", fmt.Sprint(maxReplyBytes+1))
+					w.WriteHeader(http.StatusOK)
+					return
+				}
+				w.(http.Flusher).Flush()
+				w.Write(bytes.Repeat([]byte{'x'}, maxReplyBytes+1))
+			})
+			r := routerOver(t, "http://"+ln.Addr().String())
+			h := r.Handler()
+			sh := r.topo.Load().slots[0]
+			big.Store(true)
+
+			rec := rawReq(h, http.MethodGet, stubRead)
+			if rec.Code != http.StatusBadGateway || !strings.Contains(rec.Body.String(), "exceeds") {
+				t.Errorf("routed read: status %d body %.80q, want 502", rec.Code, rec.Body)
+			}
+			if !sh.healthy.Load() || sh.routedErrs.Value() != 1 {
+				t.Errorf("healthy=%v routedErrs=%d, want a counted error on a live shard",
+					sh.healthy.Load(), sh.routedErrs.Value())
+			}
+
+			var status ClusterStatus
+			decode(t, doReq(t, h, http.MethodGet, "/v1/status", nil), &status)
+			if e := status.Shards[0].Error; !strings.Contains(e, "exceeds") || status.Shards[0].Status != nil {
+				t.Errorf("fan-out entry error=%q status=%.40q, want the over-limit error alone", e, status.Shards[0].Status)
+			}
+
+			_, err := r.fetchCatalog(context.Background(), sh)
+			if !errors.Is(err, errReplyTooLarge) {
+				t.Errorf("migration catalog fetch: %v, want errReplyTooLarge", err)
+			}
+			if got := catalogs.Load(); got != 1 {
+				t.Errorf("migration asked for the catalog %d times; over-limit must not be retried", got)
+			}
+		})
+	}
+}
+
+// TestForwardShortBodyMarksDown checks a reply that ends before its declared
+// length is a transport failure like a refused connection: 503, shard down.
+func TestForwardShortBodyMarksDown(t *testing.T) {
+	ln, _ := startStub(t, "127.0.0.1:0", func(w http.ResponseWriter, req *http.Request) {
+		if joinReply(w, req) {
+			return
+		}
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			return
+		}
+		io.WriteString(conn, "HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"cut\":")
+		conn.Close()
+	})
+	r := routerOver(t, "http://"+ln.Addr().String())
+	rec := rawReq(r.Handler(), http.MethodGet, stubRead)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("short body: status %d, want 503", rec.Code)
+	}
+	if sh := r.topo.Load().slots[0]; sh.healthy.Load() || sh.routedErrs.Value() != 1 {
+		t.Errorf("healthy=%v routedErrs=%d, want the shard marked down", sh.healthy.Load(), sh.routedErrs.Value())
+	}
+}
+
+// TestShardConnectionsClosed pins who closes what: RemoveShard and
+// Router.Close leave no pooled connection behind, and the shard-side
+// goroutines serving those connections exit.
+func TestShardConnectionsClosed(t *testing.T) {
+	c := newTestCluster(t, 3, nil)
+	c.seedObjects(t, 24, 4)
+	for id := 0; id < 24; id++ {
+		c.readVia(t, id, 0)
+	}
+	tail := c.router.topo.Load().slots[2]
+	if _, err := c.router.DrainShard(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	pooled := 0
+	for _, s := range c.router.topo.Load().slots {
+		idle, busy := len(s.idle), s.busy.Load()
+		if idle == 0 || busy != 0 {
+			t.Fatalf("shard %d: idle=%d busy=%d before closing, want a warm idle pool", s.id, idle, busy)
+		}
+		pooled += idle
+	}
+	before := runtime.NumGoroutine()
+
+	if err := c.router.RemoveShard(2); err != nil {
+		t.Fatal(err)
+	}
+	if idle, busy := len(tail.idle), tail.busy.Load(); idle != 0 || busy != 0 {
+		t.Errorf("removed shard keeps idle=%d busy=%d connections", idle, busy)
+	}
+	c.router.Close()
+	for _, s := range c.router.topo.Load().slots {
+		if idle, busy := len(s.idle), s.busy.Load(); idle != 0 || busy != 0 {
+			t.Errorf("closed router keeps idle=%d busy=%d connections to shard %d", idle, busy, s.id)
+		}
+	}
+	// One serving goroutine per connection on the shard side; they exit as
+	// the shards see the close.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before-pooled {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before closing %d connections, %d after", before, pooled, runtime.NumGoroutine())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestShardURL covers the shard addresses the router accepts.
+func TestShardURL(t *testing.T) {
+	r := routerOver(t)
+	for _, tc := range []struct{ raw, addr, host, prefix string }{
+		{"http://127.0.0.1:8081", "127.0.0.1:8081", "127.0.0.1:8081", ""},
+		{"http://shard-a/", "shard-a:80", "shard-a", ""},
+		{"http://[::1]:9/s0/", "[::1]:9", "[::1]:9", "/s0"},
+	} {
+		s, err := r.newShard(0, tc.raw, ShardActive)
+		if err != nil || s.addr != tc.addr || s.host != tc.host || s.prefix != tc.prefix {
+			t.Errorf("%s: got %+v, %v, want (%q, %q, %q)", tc.raw, s, err, tc.addr, tc.host, tc.prefix)
+		}
+	}
+	for _, raw := range []string{"", "127.0.0.1:8081", "https://shard-a", "http://", "http://a/?x=1", "http://a b"} {
+		if _, _, err := r.AddShard(context.Background(), raw); !errors.Is(err, ErrBadShardOp) {
+			t.Errorf("%q: error %v, want ErrBadShardOp", raw, err)
+		}
+	}
+	// A manifest from before the router dialed shards itself may list an
+	// https:// shard: the router refuses to boot and says what to edit.
+	path := filepath.Join(t.TempDir(), "cluster.json")
+	man := Manifest{Version: 1, NextID: 1, Buckets: 1, Shards: []ShardInfo{{ID: 0, URL: "https://shard-a", State: "active"}}}
+	if err := man.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	_, err := NewRouter(RouterConfig{ManifestPath: path, ProbeInterval: -1})
+	if err == nil || !strings.Contains(err.Error(), "manifest shard 0") || !strings.Contains(err.Error(), path) {
+		t.Errorf("booting on an https shard: %v, want an error naming the shard and the manifest", err)
+	}
+}
+
+// cannedShard is a shard reduced to a loopback socket that answers block
+// reads with one fixed reply and everything else with the empty catalog a
+// join wants to see, and allocates nothing while it does, so an allocation
+// count taken across it is the router's alone.
+func cannedShard(t testing.TB, read string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				buf := make([]byte, 4096)
+				for n := 0; ; {
+					m, err := conn.Read(buf[n:])
+					if err != nil {
+						return
+					}
+					if n += m; bytes.HasSuffix(buf[:n], []byte("\r\n\r\n")) {
+						reply := "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n[]"
+						if bytes.HasPrefix(buf[:n], []byte("GET /v1/objects/")) {
+							reply = read
+						}
+						if _, err := io.WriteString(conn, reply); err != nil {
+							return
+						}
+						n = 0
+					}
+				}
+			}()
+		}
+	}()
+	return "http://" + ln.Addr().String()
+}
+
+// nullWriter is a reusable ResponseWriter.
+type nullWriter struct {
+	h      http.Header
+	status int
+}
+
+func (w *nullWriter) Header() http.Header         { return w.h }
+func (w *nullWriter) WriteHeader(status int)      { w.status = status }
+func (w *nullWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// routedReadAllocs is the router-side allocation count of one routed read,
+// Handler() to writeForwarded, as measured when the shard hop moved onto the
+// pooled connections (through the http.Client it replaced: 69). About half
+// is http.ReadResponse (the Response, its header map and values, the body
+// readers); the rest is Handler's deadline context and request copy and
+// ServeMux matching.
+const routedReadAllocs = 25
+
+// TestRoutedReadAllocs keeps the routed read's diet from regressing.
+func TestRoutedReadAllocs(t *testing.T) {
+	const body = `{"object":7,"block":3,"disk":1,"epoch":12}`
+	h := routerOver(t, cannedShard(t, fmt.Sprintf(
+		"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nDate: Mon, 28 Sep 2026 00:00:00 GMT\r\nContent-Length: %d\r\n\r\n%s",
+		len(body), body))).Handler()
+	req := httptest.NewRequest(http.MethodGet, stubRead, nil)
+	w := &nullWriter{h: make(http.Header)}
+	got := testing.AllocsPerRun(500, func() {
+		clear(w.h)
+		h.ServeHTTP(w, req)
+	})
+	if w.status != http.StatusOK || w.h.Get(ShardHeader) != "0" || w.h.Get("Content-Type") != "application/json" {
+		t.Fatalf("routed read: status %d headers %v", w.status, w.h)
+	}
+	if got > routedReadAllocs {
+		t.Errorf("routed read allocates %.0f times on the router side, pinned at %d", got, routedReadAllocs)
+	}
+	t.Logf("routed read: %.0f router-side allocations", got)
+}
+
+// replyCases are the reply shapes readReply has to tell apart; they seed
+// FuzzShardResponse too. wantErr "" means a reply of the given status and
+// body; keep is whether the connection may carry another exchange.
+var replyCases = []struct {
+	name, method, wire string
+	status             int
+	body, wantErr      string
+	keep               bool
+}{
+	{name: "plain", wire: "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 11\r\n\r\n{\"disk\":3}\n",
+		status: 200, body: "{\"disk\":3}\n", keep: true},
+	{name: "retry-after", wire: "HTTP/1.1 503 Service Unavailable\r\nretry-after: 1\r\nContent-Length: 0\r\n\r\n",
+		status: 503, keep: true},
+	{name: "chunked", wire: "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+		status: 200, body: "hello", keep: true},
+	{name: "204 without a length", wire: "HTTP/1.1 204 No Content\r\n\r\n", status: 204, keep: true},
+	{name: "304 with a length", wire: "HTTP/1.1 304 Not Modified\r\nContent-Length: 5\r\n\r\n", status: 304, keep: true},
+	{name: "HEAD", method: http.MethodHead, wire: "HTTP/1.1 200 OK\r\nContent-Length: 42\r\n\r\n", status: 200, keep: true},
+	{name: "HEAD over the cap", method: http.MethodHead, wire: "HTTP/1.1 200 OK\r\nContent-Length: 8388609\r\n\r\n",
+		status: 200, keep: true},
+	{name: "Connection: close", wire: "HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nuntil the end",
+		status: 200, body: "until the end"},
+	{name: "HTTP/1.0", wire: "HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok", status: 200, body: "ok"},
+	{name: "over the cap", wire: "HTTP/1.1 200 OK\r\nContent-Length: 8388609\r\n\r\nx", wantErr: "exceeds"},
+	{name: "negative length", wire: "HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n", wantErr: "Content-Length"},
+	{name: "two lengths", wire: "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nabc", wantErr: "Content-Length"},
+	{name: "short body", wire: "HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort", wantErr: "EOF"},
+	{name: "torn header", wire: "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n", wantErr: "EOF"},
+	{name: "header beyond the buffer", wire: "HTTP/1.1 200 OK\r\nX-Pad: " + strings.Repeat("p", 2*connBufBytes) +
+		"\r\nContent-Length: 1\r\n\r\nx", status: 200, body: "x", keep: true},
+}
+
+// TestReadReply pins how each reply shape is framed: which carry a body,
+// which end the connection, which are refused.
+func TestReadReply(t *testing.T) {
+	for _, tc := range replyCases {
+		t.Run(tc.name, func(t *testing.T) {
+			br := bufio.NewReaderSize(strings.NewReader(tc.wire), connBufBytes)
+			rep, keep, err := readReply(br, tc.method)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) || keep {
+					t.Fatalf("got status %d keep=%v err=%v, want an error naming %q", rep.status, keep, err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil || rep.status != tc.status || string(rep.body) != tc.body || keep != tc.keep {
+				t.Fatalf("got (%d %q keep=%v err=%v), want (%d %q keep=%v)",
+					rep.status, rep.body, keep, err, tc.status, tc.body, tc.keep)
+			}
+			if keep && br.Buffered() != 0 {
+				t.Errorf("kept a connection with %d unread bytes", br.Buffered())
+			}
+		})
+	}
+}
+
+// FuzzShardResponse feeds readReply arbitrary shard bytes: it never panics,
+// never hands back more than maxReplyBytes or a body for a HEAD, and never
+// keeps a connection whose reply it could not read.
+func FuzzShardResponse(f *testing.F) {
+	for _, tc := range replyCases {
+		f.Add([]byte(tc.wire), tc.method == http.MethodHead)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, head bool) {
+		method := http.MethodGet
+		if head {
+			method = http.MethodHead
+		}
+		rep, keep, err := readReply(bufio.NewReaderSize(bytes.NewReader(data), connBufBytes), method)
+		if len(rep.body) > maxReplyBytes || head && len(rep.body) > 0 || keep && err != nil {
+			t.Fatalf("%s: %d body bytes, keep=%v, err=%v", method, len(rep.body), keep, err)
+		}
+	})
+}
