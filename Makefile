@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint verify benchtables bench bench-cluster bench-stream bench-bin fuzz clean
+.PHONY: build test lint verify benchtables bench fuzz clean
 
 # Tier-1 gate: everything must build and the full suite must pass.
 build:
@@ -12,14 +12,17 @@ test: build
 # Static gates: vet, the exported-surface documentation check — every
 # exported identifier in the facade and in the concurrency/durability
 # packages (internal/cm, internal/gateway, internal/binproto,
-# internal/store, internal/obs) must carry a doc comment stating its
-# contract — and the wire-spec sync check: every exported opcode, error
-# code, and flag constant in internal/binproto must be mentioned in
-# docs/PROTOCOL.md, so the spec cannot silently fall behind the code.
+# internal/store, internal/obs, internal/frame) must carry a doc comment
+# stating its contract — the wire-spec sync check: every exported opcode,
+# error code, and flag constant in internal/binproto must be mentioned in
+# docs/PROTOCOL.md, so the spec cannot silently fall behind the code — and
+# the one-envelope gate: outside internal/frame (and bench/, whose oracle
+# is independent on purpose) no non-test Go file imports hash/crc32.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./tools/missingdoc
 	$(GO) run ./tools/speclink
+	@! grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=frame '"hash/crc32"' . || { echo 'lint: hash/crc32 imported outside internal/frame (see ARCHITECTURE.md "Framing")'; exit 1; }
 
 # Tier-1+ gate: lint plus the full suite under the race detector — which
 # includes the replication chaos harness (internal/repl TestChaosConvergence:
@@ -63,58 +66,31 @@ benchtables:
 	$(GO) run ./cmd/benchtables > benchtables_output.txt
 	@echo "regenerated benchtables_output.txt"
 
-# Capture the core benchmark suite as BENCH_5.json (benchmark name →
-# ns/op, allocs/op), the committed perf baseline for the compiled-chain
-# work. Re-run and commit with any change that moves a number.
+# Capture every benchmark in the module as BENCH_14.json (benchmark name →
+# ns/op, bytes/op, allocs/op): one target, no hand-kept -bench regexp, so
+# consecutive captures have the same keys and diff line by line. Rename the
+# output for the PR that takes the capture. BENCH_5/7/8/9/10.json are the
+# partial captures of the four targets this one replaced, kept as history.
 bench:
-	$(GO) test -run '^$$' -bench 'Locat|Lookup|Snapshot|PlanAdd|SafeLocator|Strategy|Codec|PRNG|Gateway|Compiled' -benchmem ./... | $(GO) run ./tools/benchjson > BENCH_5.json
-	@echo "regenerated BENCH_5.json"
-
-# Capture the cluster-router benchmarks as BENCH_7.json: the pure routing
-# decision (whitening + jump hash, per shard count) and the full routed
-# read path through a live 3-shard cluster, to compare against the
-# single-gateway BenchmarkGatewayRead baseline in BENCH_5.json. Re-run and
-# commit with any change that moves a number.
-bench-cluster:
-	$(GO) test -run '^$$' -bench 'ClusterRoute|ClusterGatewayRead' -benchmem ./internal/cluster/ | $(GO) run ./tools/benchjson > BENCH_7.json
-	@echo "regenerated BENCH_7.json"
-
-# Capture the streaming data-plane benchmarks as BENCH_10.json: the
-# per-chunk hot path (pooled buffer → session buffer → wire frame →
-# scratch-reuse client decode, zero allocations per chunk), the locator
-# feed's publish/catch-up cycle alone and fanning out to 64 parked
-# long-pollers, and the full round-delivery path (per-disk batched,
-# coalesced segment reads feeding every playing stream) across disk counts
-# plus the unbatched per-block baseline. BENCH_8.json is the pre-pooling
-# capture of the same chunk path, kept as history. Re-run and commit with
-# any change that moves a number.
-bench-stream:
-	$(GO) test -run '^$$' -bench 'StreamChunk|DeltaFeed|RoundDelivery' -benchmem ./internal/dataplane/ ./internal/cm/ | $(GO) run ./tools/benchjson > BENCH_10.json
-	@echo "regenerated BENCH_10.json"
-
-# Capture the binary-lookup-protocol benchmarks as BENCH_9.json: frame
-# encode/decode alone, then the full client/server round trip over
-# loopback TCP — single pipelined lookups and 64-lookup batches — next to
-# the HTTP read path (BenchmarkGatewayRead) they are measured against in
-# EXPERIMENTS.md E20. Re-run and commit with any change that moves a
-# number.
-bench-bin:
-	$(GO) test -run '^$$' -bench 'GatewayRead|EncodeBatch|DecodeBatch' -benchmem ./internal/gateway/ ./internal/binproto/ | $(GO) run ./tools/benchjson > BENCH_9.json
-	@echo "regenerated BENCH_9.json"
+	$(GO) test -run '^$$' -bench . -benchmem ./... | $(GO) run ./tools/benchjson > BENCH_14.json
+	@echo "regenerated BENCH_14.json"
 
 # Short fuzz passes over the History codecs (seed corpora under
 # internal/scaddar/testdata/fuzz/), the compiled-chain differential
 # fuzzer (compiled vs interpreted lookups), the write-ahead-journal
 # reader, the binary-protocol frame handler (hostile frames against a
 # live server; the connection must survive or die per spec, never panic),
-# and the router's shard-reply reader (arbitrary shard bytes: no panic, no
-# body over the 8 MiB cap or under a HEAD, no kept connection after an error).
+# the router's shard-reply reader (arbitrary shard bytes: no panic, no
+# body over the 8 MiB cap or under a HEAD, no kept connection after an error),
+# and the shared envelope (internal/frame: its three readers agree on every
+# input, none over-allocates for a forged length).
 fuzz:
 	$(GO) test ./internal/scaddar/ -fuzz FuzzCodec -fuzztime 30s
 	$(GO) test ./internal/scaddar/ -fuzz FuzzCompiledChain -fuzztime 30s
 	$(GO) test ./internal/store/ -fuzz FuzzJournal -fuzztime 30s
 	$(GO) test ./internal/binproto/ -fuzz FuzzBinProto -fuzztime 30s
 	$(GO) test ./internal/cluster/ -fuzz FuzzShardResponse -fuzztime 30s
+	$(GO) test ./internal/frame/ -fuzz FuzzFrame -fuzztime 30s
 
 clean:
 	$(GO) clean ./...

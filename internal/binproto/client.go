@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"scaddar/internal/cm"
+	"scaddar/internal/frame"
 )
 
 // Result is one resolved entry of a batch lookup.
@@ -149,7 +150,7 @@ func (c *Client) readLoop() {
 	br := bufio.NewReaderSize(c.nc, 64<<10)
 	var buf []byte
 	for {
-		payload, err := readFrameInto(br, &buf, MaxFrameLen)
+		payload, err := frame.Read(br, &buf, MaxFrameLen)
 		if err != nil {
 			c.fail(fmt.Errorf("binproto: connection lost: %w", err))
 			return
@@ -273,7 +274,7 @@ func (c *Client) roundTrip(ca *call, encode func(dst []byte) []byte) error {
 	buf := appendHeader(c.wbuf[:0], ca.op, corr)
 	buf = encode(buf)
 	c.wbuf = buf[:0]
-	err := writeFrame(c.bw, buf)
+	err := frame.Write(c.bw, buf)
 	if err == nil {
 		err = c.bw.Flush()
 	}

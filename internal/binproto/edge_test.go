@@ -3,13 +3,13 @@ package binproto
 import (
 	"bufio"
 	"encoding/binary"
-	"hash/crc32"
 	"io"
 	"net"
 	"testing"
 	"time"
 
 	"scaddar/internal/cm"
+	"scaddar/internal/frame"
 	"scaddar/internal/obs"
 )
 
@@ -36,7 +36,7 @@ func rawConn(t *testing.T, addr string) net.Conn {
 func sendRaw(t *testing.T, nc net.Conn, payload []byte) {
 	t.Helper()
 	bw := bufio.NewWriter(nc)
-	if err := writeFrame(bw, payload); err != nil {
+	if err := frame.Write(bw, payload); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
@@ -48,7 +48,7 @@ func sendRaw(t *testing.T, nc net.Conn, payload []byte) {
 func readRaw(t *testing.T, nc net.Conn) []byte {
 	t.Helper()
 	var buf []byte
-	payload, err := readFrameInto(bufio.NewReader(nc), &buf, MaxFrameLen)
+	payload, err := frame.Read(bufio.NewReader(nc), &buf, MaxFrameLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestMalformedBodyKeepsConnection(t *testing.T) {
 func TestOversizedLengthPrefixDropsConnection(t *testing.T) {
 	b := newTestBackend(t, 4, 1, 10)
 	nc := rawConn(t, startServer(t, b, nil))
-	var hdr [frameHeaderLen]byte
+	var hdr [frame.HeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[:4], MaxFrameLen+1)
 	if _, err := nc.Write(hdr[:]); err != nil {
 		t.Fatal(err)
@@ -126,9 +126,9 @@ func TestCorruptCRCDropsConnection(t *testing.T) {
 	b := newTestBackend(t, 4, 1, 10)
 	nc := rawConn(t, startServer(t, b, nil))
 	payload := appendHeader(nil, OpPing, 1)
-	var hdr [frameHeaderLen]byte
+	var hdr [frame.HeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable)^0xDEADBEEF)
+	binary.LittleEndian.PutUint32(hdr[4:], frame.Checksum(payload)^0xDEADBEEF)
 	if _, err := nc.Write(append(hdr[:], payload...)); err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestTornFrameDropsConnection(t *testing.T) {
 	nc := rawConn(t, addr)
 	// Declare 100 payload bytes, send 3, stop mid-frame: the idle deadline
 	// tears the connection down instead of waiting forever.
-	var hdr [frameHeaderLen]byte
+	var hdr [frame.HeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[:4], 100)
 	if _, err := nc.Write(append(hdr[:], 1, 2, 3)); err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestTornFrameDropsConnection(t *testing.T) {
 func TestZeroLengthFrameDropsConnection(t *testing.T) {
 	b := newTestBackend(t, 4, 1, 10)
 	nc := rawConn(t, startServer(t, b, nil))
-	var hdr [frameHeaderLen]byte
+	var hdr [frame.HeaderLen]byte
 	if _, err := nc.Write(hdr[:]); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestSlowReaderEviction(t *testing.T) {
 	bw := bufio.NewWriter(nc)
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if err := writeFrame(bw, payload); err != nil {
+		if err := frame.Write(bw, payload); err != nil {
 			break // server hung up on us mid-write: eviction worked
 		}
 		if err := bw.Flush(); err != nil {

@@ -3,11 +3,11 @@ package binproto
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"net"
 	"testing"
 	"time"
+
+	"scaddar/internal/frame"
 )
 
 // FuzzBinProto drives the server's full per-connection path with arbitrary
@@ -46,10 +46,7 @@ func FuzzBinProto(f *testing.F) {
 		// and body decoders).
 		streams := [][]byte{append([]byte(nil), data...)}
 		if len(data) > 0 {
-			var hdr [frameHeaderLen]byte
-			binary.LittleEndian.PutUint32(hdr[:4], uint32(len(data)))
-			binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(data, crcTable))
-			streams = append(streams, append(hdr[:], data...))
+			streams = append(streams, frame.Finish(append(frame.Begin(nil), data...), 0))
 		}
 		for _, stream := range streams {
 			client, server := net.Pipe()
@@ -76,7 +73,7 @@ func FuzzBinProto(f *testing.F) {
 				br := bufio.NewReader(client)
 				var buf []byte
 				for {
-					payload, err := readFrameInto(br, &buf, MaxFrameLen)
+					payload, err := frame.Read(br, &buf, MaxFrameLen)
 					if err != nil {
 						return
 					}

@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"scaddar/internal/frame"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden frames from the encoders")
@@ -20,10 +22,10 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden frames fr
 // in the spec and the testdata file names.
 func goldenFrames(t *testing.T) map[string][]byte {
 	t.Helper()
-	frame := func(payload []byte) []byte {
+	framed := func(payload []byte) []byte {
 		var buf bytes.Buffer
 		bw := bufio.NewWriter(&buf)
-		if err := writeFrame(bw, payload); err != nil {
+		if err := frame.Write(bw, payload); err != nil {
 			t.Fatal(err)
 		}
 		if err := bw.Flush(); err != nil {
@@ -56,9 +58,9 @@ func goldenFrames(t *testing.T) map[string][]byte {
 
 	return map[string][]byte{
 		"handshake":            hs.Bytes(),
-		"batch3-request":       frame(req),
-		"batch3-response":      frame(resp),
-		"error-unknown-opcode": frame(appendError(nil, 9, ErrCodeUnknownOpcode, 0x6F, "unknown opcode 0x6f")),
+		"batch3-request":       framed(req),
+		"batch3-response":      framed(resp),
+		"error-unknown-opcode": framed(appendError(nil, 9, ErrCodeUnknownOpcode, 0x6F, "unknown opcode 0x6f")),
 	}
 }
 
@@ -139,9 +141,9 @@ func TestGoldenFramesDecode(t *testing.T) {
 		}
 		return b
 	}
-	decode := func(frame []byte) []byte {
+	decode := func(wire []byte) []byte {
 		var buf []byte
-		payload, err := readFrameInto(bufio.NewReader(bytes.NewReader(frame)), &buf, MaxFrameLen)
+		payload, err := frame.Read(bufio.NewReader(bytes.NewReader(wire)), &buf, MaxFrameLen)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}

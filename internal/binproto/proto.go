@@ -13,18 +13,16 @@
 // that two answers came from different placement generations and
 // re-validate whatever it cached. The wire format is specified normatively
 // in docs/PROTOCOL.md — byte-accurate, with golden frames under
-// testdata/binproto keeping spec and code from drifting. Framing reuses the
-// store's record idiom (length prefix + CRC-32C over the payload), so a
-// torn or bit-flipped frame is detected and the connection dropped rather
-// than resynchronized.
+// testdata/binproto keeping spec and code from drifting. Frames travel in
+// the shared envelope (internal/frame; see ARCHITECTURE.md "Framing"): a
+// torn or corrupt frame cannot be resynchronized past, so the receiver
+// drops the connection.
 package binproto
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"scaddar/internal/cm"
@@ -39,8 +37,7 @@ const (
 	// client's requested version answers with its own highest and closes.
 	Version = 1
 
-	handshakeLen   = 5 // magic + version byte
-	frameHeaderLen = 8 // uint32 LE payload len + uint32 LE CRC-32C
+	handshakeLen = 5 // magic + version byte
 
 	// MaxFrameLen bounds a frame's declared payload length. A peer
 	// announcing more is hostile or corrupt; the connection is dropped
@@ -126,13 +123,6 @@ const (
 // resolved (low bits zero) but its home disk was not healthy at snapshot
 // time. The low 7 bits remain the entry's error code, 0 on success.
 const EntryUnhealthy uint8 = 0x80
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// errBadFrame reports a frame that failed structural validation (CRC,
-// length bound). The stream cannot be resynchronized past it; the receiver
-// drops the connection.
-var errBadFrame = errors.New("binproto: bad frame")
 
 // ErrDraining is returned by a client whose request was refused with
 // ErrCodeDraining.
@@ -220,50 +210,6 @@ func readHandshake(r io.Reader) (uint8, error) {
 		return 0, fmt.Errorf("binproto: handshake lacks magic %q", Magic)
 	}
 	return buf[4], nil
-}
-
-// writeFrame frames a payload (opcode and correlation ID already included)
-// onto w. The bufio.Writer's capacity is the connection's bounded
-// pending-reply queue: when framing would overflow it, bufio flushes to the
-// socket under whatever write deadline the caller armed, so a peer that
-// stops reading turns bounded buffering into a deadline error instead of
-// unbounded memory.
-func writeFrame(w *bufio.Writer, payload []byte) error {
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// readFrameInto reads and validates one frame, reusing *buf for the
-// payload (growing it once to the connection's steady frame size). The
-// returned slice aliases *buf and is valid until the next call. A declared
-// length of zero, above max, or a CRC mismatch returns errBadFrame: the
-// stream is unrecoverable and the caller must drop the connection.
-func readFrameInto(r *bufio.Reader, buf *[]byte, max uint32) ([]byte, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	if n == 0 || n > max {
-		return nil, fmt.Errorf("%w: declares %d payload bytes (max %d)", errBadFrame, n, max)
-	}
-	if uint32(cap(*buf)) < n {
-		*buf = make([]byte, n)
-	}
-	payload := (*buf)[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(hdr[4:]) {
-		return nil, fmt.Errorf("%w: CRC mismatch", errBadFrame)
-	}
-	return payload, nil
 }
 
 // appendHeader starts a request or response payload: opcode then u32 LE

@@ -1,42 +1,11 @@
 package binproto
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"testing"
 
 	"scaddar/internal/cm"
 )
-
-func TestFrameRoundTrip(t *testing.T) {
-	payload := appendU32(appendHeader(nil, OpLocate, 0xCAFE), 7)
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	if err := writeFrame(bw, payload); err != nil {
-		t.Fatal(err)
-	}
-	bw.Flush()
-	var scratch []byte
-	got, err := readFrameInto(bufio.NewReader(&buf), &scratch, MaxFrameLen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("round-trip: got % x, want % x", got, payload)
-	}
-}
-
-func TestReadFrameRejectsOversizedAndZero(t *testing.T) {
-	for _, n := range []uint32{0, MaxFrameLen + 1} {
-		var buf bytes.Buffer
-		buf.Write([]byte{byte(n), byte(n >> 8), byte(n >> 16), byte(n >> 24), 0, 0, 0, 0})
-		var scratch []byte
-		if _, err := readFrameInto(bufio.NewReader(&buf), &scratch, MaxFrameLen); !errors.Is(err, errBadFrame) {
-			t.Fatalf("declared len %d: got %v, want errBadFrame", n, err)
-		}
-	}
-}
 
 func TestWireCursorTrailing(t *testing.T) {
 	c := wireCursor{buf: []byte{1, 2, 3, 4, 5}}

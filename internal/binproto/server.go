@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"scaddar/internal/cm"
+	"scaddar/internal/frame"
 	"scaddar/internal/obs"
 )
 
@@ -204,9 +205,9 @@ func (s *Server) handleConn(nc net.Conn) {
 	}
 	for {
 		nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		payload, err := readFrameInto(c.br, &c.in, MaxFrameLen)
+		payload, err := frame.Read(c.br, &c.in, MaxFrameLen)
 		if err != nil {
-			if errors.Is(err, errBadFrame) {
+			if errors.Is(err, frame.ErrCorrupt) {
 				s.m.badFrames.Inc()
 				s.logf("binproto: %s: %v", nc.RemoteAddr(), err)
 			} else if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
@@ -374,7 +375,7 @@ func (s *Server) handleFrame(c *srvConn, payload []byte) (drain bool, err error)
 func (s *Server) writeReply(c *srvConn, payload []byte) error {
 	c.out = payload[:0]
 	c.nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	return writeFrame(c.bw, payload)
+	return frame.Write(c.bw, payload)
 }
 
 // flush pushes buffered replies to the socket under the write deadline.

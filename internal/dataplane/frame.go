@@ -5,14 +5,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
+
+	"scaddar/internal/frame"
 )
 
 // This file is the chunk wire framing a streaming session speaks over HTTP:
-// the same length + CRC-32C record idiom as the segment files, so a client
-// can verify every chunk independently of the transport. A stream is a
-// sequence of data frames (block index + payload) terminated by one end
+// the shared envelope (internal/frame; see ARCHITECTURE.md "Framing"), so a
+// client can verify every chunk independently of the transport. A stream is
+// a sequence of data frames (block index + payload) terminated by one end
 // frame carrying the close reason.
 
 // Frame payload tags.
@@ -50,36 +50,23 @@ func (r CloseReason) String() string {
 }
 
 // ErrFrameCorrupt is returned when a received frame fails its structural or
-// CRC checks.
+// CRC checks, or when the stream stops inside a frame; the read error that
+// stopped it, if any, is wrapped alongside.
 var ErrFrameCorrupt = errors.New("dataplane: corrupt stream frame")
-
-// maxFrameLen bounds a received frame so a corrupt length cannot force a
-// huge allocation.
-const maxFrameLen = maxPayloadRecord
 
 // AppendDataFrame appends one chunk frame (block index + payload) to dst
 // and returns the extended slice.
 func AppendDataFrame(dst []byte, index int, data []byte) []byte {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
-	dst = append(dst, frameData)
+	dst = append(frame.Begin(dst), frameData)
 	dst = binary.AppendUvarint(dst, uint64(index))
-	dst = append(dst, data...)
-	payload := dst[start+recHeaderLen:]
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, payloadCRC))
-	return dst
+	return frame.Finish(append(dst, data...), start)
 }
 
 // AppendEndFrame appends the terminal frame carrying the close reason.
 func AppendEndFrame(dst []byte, reason CloseReason) []byte {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
-	dst = append(dst, frameEnd, byte(reason))
-	payload := dst[start+recHeaderLen:]
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, payloadCRC))
-	return dst
+	return frame.Finish(append(frame.Begin(dst), frameEnd, byte(reason)), start)
 }
 
 // Frame is one decoded stream frame.
@@ -108,34 +95,12 @@ func ReadFrame(br *bufio.Reader) (Frame, error) {
 // Frame's Data aliases scratch and is valid only until the next call with
 // the same buffer.
 func ReadFrameInto(br *bufio.Reader, scratch []byte) (Frame, error) {
-	// Peek+Discard instead of io.ReadFull into a local array: a slice of a
-	// stack array passed through the io.Reader interface escapes to the
-	// heap, and this decoder must stay allocation-free.
-	hdr, err := br.Peek(recHeaderLen)
+	payload, err := frame.Read(br, &scratch, maxPayloadRecord)
 	if err != nil {
-		if len(hdr) > 0 && errors.Is(err, io.EOF) {
-			return Frame{}, fmt.Errorf("%w: torn frame header", ErrFrameCorrupt)
+		if errors.Is(err, frame.ErrTorn) || errors.Is(err, frame.ErrCorrupt) {
+			return Frame{}, fmt.Errorf("%w: %w", ErrFrameCorrupt, err)
 		}
-		return Frame{}, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[0:])
-	crc := binary.LittleEndian.Uint32(hdr[4:])
-	if _, err := br.Discard(recHeaderLen); err != nil {
-		return Frame{}, err
-	}
-	if n == 0 || n > maxFrameLen {
-		return Frame{}, fmt.Errorf("%w: frame length %d", ErrFrameCorrupt, n)
-	}
-	payload := scratch
-	if uint32(cap(payload)) < n {
-		payload = make([]byte, n)
-	}
-	payload = payload[:n]
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return Frame{}, fmt.Errorf("%w: torn frame body", ErrFrameCorrupt)
-	}
-	if crc32.Checksum(payload, payloadCRC) != crc {
-		return Frame{}, fmt.Errorf("%w: CRC mismatch", ErrFrameCorrupt)
+		return Frame{}, err // between frames: a clean close is a bare io.EOF
 	}
 	switch payload[0] {
 	case frameData:

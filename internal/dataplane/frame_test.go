@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"testing"
+	"testing/iotest"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -44,6 +45,31 @@ func TestFrameCorruptionDetected(t *testing.T) {
 	_, err = ReadFrame(bufio.NewReader(bytes.NewReader(wire[:4])))
 	if !errors.Is(err, ErrFrameCorrupt) {
 		t.Fatalf("torn header = %v, want ErrFrameCorrupt", err)
+	}
+}
+
+// TestReadFrameKeepsCause: a read that fails inside a frame is still
+// ErrFrameCorrupt — the stream cannot continue — but the error that stopped
+// it stays reachable, so a client can tell a slow stream (a deadline) from
+// a corrupt one. A clean close between frames stays a bare io.EOF.
+func TestReadFrameKeepsCause(t *testing.T) {
+	wire := AppendDataFrame(nil, 3, SeededContent(1, 3, 64))
+	slow := errors.New("read deadline exceeded")
+	midBody := io.MultiReader(bytes.NewReader(wire[:20]), iotest.ErrReader(slow))
+	_, err := ReadFrameInto(bufio.NewReader(midBody), nil)
+	if !errors.Is(err, ErrFrameCorrupt) || !errors.Is(err, slow) {
+		t.Fatalf("read failing mid-body = %v, want ErrFrameCorrupt wrapping the cause", err)
+	}
+	_, err = ReadFrameInto(bufio.NewReader(bytes.NewReader(wire[:20])), nil)
+	if !errors.Is(err, ErrFrameCorrupt) || !errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
+		t.Fatalf("stream ending mid-body = %v, want ErrFrameCorrupt wrapping io.ErrUnexpectedEOF", err)
+	}
+	br := bufio.NewReader(bytes.NewReader(wire))
+	if _, err := ReadFrameInto(br, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFrameInto(br, nil); err != io.EOF {
+		t.Fatalf("clean close between frames = %v, want a bare io.EOF", err)
 	}
 }
 

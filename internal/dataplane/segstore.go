@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -16,6 +15,7 @@ import (
 
 	"scaddar/internal/bufpool"
 	"scaddar/internal/disk"
+	"scaddar/internal/frame"
 )
 
 // Typed errors for the segment store, distinguishable with errors.Is.
@@ -31,19 +31,16 @@ var (
 	ErrCorruptPayload = errors.New("dataplane: corrupt payload record")
 )
 
-// Segment file format constants. The framing deliberately mirrors the
-// metadata journal (internal/store): little-endian length, CRC-32C
-// (Castagnoli) over the payload, and a recovery scan that trusts the
-// longest valid prefix.
+// Segment file format constants. Records travel in the shared envelope
+// (internal/frame; see ARCHITECTURE.md "Framing") and, like the metadata
+// journal, the recovery scan trusts the longest valid prefix.
 const (
 	segMagic   = "SCPB" // "SCaddar Payload Blocks"
 	segVersion = 1
 	// segHeaderLen is magic + version byte + segment sequence.
 	segHeaderLen = len(segMagic) + 1 + 8
-	// recHeaderLen is the record length + CRC frame.
-	recHeaderLen = 8
-	// maxPayloadRecord bounds a single record so a corrupt length cannot
-	// force a huge allocation during the recovery scan.
+	// maxPayloadRecord bounds a single record, and a stream frame carrying
+	// one, so a corrupt length cannot force a huge allocation.
 	maxPayloadRecord = 64 << 20
 	// Record kinds: a stored payload and a deletion tombstone.
 	recPut = 0
@@ -60,9 +57,6 @@ const indexFileName = "index.idx"
 
 // indexMagic introduces the index checkpoint file.
 const indexMagic = "SCPI"
-
-// payloadCRC is the Castagnoli table, matching the metadata journal.
-var payloadCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // Options configure a segment store.
 type Options struct {
@@ -248,16 +242,11 @@ func (s *Store) scanSegment(seg *segment, from int64) error {
 		off = int64(segHeaderLen)
 	}
 	for {
-		if int64(len(data))-off < recHeaderLen {
-			break
+		payload, size, err := frame.Next(data[off:], maxPayloadRecord)
+		if err == io.EOF {
+			return nil
 		}
-		n := binary.LittleEndian.Uint32(data[off:])
-		crc := binary.LittleEndian.Uint32(data[off+4:])
-		if n == 0 || n > maxPayloadRecord || off+recHeaderLen+int64(n) > int64(len(data)) {
-			return s.truncateSegment(seg, from, off)
-		}
-		payload := data[off+recHeaderLen : off+recHeaderLen+int64(n)]
-		if crc32.Checksum(payload, payloadCRC) != crc {
+		if err != nil {
 			return s.truncateSegment(seg, from, off)
 		}
 		kind, bid, _, ok := decodeRecord(payload)
@@ -266,17 +255,12 @@ func (s *Store) scanSegment(seg *segment, from int64) error {
 		}
 		switch kind {
 		case recPut:
-			s.index[bid] = entry{seg: seg.seq, off: from + off, n: int32(n)}
+			s.index[bid] = entry{seg: seg.seq, off: from + off, n: int32(len(payload))}
 		case recDel:
 			delete(s.index, bid)
 		}
-		off += recHeaderLen + int64(n)
+		off += int64(size)
 	}
-	if tail := int64(len(data)) - off; tail > 0 {
-		// A partial record header at the very end is a torn write too.
-		return s.truncateSegment(seg, from, off)
-	}
-	return nil
 }
 
 // truncateSegment discards a torn or corrupt suffix, keeping the longest
@@ -304,7 +288,7 @@ func (s *Store) recountLive() {
 	for bid, e := range s.index {
 		if seg := s.bySeq[e.seg]; seg != nil {
 			seg.live++
-			liveFrames[e.seg] += recHeaderLen + int64(e.n)
+			liveFrames[e.seg] += frame.HeaderLen + int64(e.n)
 		}
 		s.liveBytes += dataLen(e, bid)
 	}
@@ -382,18 +366,13 @@ func (s *Store) appendRecord(kind int, bid disk.BlockID, data []byte) (entry, er
 		}
 		seg = s.active()
 	}
-	s.scratch = s.scratch[:0]
-	s.scratch = append(s.scratch, 0, 0, 0, 0, 0, 0, 0, 0) // frame placeholder
-	s.scratch = append(s.scratch, byte(kind))
+	s.scratch = append(frame.Begin(s.scratch[:0]), byte(kind))
 	s.scratch = binary.AppendUvarint(s.scratch, uint64(bid))
-	s.scratch = append(s.scratch, data...)
-	payload := s.scratch[recHeaderLen:]
-	binary.LittleEndian.PutUint32(s.scratch[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(s.scratch[4:], crc32.Checksum(payload, payloadCRC))
+	s.scratch = frame.Finish(append(s.scratch, data...), 0)
 	if _, err := seg.f.WriteAt(s.scratch, seg.size); err != nil {
 		return entry{}, fmt.Errorf("dataplane: append to %s: %w", seg.path, err)
 	}
-	e := entry{seg: seg.seq, off: seg.size, n: int32(len(payload))}
+	e := entry{seg: seg.seq, off: seg.size, n: int32(len(s.scratch) - frame.HeaderLen)}
 	seg.size += int64(len(s.scratch))
 	if s.opts.SyncOnPut {
 		if err := seg.f.Sync(); err != nil {
@@ -461,11 +440,9 @@ func (s *Store) unpinLocked(seg *segment) {
 
 // verifyRecord checks a framed record read back from a segment and returns
 // the block data inside it.
-func verifyRecord(frame []byte, bid disk.BlockID) ([]byte, error) {
-	n := binary.LittleEndian.Uint32(frame[0:])
-	crc := binary.LittleEndian.Uint32(frame[4:])
-	payload := frame[recHeaderLen:]
-	if int(n) != len(payload) || crc32.Checksum(payload, payloadCRC) != crc {
+func verifyRecord(rec []byte, bid disk.BlockID) ([]byte, error) {
+	payload, size, err := frame.Next(rec, maxPayloadRecord)
+	if err != nil || size != len(rec) {
 		return nil, fmt.Errorf("%w: block %d frame check failed", ErrCorruptPayload, bid)
 	}
 	kind, got, data, ok := decodeRecord(payload)
@@ -492,7 +469,7 @@ func (s *Store) Get(bid disk.BlockID) ([]byte, error) {
 	}
 	s.mu.Unlock()
 
-	buf := make([]byte, recHeaderLen+int(e.n))
+	buf := make([]byte, frame.HeaderLen+int(e.n))
 	_, rerr := seg.f.ReadAt(buf, e.off)
 
 	s.mu.Lock()
@@ -574,11 +551,11 @@ func (s *Store) ReadBlocks(reqs []disk.BlockRead) {
 	for i := 0; i < len(pend); {
 		seg := pend[i].seg
 		spanStart := pend[i].e.off
-		spanEnd := spanStart + recHeaderLen + int64(pend[i].e.n)
+		spanEnd := spanStart + frame.HeaderLen + int64(pend[i].e.n)
 		j := i + 1
 		for j < len(pend) && pend[j].seg == seg {
 			off := pend[j].e.off
-			end := off + recHeaderLen + int64(pend[j].e.n)
+			end := off + frame.HeaderLen + int64(pend[j].e.n)
 			// Records never overlap, so a follower either duplicates a
 			// frame already inside the span or starts exactly at its end.
 			if off > spanEnd || (end > spanEnd && spanEnd-spanStart >= maxCoalescedSpan) {
@@ -599,8 +576,8 @@ func (s *Store) ReadBlocks(reqs []disk.BlockRead) {
 			for k := i; k < j; k++ {
 				p := pend[k]
 				r := &reqs[p.idx]
-				frame := data[p.e.off-spanStart : p.e.off-spanStart+recHeaderLen+int64(p.e.n)]
-				blockData, verr := verifyRecord(frame, r.Block)
+				rec := data[p.e.off-spanStart : p.e.off-spanStart+frame.HeaderLen+int64(p.e.n)]
+				blockData, verr := verifyRecord(rec, r.Block)
 				if verr != nil {
 					r.Err = verr
 					continue
@@ -644,7 +621,7 @@ func (s *Store) Delete(bid disk.BlockID) error {
 	s.liveBytes -= dataLen(e, bid)
 	// The tombstone itself is immediately dead weight.
 	if seg := s.bySeq[te.seg]; seg != nil {
-		seg.dead += recHeaderLen + int64(te.n)
+		seg.dead += frame.HeaderLen + int64(te.n)
 	}
 	return nil
 }
@@ -657,7 +634,7 @@ func (s *Store) retireLocked(e entry) {
 		return
 	}
 	seg.live--
-	seg.dead += recHeaderLen + int64(e.n)
+	seg.dead += frame.HeaderLen + int64(e.n)
 	if seg.live == 0 && seg != s.active() {
 		s.pruneLocked(seg)
 	}
@@ -753,13 +730,13 @@ func (s *Store) Compact() error {
 		sort.Slice(moved, func(i, j int) bool { return moved[i] < moved[j] })
 		for _, bid := range moved {
 			e := s.index[bid]
-			buf := make([]byte, recHeaderLen+int(e.n))
+			buf := make([]byte, frame.HeaderLen+int(e.n))
 			if _, err := seg.f.ReadAt(buf, e.off); err != nil {
 				return fmt.Errorf("dataplane: compact read %s: %w", seg.path, err)
 			}
-			_, _, data, ok := decodeRecord(buf[recHeaderLen:])
-			if !ok {
-				return fmt.Errorf("%w: block %d during compaction", ErrCorruptPayload, bid)
+			data, err := verifyRecord(buf, bid)
+			if err != nil {
+				return fmt.Errorf("dataplane: compact %s: %w", seg.path, err)
 			}
 			ne, err := s.appendRecord(recPut, bid, data)
 			if err != nil {
@@ -823,7 +800,7 @@ func (s *Store) writeIndexCheckpointLocked() error {
 		buf = binary.AppendUvarint(buf, uint64(e.off))
 		buf = binary.AppendUvarint(buf, uint64(e.n))
 	}
-	sum := crc32.Checksum(buf, payloadCRC)
+	sum := frame.Checksum(buf)
 	buf = binary.LittleEndian.AppendUint32(buf, sum)
 	tmp := filepath.Join(s.dir, indexFileName+".tmp")
 	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
@@ -850,7 +827,7 @@ func (s *Store) loadIndexCheckpoint() (map[uint64]int64, bool) {
 		return nil, false
 	}
 	body, tail := buf[:len(buf)-4], buf[len(buf)-4:]
-	if crc32.Checksum(body, payloadCRC) != binary.LittleEndian.Uint32(tail) {
+	if frame.Checksum(body) != binary.LittleEndian.Uint32(tail) {
 		return nil, false
 	}
 	r := body[5:]

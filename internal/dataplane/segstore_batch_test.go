@@ -8,6 +8,7 @@ import (
 
 	"scaddar/internal/bufpool"
 	"scaddar/internal/disk"
+	"scaddar/internal/frame"
 )
 
 // readBatch runs ReadBlocks over the given block IDs and returns the
@@ -112,11 +113,11 @@ func TestStoreReadBlocksCorruptionIsPerBlock(t *testing.T) {
 	seg := s.bySeq[e.seg]
 	s.mu.Unlock()
 	b := make([]byte, 1)
-	if _, err := seg.f.ReadAt(b, e.off+recHeaderLen+16); err != nil {
+	if _, err := seg.f.ReadAt(b, e.off+frame.HeaderLen+16); err != nil {
 		t.Fatal(err)
 	}
 	b[0] ^= 0xFF
-	if _, err := seg.f.WriteAt(b, e.off+recHeaderLen+16); err != nil {
+	if _, err := seg.f.WriteAt(b, e.off+frame.HeaderLen+16); err != nil {
 		t.Fatal(err)
 	}
 	base := bufpool.InUse()

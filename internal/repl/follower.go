@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"scaddar/internal/cm"
+	"scaddar/internal/frame"
 	"scaddar/internal/obs"
 	"scaddar/internal/placement"
 	"scaddar/internal/prng"
@@ -356,7 +357,9 @@ func (f *Follower) session() (progressed bool, err error) {
 		default:
 		}
 		conn.SetReadDeadline(time.Now().Add(f.cfg.ReadTimeout))
-		payload, err := readFrame(r)
+		// A fresh buffer per frame: applied events and the inline
+		// checkpoint keep slices of the payload.
+		payload, err := frame.Read(r, new([]byte), maxFrameLen)
 		if err != nil {
 			return progressed, err
 		}

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"scaddar/internal/frame"
 	"scaddar/internal/store"
 )
 
@@ -126,7 +127,7 @@ func TestResumeGate(t *testing.T) {
 				t.Fatal(err)
 			}
 			conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-			payload, err := readFrame(bufio.NewReader(conn))
+			payload, err := frame.Read(bufio.NewReader(conn), new([]byte), maxFrameLen)
 			if err != nil {
 				t.Fatal(err)
 			}

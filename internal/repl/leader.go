@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"scaddar/internal/frame"
 	"scaddar/internal/obs"
 	"scaddar/internal/store"
 )
@@ -301,7 +302,7 @@ func (l *Leader) serveConn(conn net.Conn, lc *leaderConn) error {
 		return err
 	} else {
 		durable, epoch := l.cfg.Store.Durable()
-		if err := writeFrame(cw.w, encodeHelloResume(helloResume{
+		if err := frame.Write(cw.w, encodeHelloResume(helloResume{
 			journal:     l.id,
 			resumeLSN:   fromLSN,
 			durableLSN:  durable,
@@ -339,7 +340,7 @@ func (l *Leader) serveConn(conn net.Conn, lc *leaderConn) error {
 			continue // advanced between Next and DurableNotify
 		}
 		_, epoch := l.cfg.Store.Durable()
-		if err := writeFrame(cw.w, encodeHeartbeat(heartbeat{durableLSN: durable, durableEpoch: epoch})); err != nil {
+		if err := frame.Write(cw.w, encodeHeartbeat(heartbeat{durableLSN: durable, durableEpoch: epoch})); err != nil {
 			return err
 		}
 		if err := cw.flush(); err != nil {
@@ -391,7 +392,7 @@ func (l *Leader) sendSnapshot(cw *connWriter, lc *leaderConn, old *store.TailRea
 		leaderEpoch: epoch,
 		ckptData:    data,
 	}
-	if err := writeFrame(cw.w, encodeHelloSnapshot(h)); err != nil {
+	if err := frame.Write(cw.w, encodeHelloSnapshot(h)); err != nil {
 		return nil, err
 	}
 	if err := cw.flush(); err != nil {
@@ -413,7 +414,7 @@ func (l *Leader) sendRecords(cw *connWriter, lc *leaderConn, batch []store.TailR
 		return nil
 	}
 	for _, rec := range batch {
-		if err := writeFrame(cw.w, encodeRecord(rec.LSN, rec.Event)); err != nil {
+		if err := frame.Write(cw.w, encodeRecord(rec.LSN, rec.Event)); err != nil {
 			return err
 		}
 	}

@@ -10,15 +10,15 @@
 //
 // The wire protocol is deliberately minimal: one TCP connection, client
 // speaks first with a fixed-size handshake, then the leader streams frames
-// until the connection dies. Frames reuse the store's record idiom —
-// length prefix plus CRC-32C over the payload — so a truncated or
-// bit-flipped frame is detected at the follower, which drops the
-// connection and resumes from its applied LSN.
+// in the shared envelope (internal/frame; see ARCHITECTURE.md "Framing")
+// until the connection dies. A truncated or bit-flipped frame is detected
+// at the follower, which drops the connection and resumes from its applied
+// LSN.
 //
 //	client → leader: "SCRP" | version byte | uint64 LE fromLSN | 16-byte journal ID
-//	leader → client: uint32 LE len | uint32 LE CRC-32C | payload
+//	leader → client: frame, frame, ...
 //
-// The payload's first byte is the frame type:
+// A frame payload's first byte is the frame type:
 //
 //	helloSnapshot: 16-byte journal ID, then uvarint ckptLSN, ckptEpoch,
 //	               durableLSN, leaderEpoch, ckptLen, then ckptLen
@@ -46,12 +46,10 @@
 package repl
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 )
 
@@ -63,8 +61,7 @@ const (
 	journalIDLen = 16
 	handshakeLen = 4 + 1 + 8 + journalIDLen
 
-	frameHeaderLen = 8        // uint32 len + uint32 CRC
-	maxFrameLen    = 64 << 20 // sanity bound; checkpoints dominate frame size
+	maxFrameLen = 64 << 20 // bound on a frame's payload; checkpoints dominate frame size
 )
 
 // journalID is the raw form of a store journal identity on the wire. The
@@ -92,10 +89,9 @@ const (
 	frameHeartbeat     = 4
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// errBadFrame reports a frame that failed structural validation (CRC, type,
-// bounds). The receiver treats it like a dead connection: drop and resume.
+// errBadFrame reports a frame whose payload failed structural validation
+// (type, field bounds). The receiver treats it like a dead connection: drop
+// and resume.
 var errBadFrame = errors.New("repl: bad frame")
 
 // encodeHandshake renders the client's opening bytes: the resume position
@@ -122,38 +118,6 @@ func readHandshake(r io.Reader) (fromLSN uint64, id journalID, err error) {
 	}
 	copy(id[:], buf[13:])
 	return binary.LittleEndian.Uint64(buf[5:13]), id, nil
-}
-
-// writeFrame frames a payload (type byte already included) onto w.
-func writeFrame(w *bufio.Writer, payload []byte) error {
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// readFrame reads and validates one frame, returning its payload.
-func readFrame(r *bufio.Reader) ([]byte, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	if n == 0 || n > maxFrameLen {
-		return nil, fmt.Errorf("%w: declares %d payload bytes", errBadFrame, n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(hdr[4:]) {
-		return nil, fmt.Errorf("%w: CRC mismatch", errBadFrame)
-	}
-	return payload, nil
 }
 
 // helloSnapshot carries a full bootstrap: the leader's journal identity,

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"scaddar/internal/cm"
+	"scaddar/internal/frame"
 	"scaddar/internal/placement"
 	"scaddar/internal/prng"
 	"scaddar/internal/store"
@@ -276,9 +277,9 @@ type scriptedLeader struct {
 	frames [][]byte
 }
 
-func (sl *scriptedLeader) send(frame []byte) {
+func (sl *scriptedLeader) send(payload []byte) {
 	sl.mu.Lock()
-	sl.frames = append(sl.frames, frame)
+	sl.frames = append(sl.frames, payload)
 	sl.mu.Unlock()
 }
 
@@ -301,7 +302,7 @@ func startScriptedLeader(t *testing.T, hello []byte) *scriptedLeader {
 					return
 				}
 				w := bufio.NewWriter(conn)
-				if err := writeFrame(w, sl.hello); err != nil {
+				if err := frame.Write(w, sl.hello); err != nil {
 					return
 				}
 				if err := w.Flush(); err != nil {
@@ -311,8 +312,8 @@ func startScriptedLeader(t *testing.T, hello []byte) *scriptedLeader {
 					sl.mu.Lock()
 					pending := sl.frames[sent:]
 					sl.mu.Unlock()
-					for _, frame := range pending {
-						if err := writeFrame(w, frame); err != nil {
+					for _, payload := range pending {
+						if err := frame.Write(w, payload); err != nil {
 							return
 						}
 						sent++

@@ -23,12 +23,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"time"
 
 	"scaddar/internal/cm"
+	"scaddar/internal/frame"
 )
 
 const (
@@ -72,7 +72,7 @@ func encodeCheckpoint(lsn, epoch uint64, cfg cm.Config, md *cm.Metadata) ([]byte
 	out := make([]byte, 0, ckptHeaderLen+len(payload))
 	out = append(out, ckptMagic...)
 	out = append(out, ckptVersion)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
+	out = binary.LittleEndian.AppendUint32(out, frame.Checksum(payload))
 	return append(out, payload...), nil
 }
 
@@ -85,7 +85,7 @@ func decodeCheckpoint(data []byte) (lsn, epoch uint64, cfg cm.Config, md *cm.Met
 		return 0, 0, cfg, nil, fmt.Errorf("store: checkpoint format version %d, want %d", data[4], ckptVersion)
 	}
 	payload := data[ckptHeaderLen:]
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(data[5:]) {
+	if frame.Checksum(payload) != binary.LittleEndian.Uint32(data[5:]) {
 		return 0, 0, cfg, nil, fmt.Errorf("store: checkpoint CRC mismatch")
 	}
 	r := bytes.NewReader(payload)

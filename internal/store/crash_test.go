@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"scaddar/internal/cm"
+	"scaddar/internal/frame"
 )
 
 // Crash-injection harness. crashScript drives a journaled server through
@@ -152,11 +153,11 @@ func TestCrashRecoveryAtEveryKillPoint(t *testing.T) {
 		// plus cuts inside the length field, the CRC field, and the payload.
 		cuts := []int64{segHeaderLen}
 		for _, b := range bounds {
-			payload := b[1] - b[0] - recHeaderLen
+			payload := b[1] - b[0] - frame.HeaderLen
 			cuts = append(cuts,
-				b[0]+1+rnd.Int63n(3),               // mid length
-				b[0]+4+1+rnd.Int63n(3),             // mid CRC
-				b[0]+recHeaderLen+rnd.Int63n(payload), // mid payload
+				b[0]+1+rnd.Int63n(3),                     // mid length
+				b[0]+4+1+rnd.Int63n(3),                   // mid CRC
+				b[0]+frame.HeaderLen+rnd.Int63n(payload), // mid payload
 				b[1], // clean record boundary
 			)
 		}

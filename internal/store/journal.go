@@ -8,40 +8,34 @@ package store
 // A segment begins with a 13-byte header — magic "SCWL", a format version
 // byte, and the first LSN it holds (little-endian uint64, cross-checked
 // against the filename so a mislabeled copy of another segment is caught) —
-// followed by length-prefixed records:
-//
-//	uint32 LE payload length | uint32 LE CRC-32C of payload | payload
-//
-// where the payload is a uvarint LSN followed by the event encoding
-// (event.go). LSNs start at 1 and are contiguous within and across
-// segments. Scanning stops at the first record that is torn (runs past the
-// end of the file) or corrupt (CRC or LSN-continuity violation): everything
-// before it is trusted, everything after it is discarded — the contract
-// crash recovery is built on.
+// followed by records in the shared envelope (internal/frame; see
+// ARCHITECTURE.md "Framing") whose payload is a uvarint LSN followed by the
+// event encoding (event.go). LSNs start at 1 and are contiguous within and
+// across segments. Scanning stops at the first record that is torn, corrupt
+// or out of LSN order: everything before it is trusted, everything after it
+// is discarded — the contract crash recovery is built on.
 
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"strconv"
 	"strings"
+
+	"scaddar/internal/frame"
 )
 
 const (
 	segMagic      = "SCWL"
 	segVersion    = 1
 	segHeaderLen  = 4 + 1 + 8
-	recHeaderLen  = 8
-	maxRecordLen  = 8 << 20 // sanity bound against forged lengths
+	maxRecordLen  = 8 << 20 // bound on a record's payload, enforced by Append and every reader
 	segPrefix     = "wal-"
 	segSuffix     = ".seg"
 	ckptPrefix    = "ckpt-"
 	ckptSuffix    = ".ckpt"
 	lsnNameDigits = 16
 )
-
-// crcTable is the Castagnoli polynomial, hardware-accelerated on most CPUs.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // segmentName returns the filename of the segment starting at firstLSN.
 func segmentName(firstLSN uint64) string {
@@ -82,11 +76,9 @@ func segmentHeader(firstLSN uint64) []byte {
 
 // appendRecord frames one event payload as a journal record.
 func appendRecord(dst []byte, lsn uint64, event []byte) []byte {
-	payload := binary.AppendUvarint(nil, lsn)
-	payload = append(payload, event...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
-	return append(dst, payload...)
+	start := len(dst)
+	dst = binary.AppendUvarint(frame.Begin(dst), lsn)
+	return frame.Finish(append(dst, event...), start)
 }
 
 // record is one decoded journal record: the event payload is kept raw and
@@ -128,46 +120,24 @@ func scanSegment(data []byte) (*segmentScan, error) {
 		validLen: segHeaderLen,
 	}
 	next := scan.firstLSN
-	off := int64(segHeaderLen)
 	for {
-		rest := data[off:]
-		if len(rest) == 0 {
+		payload, size, err := frame.Next(data[scan.validLen:], maxRecordLen)
+		if err == io.EOF {
 			return scan, nil
 		}
-		if len(rest) < recHeaderLen {
-			scan.markTruncated("torn record header")
-			return scan, nil
-		}
-		payloadLen := binary.LittleEndian.Uint32(rest)
-		if payloadLen == 0 || payloadLen > maxRecordLen {
-			scan.markTruncated(fmt.Sprintf("record declares %d payload bytes", payloadLen))
-			return scan, nil
-		}
-		if int64(len(rest)) < recHeaderLen+int64(payloadLen) {
-			scan.markTruncated("torn record payload")
-			return scan, nil
-		}
-		payload := rest[recHeaderLen : recHeaderLen+payloadLen]
-		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(rest[4:]) {
-			scan.markTruncated("record CRC mismatch")
+		if err != nil {
+			scan.truncated, scan.reason = true, err.Error()
 			return scan, nil
 		}
 		lsn, n := binary.Uvarint(payload)
 		if n <= 0 || lsn != next {
-			scan.markTruncated(fmt.Sprintf("record LSN %d breaks continuity (want %d)", lsn, next))
+			scan.truncated, scan.reason = true, fmt.Sprintf("record LSN %d breaks continuity (want %d)", lsn, next)
 			return scan, nil
 		}
 		scan.records = append(scan.records, record{lsn: lsn, event: payload[n:]})
 		next++
-		off += recHeaderLen + int64(payloadLen)
-		scan.validLen = off
+		scan.validLen += int64(size)
 	}
-}
-
-// markTruncated records why the trusted prefix ends before the file does.
-func (sc *segmentScan) markTruncated(reason string) {
-	sc.truncated = true
-	sc.reason = reason
 }
 
 // lastLSN returns the LSN of the final valid record, or firstLSN-1 when the

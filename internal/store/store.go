@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"scaddar/internal/cm"
+	"scaddar/internal/frame"
 	"scaddar/internal/fsio"
 	"scaddar/internal/obs"
 )
@@ -495,6 +496,13 @@ func (s *Store) Append(ev cm.Event) (uint64, error) {
 	if err != nil {
 		return 0, s.fail(err)
 	}
+	lsn := s.nextLSN
+	rec := appendRecord(nil, lsn, event)
+	if n := len(rec) - frame.HeaderLen; n > maxRecordLen {
+		// Recovery and tailing distrust any record over the bound: acking
+		// this one would lose it, and every event after it, at the next open.
+		return 0, s.fail(fmt.Errorf("event kind %d needs a %d-byte record, over the %d-byte bound", ev.Kind, n, maxRecordLen))
+	}
 	if err := s.ensureActive(); err != nil {
 		return 0, s.fail(err)
 	}
@@ -503,21 +511,19 @@ func (s *Store) Append(ev cm.Event) (uint64, error) {
 			return 0, s.fail(err)
 		}
 	}
-	lsn := s.nextLSN
-	frame := appendRecord(nil, lsn, event)
-	if _, err := s.w.Write(frame); err != nil {
+	if _, err := s.w.Write(rec); err != nil {
 		return 0, s.fail(err)
 	}
 	if cm.IsEpochEvent(ev.Kind) {
 		s.epoch++
 	}
-	s.activeSize += int64(len(frame))
+	s.activeSize += int64(len(rec))
 	sm := &s.segments[len(s.segments)-1]
 	sm.last = lsn
 	sm.size = s.activeSize
 	s.nextLSN++
 	s.unsynced++
-	s.observeAppend(len(frame))
+	s.observeAppend(len(rec))
 	if s.unsynced >= s.cfg.SyncEvery {
 		if err := s.syncLocked(); err != nil {
 			return 0, s.fail(err)

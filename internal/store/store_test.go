@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"scaddar/internal/cm"
+	"scaddar/internal/frame"
 	"scaddar/internal/placement"
 	"scaddar/internal/prng"
 	"scaddar/internal/workload"
@@ -195,7 +196,7 @@ func recordBounds(t *testing.T, data []byte) [][2]int64 {
 	off := int64(segHeaderLen)
 	for range scan.records {
 		payloadLen := int64(uint32(data[off]) | uint32(data[off+1])<<8 | uint32(data[off+2])<<16 | uint32(data[off+3])<<24)
-		end := off + recHeaderLen + payloadLen
+		end := off + frame.HeaderLen + payloadLen
 		bounds = append(bounds, [2]int64{off, end})
 		off = end
 	}
@@ -415,7 +416,7 @@ func TestRecordCorruptCRC(t *testing.T) {
 	}
 	bounds := recordBounds(t, data)
 	mid := bounds[1]
-	data[mid[0]+recHeaderLen+1] ^= 0x40
+	data[mid[0]+frame.HeaderLen+1] ^= 0x40
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +526,7 @@ func TestGapBridgedByCheckpoint(t *testing.T) {
 	}
 	bounds := recordBounds(t, data)
 	mid := bounds[1]
-	data[mid[0]+recHeaderLen+1] ^= 0x40
+	data[mid[0]+frame.HeaderLen+1] ^= 0x40
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -766,5 +767,52 @@ func TestJournalIdentity(t *testing.T) {
 	defer s.Close()
 	if got := s.JournalID(); len(got) != 32 || got == id {
 		t.Fatalf("corrupt identity replaced with %q (old %q)", got, id)
+	}
+}
+
+// TestAppendRejectsOversizeRecord: the journal must never acknowledge a
+// record its own recovery refuses. An event whose record would exceed
+// maxRecordLen fails the append — sticky, visible through Err and Status,
+// before any byte is written — and reopening recovers every earlier event
+// with no torn tail. (Unchecked, the oversize record and every event after
+// it were acked, fsynced, and silently truncated away by the next open.)
+func TestAppendRejectsOversizeRecord(t *testing.T) {
+	dir := t.TempDir()
+	srv := newTestServer(t, testConfig(), 4)
+	st := openStore(t, dir)
+	if err := st.Bootstrap(srv); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.AddObject(testObject(0, 10)); err != nil {
+		t.Fatal(err)
+	}
+	acked := st.LSN()
+
+	huge := cm.Event{Kind: cm.EventBlocksMigrated, Moves: make([]cm.BlockPos, 2<<20)}
+	for i := range huge.Moves {
+		huge.Moves[i] = cm.BlockPos{Object: 1 << 20, Index: 1 << 20} // 4-byte uvarints: over 8 MiB in all
+	}
+	if lsn, err := st.Append(huge); err == nil {
+		t.Fatalf("oversize event acknowledged as LSN %d", lsn)
+	}
+	if st.Err() == nil || st.Status().Err == "" {
+		t.Fatal("rejected append not reported through Err and Status")
+	}
+	if _, err := st.Append(cm.Event{Kind: cm.EventReorgCompleted}); err == nil {
+		t.Fatal("append after a journal failure succeeded; failures must be sticky")
+	}
+	if got := st.LSN(); got != acked {
+		t.Fatalf("LSN moved from %d to %d across rejected appends", acked, got)
+	}
+	st.Close()
+
+	st2 := openStore(t, dir)
+	defer st2.Close()
+	srv2, info := recoverServer(t, st2)
+	if info.TornTail || info.TruncatedBytes != 0 || info.DroppedSegments != 0 {
+		t.Fatalf("recovery after a rejected append distrusted the journal: %+v", info)
+	}
+	if st2.LSN() != acked || srv2.Objects() != 1 {
+		t.Fatalf("recovered LSN %d with %d objects, want LSN %d with 1", st2.LSN(), srv2.Objects(), acked)
 	}
 }

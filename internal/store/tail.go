@@ -9,20 +9,21 @@ package store
 // rotation contract TestTailReaderAcrossRotation pins down).
 //
 // Tailing tolerates the writer: the active segment may end mid-frame (a
-// partial bufio flush) — parsing simply stops there, and those bytes are
-// beyond durableLSN anyway. Checkpoint pruning can delete segments a slow
-// reader still needs; that surfaces as ErrTailTruncated, the signal to
-// re-bootstrap the follower from the newest checkpoint instead.
+// partial bufio flush; frame.ErrTorn, see ARCHITECTURE.md "Framing") —
+// parsing simply stops there, and those bytes are beyond durableLSN anyway.
+// Checkpoint pruning can delete segments a slow reader still needs; that
+// surfaces as ErrTailTruncated, the signal to re-bootstrap the follower
+// from the newest checkpoint instead.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 
 	"scaddar/internal/cm"
+	"scaddar/internal/frame"
 )
 
 // ErrTailTruncated reports that a tail position has been pruned out of the
@@ -224,11 +225,11 @@ func (r *TailReader) read(seg segmentMeta, durable uint64, max int) ([]TailRecor
 		}
 		rec, n, err := readFrameAt(r.f, r.off)
 		if err != nil {
-			if errors.Is(err, errFrameTorn) {
+			if err == io.EOF || errors.Is(err, frame.ErrTorn) {
 				// Bytes past the durable frontier not fully flushed yet.
 				break
 			}
-			return out, err
+			return out, fmt.Errorf("store: tail: segment %s at offset %d: %w", seg.path, r.off, err)
 		}
 		if rec.LSN != r.next {
 			return out, fmt.Errorf("store: tail: segment %s has LSN %d where %d expected",
@@ -241,37 +242,17 @@ func (r *TailReader) read(seg segmentMeta, durable uint64, max int) ([]TailRecor
 	return out, nil
 }
 
-// errFrameTorn reports a frame that runs past the end of the file — for a
-// tail reader that just means "not flushed yet", not corruption.
-var errFrameTorn = errors.New("store: torn frame")
-
-// readFrameAt parses one length-prefixed record frame at the given offset,
-// returning the record and the frame's total byte length.
+// readFrameAt parses one journal record at the given offset, returning the
+// record and the frame's total byte length. io.EOF and frame.ErrTorn mean
+// the file ends at or inside the frame.
 func readFrameAt(f *os.File, off int64) (TailRecord, int64, error) {
-	var hdr [recHeaderLen]byte
-	if _, err := f.ReadAt(hdr[:], off); err != nil {
-		if errors.Is(err, io.EOF) {
-			return TailRecord{}, 0, errFrameTorn
-		}
+	payload, err := frame.ReadAt(f, off, maxRecordLen)
+	if err != nil {
 		return TailRecord{}, 0, err
-	}
-	payloadLen := binary.LittleEndian.Uint32(hdr[:4])
-	if payloadLen == 0 || payloadLen > maxRecordLen {
-		return TailRecord{}, 0, fmt.Errorf("store: tail record declares %d payload bytes", payloadLen)
-	}
-	payload := make([]byte, payloadLen)
-	if _, err := f.ReadAt(payload, off+recHeaderLen); err != nil {
-		if errors.Is(err, io.EOF) {
-			return TailRecord{}, 0, errFrameTorn
-		}
-		return TailRecord{}, 0, err
-	}
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(hdr[4:]) {
-		return TailRecord{}, 0, fmt.Errorf("store: tail record CRC mismatch")
 	}
 	lsn, n := binary.Uvarint(payload)
 	if n <= 0 {
 		return TailRecord{}, 0, fmt.Errorf("store: tail record has no LSN")
 	}
-	return TailRecord{LSN: lsn, Event: payload[n:]}, recHeaderLen + int64(payloadLen), nil
+	return TailRecord{LSN: lsn, Event: payload[n:]}, frame.HeaderLen + int64(len(payload)), nil
 }

@@ -34,6 +34,7 @@ var defaultDirs = []string{
 	"internal/gateway",
 	"internal/cluster",
 	"internal/binproto",
+	"internal/frame",
 	"internal/store",
 	"internal/repl",
 	"internal/obs",
