@@ -38,7 +38,9 @@ lint:
 # the streaming example (real segment-store bytes paced to concurrent
 # chunked sessions through a scale-up and a disk fail/rebuild; every chunk
 # oracle-verified, delivery accounted chunk-for-chunk against the server's
-# counters). The race-detected suite includes the seeded cluster scale
+# counters), then the binary-lookup example and the six in-process library
+# examples, each of which log.Fatals on a wrong result. The race-detected
+# suite includes the seeded cluster scale
 # harness (internal/cluster TestClusterScaleUnderLoad: shard add + drain
 # under Zipf load, zero lost blocks, oracle-checked reads). Run this before
 # merging anything that touches the server, the rebuild executor, the
@@ -57,6 +59,7 @@ verify: lint
 	$(GO) run ./examples/cluster -duration 200ms
 	$(GO) run -race ./examples/streaming -round 60ms -sessions 48 -disks 12 -add 2 -objects 24 -blocks 12
 	$(GO) run ./examples/binlookup
+	for ex in quickstart lifecycle diskupgrade faulttolerance traces videoserver; do $(GO) run ./examples/$$ex >/dev/null || exit 1; done
 
 # Regenerate the committed experiment-table capture (the source for the
 # tables quoted in README.md and EXPERIMENTS.md), so docs cannot silently

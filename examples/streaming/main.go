@@ -12,9 +12,9 @@
 // shows what reorganization does to delivery pacing (the paper's hiccups).
 //
 // Placement tracking uses the snapshot+delta side channel: all sessions
-// share ONE client locator fed by GET /v1/locator/snapshot once plus
-// GET /v1/locator/deltas long-polls, so the locator cost of a reorg is a
-// single subscription, not sessions × blocks lookups.
+// share ONE client locator fed by its Follow method (the full snapshot
+// once, then long-polls of the delta feed), so the locator cost of a reorg
+// is a single subscription, not sessions × blocks lookups.
 //
 // Sessions talk to the gateway's http.Handler through an in-process pipe
 // transport rather than TCP sockets: the handler stack (routing, streaming
@@ -125,17 +125,12 @@ func main() {
 
 	// One shared locator for every session: snapshot once, then deltas.
 	loc := scaddar.NewStreamClientLocator(factory)
-	if err := applySnapshot(hc, base, loc); err != nil {
+	followCtx, stopFollow := context.WithCancel(context.Background())
+	defer stopFollow()
+	followed, err := loc.Follow(followCtx, hc, base)
+	if err != nil {
 		log.Fatal(err)
 	}
-	followCtx, stopFollow := context.WithCancel(context.Background())
-	var resyncs atomic.Int64
-	var followWG sync.WaitGroup
-	followWG.Add(1)
-	go func() {
-		defer followWG.Done()
-		followDeltas(followCtx, hc, base, loc, &resyncs)
-	}()
 
 	// Gap histograms per phase, in seconds. Buckets fine enough to resolve
 	// fractions of a round around the configured pace.
@@ -272,11 +267,11 @@ func main() {
 
 	wg.Wait()
 	stopFollow()
-	followWG.Wait()
+	resyncs := followed()
 
 	// Report: pacing percentiles per phase, then the verdicts.
 	fmt.Printf("deltas:  locator feed published %d deltas, %d client resyncs\n",
-		gw.Status().Gateway.DeltasPublished, resyncs.Load())
+		gw.Status().Gateway.DeltasPublished, resyncs)
 	for p, name := range []string{"before", "during", "after "} {
 		s := gapH[p].Snapshot()
 		if s.Count == 0 {
@@ -388,64 +383,6 @@ func attachStream(hc *http.Client, base string, sid, jitterSeed int) (*http.Resp
 			continue
 		}
 		return nil, fmt.Errorf("attach stream %d: status %d (attempt %d)", sid, resp.StatusCode, attempt)
-	}
-}
-
-// applySnapshot fetches the full locator snapshot and installs it.
-func applySnapshot(hc *http.Client, base string, loc *scaddar.StreamClientLocator) error {
-	resp, err := hc.Get(base + "/v1/locator/snapshot")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("locator snapshot: status %d", resp.StatusCode)
-	}
-	var snap scaddar.StreamLocatorSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return err
-	}
-	return loc.ApplySnapshot(&snap)
-}
-
-// followDeltas long-polls the locator delta feed into the shared locator
-// until ctx cancels, resyncing from a fresh snapshot when it falls off the
-// bounded feed.
-func followDeltas(ctx context.Context, hc *http.Client, base string,
-	loc *scaddar.StreamClientLocator, resyncs *atomic.Int64) {
-	for ctx.Err() == nil {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-			fmt.Sprintf("%s/v1/locator/deltas?after=%d", base, loc.Seq()), nil)
-		if err != nil {
-			return
-		}
-		resp, err := hc.Do(req)
-		if err != nil {
-			return // canceled, or the gateway is shutting down
-		}
-		var out struct {
-			Deltas []scaddar.StreamLocatorDelta `json:"deltas"`
-			Seq    uint64                       `json:"seq"`
-		}
-		code := resp.StatusCode
-		err = json.NewDecoder(resp.Body).Decode(&out)
-		resp.Body.Close()
-		if code == http.StatusGone || err != nil {
-			resyncs.Add(1)
-			if applySnapshot(hc, base, loc) != nil {
-				return
-			}
-			continue
-		}
-		for _, d := range out.Deltas {
-			if loc.Apply(d) != nil {
-				resyncs.Add(1)
-				if applySnapshot(hc, base, loc) != nil {
-					return
-				}
-				break
-			}
-		}
 	}
 }
 

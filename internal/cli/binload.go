@@ -1,19 +1,14 @@
 package cli
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"scaddar/internal/binproto"
 	"scaddar/internal/cluster"
 	"scaddar/internal/cm"
-	"scaddar/internal/obs"
-	"scaddar/internal/prng"
-	"scaddar/internal/workload"
 )
 
 // loadgen -bin: the experiment behind docs/EXPERIMENTS.md E20. The same
@@ -54,230 +49,129 @@ func (t *binTarget) close() {
 	}
 }
 
-// binPhase is one phase's merged outcome. Latency samples are per timed
+// binLoad resolves the binary endpoints, replays the same lookup workload
+// over the HTTP and binary read paths — three runs of the engine, one
+// operation each — and prints the comparison. Latency samples are per timed
 // operation: one lookup in the HTTP and single phases, one whole frame in
 // the batched phase (every lookup in a frame experiences the frame's
 // latency, so frame percentiles are the honest per-request figure).
-type binPhase struct {
-	name    string
-	lookups int64
-	errs    int64
-	lats    []time.Duration
-	elapsed time.Duration
-}
-
-func (p *binPhase) rate() float64 {
-	if p.elapsed <= 0 {
-		return 0
-	}
-	return float64(p.lookups) / p.elapsed.Seconds()
-}
-
-// runBinPhase fans the per-client body out over opts.clients goroutines,
-// each with the same deterministically-seeded workload as runLoadgen, and
-// merges their tallies.
-func runBinPhase(opts loadgenOptions, name string, objects []lgObject,
-	body func(w int, zipf *workload.Zipf, rng prng.Source, deadline time.Time, ph *binPhase) error) (*binPhase, error) {
-	start := time.Now()
-	deadline := start.Add(opts.duration)
-	phases := make([]binPhase, opts.clients)
-	errCh := make(chan error, opts.clients)
-	var wg sync.WaitGroup
-	for i := 0; i < opts.clients; i++ {
-		z, err := workload.NewZipf(prng.NewSplitMix64(opts.seed+uint64(i)*2654435761), len(objects), opts.zipf)
-		if err != nil {
-			return nil, err
-		}
-		rng := prng.NewSplitMix64(opts.seed*31 + uint64(i))
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := body(i, z, rng, deadline, &phases[i]); err != nil {
-				errCh <- err
-			}
-		}(i)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return nil, fmt.Errorf("%s phase: %w", name, err)
-	default:
-	}
-	merged := &binPhase{name: name, elapsed: time.Since(start)}
-	for i := range phases {
-		merged.lookups += phases[i].lookups
-		merged.errs += phases[i].errs
-		merged.lats = append(merged.lats, phases[i].lats...)
-	}
-	return merged, nil
-}
-
-// runBinLoad resolves the binary endpoints, replays the same lookup
-// workload over the HTTP and binary read paths, and prints the comparison.
-func runBinLoad(opts loadgenOptions, w io.Writer) error {
-	if opts.clients < 1 {
-		return fmt.Errorf("clients %d", opts.clients)
-	}
-	if opts.duration <= 0 {
-		return fmt.Errorf("duration %s", opts.duration)
-	}
-	if opts.batch < 1 || opts.batch > binproto.MaxBatch {
-		return fmt.Errorf("batch %d outside [1,%d]", opts.batch, binproto.MaxBatch)
-	}
-	base := opts.addr
-	hc := &http.Client{Timeout: 30 * time.Second}
-
-	resp, err := hc.Get(base + "/v1/objects")
-	if err != nil {
-		return fmt.Errorf("objects: %w", err)
-	}
-	var objects []lgObject
-	err = json.NewDecoder(resp.Body).Decode(&objects)
-	resp.Body.Close()
-	if err != nil {
-		return fmt.Errorf("objects: %w", err)
-	}
-	if len(objects) == 0 {
-		return fmt.Errorf("gateway has no objects loaded")
-	}
-
-	target, err := resolveBinTarget(opts, hc, base)
+func (l *load) binLoad() error {
+	opts := l.opts
+	target, err := resolveBinTarget(opts, l.hc)
 	if err != nil {
 		return err
 	}
 	defer target.close()
 	if opts.cluster {
-		fmt.Fprintf(w, "loadgen -bin: %d clients, %s per phase, %d objects, Zipf θ=%g; HTTP via router %s, binary shard-direct (%d shards, client-side jump hash)\n",
-			opts.clients, opts.duration, len(objects), opts.zipf, base, len(target.pools))
+		l.printf("loadgen -bin: %d clients, %s per phase, %d objects, Zipf θ=%g; HTTP via router %s, binary shard-direct (%d shards, client-side jump hash)\n",
+			opts.clients, opts.duration, len(l.objects), opts.zipf, opts.addr, len(target.pools))
 	} else {
-		fmt.Fprintf(w, "loadgen -bin: %d clients, %s per phase, %d objects, Zipf θ=%g against %s\n",
-			opts.clients, opts.duration, len(objects), opts.zipf, base)
+		l.printf("loadgen -bin: %d clients, %s per phase, %d objects, Zipf θ=%g against %s\n",
+			opts.clients, opts.duration, len(l.objects), opts.zipf, opts.addr)
 	}
 
-	httpPhase, err := runBinPhase(opts, "http", objects,
-		func(_ int, zipf *workload.Zipf, rng prng.Source, deadline time.Time, ph *binPhase) error {
-			phc := &http.Client{Timeout: 30 * time.Second}
-			for time.Now().Before(deadline) {
-				obj := objects[zipf.Draw()]
-				idx := int(rng.Next() % uint64(obj.Blocks))
+	phases := []struct {
+		name, latNote string
+		newOp         func(*loadWorker) func() error
+	}{
+		{"http", "lat", func(wk *loadWorker) func() error {
+			return func() error {
+				obj, idx := wk.drawBlock()
 				t0 := time.Now()
-				resp, err := phc.Get(fmt.Sprintf("%s/v1/objects/%d/blocks/%d", base, obj.ID, idx))
+				resp, err := wk.hc.Get(fmt.Sprintf("%s/v1/objects/%d/blocks/%d", opts.addr, obj.ID, idx))
 				if err != nil {
 					return err
 				}
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					ph.errs++
-					continue
-				}
-				ph.lats = append(ph.lats, time.Since(t0))
-				ph.lookups++
+				wk.tally(t0, resp.StatusCode == http.StatusOK)
+				return nil
 			}
-			return nil
-		})
-	if err != nil {
-		return err
-	}
-
-	singlePhase, err := runBinPhase(opts, "bin single", objects,
-		func(_ int, zipf *workload.Zipf, rng prng.Source, deadline time.Time, ph *binPhase) error {
-			for time.Now().Before(deadline) {
-				obj := objects[zipf.Draw()]
-				idx := int(rng.Next() % uint64(obj.Blocks))
+		}},
+		{"bin single", "lat", func(wk *loadWorker) func() error {
+			return func() error {
+				obj, idx := wk.drawBlock()
 				c := target.pools[target.index(obj.ID)].Get()
 				t0 := time.Now()
-				if _, _, _, err := c.Locate(obj.ID, idx); err != nil {
-					ph.errs++
-					continue
-				}
-				ph.lats = append(ph.lats, time.Since(t0))
-				ph.lookups++
+				_, _, _, err := c.Locate(obj.ID, idx)
+				wk.tally(t0, err == nil)
+				return nil
 			}
-			return nil
-		})
-	if err != nil {
-		return err
-	}
-
-	batchName := fmt.Sprintf("bin batch%d", opts.batch)
-	batchPhase, err := runBinPhase(opts, batchName, objects,
-		func(_ int, zipf *workload.Zipf, rng prng.Source, deadline time.Time, ph *binPhase) error {
+		}},
+		{fmt.Sprintf("bin batch%d", opts.batch), "frame", func(wk *loadWorker) func() error {
 			// One address buffer per shard pool: lookups accumulate on their
 			// owning shard and flush as a full frame.
 			bufs := make([][]cm.BlockAddr, len(target.pools))
 			out := make([]binproto.Result, opts.batch)
-			flush := func(pi int) error {
-				c := target.pools[pi].Get()
+			return func() error {
+				obj, idx := wk.drawBlock()
+				pi := target.index(obj.ID)
+				bufs[pi] = append(bufs[pi], cm.BlockAddr{Object: obj.ID, Index: idx})
+				if len(bufs[pi]) < opts.batch {
+					return nil
+				}
 				t0 := time.Now()
-				if _, err := c.LocateBatch(bufs[pi], out[:len(bufs[pi])]); err != nil {
+				if _, err := target.pools[pi].Get().LocateBatch(bufs[pi], out); err != nil {
 					return err
 				}
-				ph.lats = append(ph.lats, time.Since(t0))
-				for i := range bufs[pi] {
-					if out[i].Code != 0 {
-						ph.errs++
+				wk.samples = append(wk.samples, sample{at: t0.Sub(wk.start), lat: time.Since(t0)})
+				for _, r := range out {
+					if r.Code != 0 {
+						wk.n[nErrs]++
 					} else {
-						ph.lookups++
+						wk.n[nLookups]++
 					}
 				}
 				bufs[pi] = bufs[pi][:0]
 				return nil
 			}
-			for time.Now().Before(deadline) {
-				obj := objects[zipf.Draw()]
-				idx := int(rng.Next() % uint64(obj.Blocks))
-				pi := target.index(obj.ID)
-				bufs[pi] = append(bufs[pi], cm.BlockAddr{Object: obj.ID, Index: idx})
-				if len(bufs[pi]) == opts.batch {
-					if err := flush(pi); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		})
-	if err != nil {
-		return err
+		}},
 	}
-
-	report := func(p *binPhase, latNote string) {
-		h := obs.MustNewHistogram(obs.LatencyBuckets())
-		for _, lat := range p.lats {
-			h.ObserveDuration(lat)
+	results := make([]*loadResult, len(phases))
+	for i, ph := range phases {
+		if results[i], err = l.run(ph.newOp); err != nil {
+			return fmt.Errorf("%s phase: %w", ph.name, err)
 		}
-		sn := h.Snapshot()
-		fmt.Fprintf(w, "%-14s %9d lookups in %-8s %9.0f lookups/s  errors %-5d %s p50 %-9s p95 %-9s p99 %s\n",
-			p.name+":", p.lookups, p.elapsed.Round(time.Millisecond), p.rate(), p.errs, latNote,
-			secondsDuration(sn.Quantile(0.50)),
-			secondsDuration(sn.Quantile(0.95)),
-			secondsDuration(sn.Quantile(0.99)))
 	}
-	report(httpPhase, "lat")
-	report(singlePhase, "lat")
-	report(batchPhase, "frame")
-	if httpPhase.rate() > 0 {
-		fmt.Fprintf(w, "binary single vs HTTP: %.1fx throughput; batched vs HTTP: %.1fx throughput\n",
-			singlePhase.rate()/httpPhase.rate(), batchPhase.rate()/httpPhase.rate())
+	for i, ph := range phases {
+		res := results[i]
+		_, line := latencyLine(res.samples, nil)
+		l.printf("%-14s %9d lookups in %-8s %9.0f lookups/s  errors %-5d %s %s\n",
+			ph.name+":", res.n[nLookups], res.elapsed.Round(time.Millisecond), res.rate(nLookups), res.n[nErrs], ph.latNote, line)
+	}
+	if httpRate := results[0].rate(nLookups); httpRate > 0 {
+		l.printf("binary single vs HTTP: %.1fx throughput; batched vs HTTP: %.1fx throughput\n",
+			results[1].rate(nLookups)/httpRate, results[2].rate(nLookups)/httpRate)
 	}
 	return nil
+}
+
+// tally records one single-lookup outcome timed from t0: a success is a
+// lookup with a latency sample, a failure only an error count.
+func (wk *loadWorker) tally(t0 time.Time, ok bool) {
+	if !ok {
+		wk.n[nErrs]++
+		return
+	}
+	wk.samples = append(wk.samples, sample{at: t0.Sub(wk.start), lat: time.Since(t0)})
+	wk.n[nLookups]++
 }
 
 // resolveBinTarget discovers the binary endpoint(s). A single gateway
 // advertises its binAddr in /v1/status; a cluster router's aggregated
 // status page embeds every shard's own status document, so one request
 // yields the routing table and each shard's binary address.
-func resolveBinTarget(opts loadgenOptions, hc *http.Client, base string) (*binTarget, error) {
+func resolveBinTarget(opts loadgenOptions, hc *http.Client) (*binTarget, error) {
 	poolSize := opts.clients
 	if poolSize > 8 {
 		poolSize = 8
 	}
 	ccfg := binproto.ClientConfig{RequestTimeout: 30 * time.Second}
+	st, err := fetchStatus(hc, opts.addr)
+	if err != nil {
+		return nil, fmt.Errorf("status: %w", err)
+	}
 	if !opts.cluster {
-		st, err := fetchStatus(hc, base)
-		if err != nil {
-			return nil, fmt.Errorf("status: %w", err)
-		}
 		if st.BinAddr == "" {
 			return nil, fmt.Errorf("gateway advertises no binary listener: start serve with -bin-addr")
 		}
@@ -288,60 +182,32 @@ func resolveBinTarget(opts loadgenOptions, hc *http.Client, base string) (*binTa
 		return &binTarget{pools: []*binproto.Pool{pool}}, nil
 	}
 
-	resp, err := hc.Get(base + "/v1/status")
-	if err != nil {
-		return nil, fmt.Errorf("cluster status: %w", err)
-	}
-	var doc struct {
-		Cluster cluster.TopologyView `json:"cluster"`
-		Shards  []struct {
-			ID     int             `json:"id"`
-			Status json.RawMessage `json:"status"`
-			Error  string          `json:"error"`
-		} `json:"shards"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&doc)
-	resp.Body.Close()
-	if err != nil {
-		return nil, fmt.Errorf("cluster status: %w", err)
-	}
-	binAddrs := map[int]string{}
-	for _, sh := range doc.Shards {
-		if sh.Error != "" {
-			return nil, fmt.Errorf("shard %d unreachable: %s", sh.ID, sh.Error)
-		}
-		var st lgStatus
-		if err := json.Unmarshal(sh.Status, &st); err != nil {
-			return nil, fmt.Errorf("shard %d status: %w", sh.ID, err)
-		}
-		if st.BinAddr == "" {
-			return nil, fmt.Errorf("shard %d advertises no binary listener: start the cluster with -bin", sh.ID)
-		}
-		binAddrs[sh.ID] = st.BinAddr
-	}
-	if len(doc.Cluster.Shards) == 0 {
+	if len(st.Cluster.Shards) == 0 {
 		return nil, fmt.Errorf("cluster has no shards")
 	}
-	t := &binTarget{buckets: doc.Cluster.Buckets, pins: map[int]int{}}
+	t := &binTarget{buckets: st.Cluster.Buckets, pins: map[int]int{}}
 	indexOf := map[int]int{}
 	fail := func(err error) (*binTarget, error) {
 		t.close()
 		return nil, err
 	}
-	// Pools in routing order: slot i of the jump hash is doc.Cluster.Shards[i].
-	for i, sh := range doc.Cluster.Shards {
-		addr, ok := binAddrs[sh.ID]
-		if !ok {
-			return fail(fmt.Errorf("shard %d in topology but absent from the status page", sh.ID))
-		}
-		pool, err := binproto.DialPool(addr, poolSize, ccfg)
+	// Pools in routing order: slot i of the jump hash is st.Cluster.Shards[i].
+	for i, sh := range st.Cluster.Shards {
+		shard, err := st.shard(sh.ID)
 		if err != nil {
-			return fail(fmt.Errorf("dial shard %d (%s): %w", sh.ID, addr, err))
+			return fail(err)
+		}
+		if shard.BinAddr == "" {
+			return fail(fmt.Errorf("shard %d advertises no binary listener: start the cluster with -bin", sh.ID))
+		}
+		pool, err := binproto.DialPool(shard.BinAddr, poolSize, ccfg)
+		if err != nil {
+			return fail(fmt.Errorf("dial shard %d (%s): %w", sh.ID, shard.BinAddr, err))
 		}
 		t.pools = append(t.pools, pool)
 		indexOf[sh.ID] = i
 	}
-	for obj, shardID := range doc.Cluster.Pins {
+	for obj, shardID := range st.Cluster.Pins {
 		i, ok := indexOf[shardID]
 		if !ok {
 			return fail(fmt.Errorf("object %d pinned to unknown shard %d", obj, shardID))

@@ -134,7 +134,8 @@ func TestClusterBinLoadgen(t *testing.T) {
 	}
 
 	var lgOut strings.Builder
-	err := runBinLoad(loadgenOptions{
+	err := runLoadgen(loadgenOptions{
+		bin:      true,
 		addr:     "http://" + addr,
 		cluster:  true,
 		clients:  2,

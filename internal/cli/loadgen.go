@@ -2,21 +2,33 @@ package cli
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
+	"scaddar/internal/binproto"
 	"scaddar/internal/cluster"
 	"scaddar/internal/obs"
 	"scaddar/internal/prng"
 	"scaddar/internal/workload"
 )
+
+// This file is the load engine every loadgen mode runs on. The engine owns
+// what the modes do identically — option validation, catalog discovery, the
+// seeded worker fan-out, the run deadline, the -scale-at driver and its
+// drain poll, session open with Retry-After backoff, the tally merge, the
+// percentile reporter and the output writer. A mode (lookupload.go,
+// streamload.go, binload.go) supplies one per-worker operation, the
+// counters it bumps and its summary lines.
 
 // loadgenOptions configures the load generator; a plain struct so tests can
 // call runLoadgen directly.
@@ -37,6 +49,32 @@ type loadgenOptions struct {
 	deadline time.Duration
 	bin      bool
 	batch    int
+}
+
+// mode names the operation the options select, as the user would type it.
+func (o loadgenOptions) mode() string {
+	switch {
+	case o.bin:
+		return "-bin"
+	case o.stream:
+		return "-stream"
+	}
+	return "lookup"
+}
+
+// loadgenFlagModes lists, for every flag that only some modes read, the
+// modes that read it. A flag set for a mode outside its list is refused
+// rather than silently ignored; flags absent here apply to every mode.
+var loadgenFlagModes = map[string][]string{
+	"add":         {"lookup", "-stream"},
+	"batch":       {"-bin"},
+	"cluster":     {"lookup", "-bin"},
+	"dash":        {"lookup"},
+	"deadline":    {"-stream"},
+	"follower":    {"lookup"},
+	"per-session": {"lookup"},
+	"scale-at":    {"lookup", "-stream"},
+	"shard":       {"lookup"},
 }
 
 func cmdLoadgen(args []string, w io.Writer) error {
@@ -65,38 +103,299 @@ func cmdLoadgen(args []string, w io.Writer) error {
 	if opts.bin && opts.stream {
 		return fmt.Errorf("-bin and -stream are mutually exclusive")
 	}
-	if opts.bin {
-		return runBinLoad(opts, w)
-	}
-	if opts.stream {
-		return runStreamLoad(opts, w)
+	// Visit sees only the flags actually set (several have non-zero
+	// defaults), in name order, so the first refusal is deterministic.
+	var unused error
+	fs.Visit(func(f *flag.Flag) {
+		if modes, ok := loadgenFlagModes[f.Name]; ok && unused == nil && !slices.Contains(modes, opts.mode()) {
+			unused = fmt.Errorf("-%s is not used in %s mode (it applies to: %s)",
+				f.Name, opts.mode(), strings.Join(modes, ", "))
+		}
+	})
+	if unused != nil {
+		return unused
 	}
 	return runLoadgen(opts, w)
 }
 
-// sample is one timed request outcome.
+// runLoadgen validates the options, discovers the catalog and hands the run
+// to the selected mode.
+func runLoadgen(opts loadgenOptions, w io.Writer) error {
+	if opts.clients < 1 {
+		return fmt.Errorf("clients %d", opts.clients)
+	}
+	if opts.duration <= 0 {
+		return fmt.Errorf("duration %s", opts.duration)
+	}
+	if opts.bin && (opts.batch < 1 || opts.batch > binproto.MaxBatch) {
+		return fmt.Errorf("batch %d outside [1,%d]", opts.batch, binproto.MaxBatch)
+	}
+	if opts.perSess < 1 {
+		opts.perSess = 32
+	}
+	l := &load{opts: opts, w: w, hc: &http.Client{Timeout: 30 * time.Second}}
+
+	// Discover the library from the gateway itself.
+	resp, err := l.hc.Get(opts.addr + "/v1/objects")
+	if err != nil {
+		return fmt.Errorf("objects: %w", err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&l.objects)
+	resp.Body.Close()
+	if err != nil {
+		return fmt.Errorf("objects: %w", err)
+	}
+	if len(l.objects) == 0 {
+		return fmt.Errorf("gateway has no objects loaded")
+	}
+	switch {
+	case opts.bin:
+		return l.binLoad()
+	case opts.stream:
+		return l.streamLoad()
+	}
+	return l.lookupLoad()
+}
+
+type lgObject struct {
+	ID     int `json:"id"`
+	Blocks int `json:"blocks"`
+}
+
+// load is one loadgen invocation: the validated options, the catalog and
+// the output writer, which only printf touches — side tasks and the scale
+// driver report while workers run, so every line goes through one lock.
+type load struct {
+	opts    loadgenOptions
+	hc      *http.Client // control requests and lookups
+	objects []lgObject
+
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *load) printf(format string, a ...any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	fmt.Fprintf(l.w, format, a...)
+}
+
+// The counters a mode's operation may bump on its worker; the engine sums
+// each across workers.
+const (
+	nOpened     = iota // sessions admitted
+	nRejected          // session opens refused
+	nRetries           // back-offs after a 503 (lookup)
+	nDone              // streams played to their end frame
+	nEvicted           // streams the server evicted
+	nStopped           // streams ended any other way
+	nChunks            // stream chunks received
+	nBytes             // stream payload bytes received
+	nFrameErrs         // stream framing/CRC failures
+	nOracleErrs        // chunks differing from the content oracle
+	nLocateErrs        // chunks the shared locator could not place
+	nMisses            // chunk gaps above -deadline
+	nLookups           // successful lookups (-bin)
+	nErrs              // failed lookups (-bin)
+	numCounters
+)
+
+// sample is one timed outcome: a request (lookup, -bin) or the gap between
+// two chunks (-stream).
 type sample struct {
 	at    time.Duration // offset from run start
 	lat   time.Duration
-	code  int
-	shard string // answering shard (cluster mode; empty otherwise)
+	code  int    // HTTP status (lookup mode; 0 otherwise)
+	shard string // answering shard (cluster lookups; empty otherwise)
 }
 
-// lgClient is the per-goroutine worker state.
-type lgClient struct {
-	http    *http.Client
-	base    string
-	replica string // when non-empty, every other block read goes here
-	cluster bool   // record the answering shard from the response header
+// loadWorker is one client goroutine's state: its two seeded streams, its
+// tally, and the run it belongs to.
+type loadWorker struct {
+	*load
+	ctx     context.Context // ends at the run deadline, or earlier if the run is abandoned
+	start   time.Time
 	zipf    *workload.Zipf
 	rng     prng.Source
-	objects []lgObject
-	perSess int
+	n       [numCounters]int64
 	samples []sample
-	opened  int
-	reject  int
-	retries int
-	start   time.Time
+	err     error
+}
+
+// sideTask runs beside the workers: tick is called at the given interval,
+// with the time since run start, until the run ends.
+type sideTask struct {
+	every time.Duration
+	tick  func(elapsed time.Duration)
+}
+
+// reorgWindow is the reorganization a -scale-at request started, as offsets
+// from run start; end stays undrained when the drain was never observed.
+type reorgWindow struct{ start, end time.Duration }
+
+const undrained = time.Duration(math.MaxInt64)
+
+// scaleDrainGrace is how long past the run's end the scale driver keeps
+// polling for the reorganization to drain.
+const scaleDrainGrace = 30 * time.Second
+
+// loadResult is one run's merged outcome.
+type loadResult struct {
+	elapsed time.Duration
+	n       [numCounters]int64
+	samples []sample
+	window  *reorgWindow // nil when no scale-up was accepted
+}
+
+// rate is a counter per second of run time.
+func (r *loadResult) rate(counter int) float64 {
+	return float64(r.n[counter]) / r.elapsed.Seconds()
+}
+
+// run is the engine: it fans newOp out over opts.clients deterministically
+// seeded workers, each repeating its operation until the run deadline,
+// drives the side tasks and the -scale-at request beside them, and merges
+// the tallies once everything it started has stopped. An operation's error
+// or a failed scale request abandons the run: the context is cancelled and
+// the error comes back once every goroutine has been joined.
+func (l *load) run(newOp func(*loadWorker) func() error, side ...sideTask) (*loadResult, error) {
+	opts := l.opts
+	start := time.Now()
+	ctx, cancel := context.WithDeadline(context.Background(), start.Add(opts.duration))
+	defer cancel()
+	workers := make([]*loadWorker, opts.clients)
+	for i := range workers {
+		z, err := workload.NewZipf(prng.NewSplitMix64(opts.seed+uint64(i)*2654435761), len(l.objects), opts.zipf)
+		if err != nil {
+			return nil, err
+		}
+		workers[i] = &loadWorker{load: l, ctx: ctx, start: start, zipf: z,
+			rng: prng.NewSplitMix64(opts.seed*31 + uint64(i))}
+	}
+	var wg sync.WaitGroup
+	for _, wk := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			op := newOp(wk)
+			for wk.err == nil && ctx.Err() == nil {
+				// A request cut off by the run's end is not a failure; any
+				// other error leaves nothing worth measuring.
+				if err := op(); err != nil && ctx.Err() == nil {
+					wk.err = err
+					cancel()
+				}
+			}
+		}()
+	}
+	for _, t := range side {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tick := time.NewTicker(t.every)
+			defer tick.Stop()
+			for {
+				select {
+				case <-ctx.Done():
+					return
+				case <-tick.C:
+					t.tick(time.Since(start))
+				}
+			}
+		}()
+	}
+	window, err := l.driveScale(ctx, start, scaleDrainGrace)
+	if err != nil {
+		cancel()
+	}
+	wg.Wait()
+	res := &loadResult{elapsed: time.Since(start), window: window}
+	for _, wk := range workers {
+		if err == nil {
+			err = wk.err
+		}
+		for c, v := range wk.n {
+			res.n[c] += v
+		}
+		res.samples = append(res.samples, wk.samples...)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// driveScale requests the mid-run scale-up over HTTP and measures the
+// reorganization window by polling /v1/status until the migration drains
+// or grace has passed beyond the run's end.
+func (l *load) driveScale(ctx context.Context, start time.Time, grace time.Duration) (*reorgWindow, error) {
+	opts := l.opts
+	if opts.scaleAt <= 0 || opts.scaleAt >= opts.duration {
+		return nil, nil
+	}
+	select {
+	case <-ctx.Done():
+		return nil, nil
+	case <-time.After(opts.scaleAt):
+	}
+	scaleReq := map[string]int{"add": opts.add}
+	if opts.cluster {
+		// The router scales one shard's array at a time.
+		scaleReq["shard"] = opts.shard
+	}
+	body, _ := json.Marshal(scaleReq)
+	win := &reorgWindow{start: time.Since(start), end: undrained}
+	resp, err := l.hc.Post(opts.addr+"/v1/scale", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return nil, fmt.Errorf("scale: %w", err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		l.printf("loadgen: scale-up rejected with status %d\n", resp.StatusCode)
+		return nil, nil
+	}
+	l.printf("loadgen: scale-up +%d accepted at t=%s\n", opts.add, win.start.Round(time.Millisecond))
+	for giveUp := start.Add(opts.duration + grace); time.Now().Before(giveUp); time.Sleep(20 * time.Millisecond) {
+		st, err := fetchStatus(l.hc, opts.addr)
+		if err == nil && opts.cluster {
+			// The router's page has no reorganizing flag of its own: read
+			// the scaled shard's embedded status document.
+			st, err = st.shard(opts.shard)
+		}
+		if err == nil && !st.Reorganizing {
+			win.end = time.Since(start)
+			l.printf("loadgen: reorganization drained in %s\n", (win.end - win.start).Round(time.Millisecond))
+			return win, nil
+		}
+	}
+	l.printf("loadgen: reorganization not seen to drain within %s of the run's end; reporting the reorg window as open-ended\n", grace)
+	return win, nil
+}
+
+// openSession opens one session on object. A refusal is counted, and the
+// worker backs off by the server's Retry-After hint before ok=false comes
+// back, so the caller just moves on to its next operation.
+func (wk *loadWorker) openSession(object int) (id int, ok bool) {
+	retryAfter := time.Second
+	body, _ := json.Marshal(map[string]int{"object": object})
+	resp, err := wk.hc.Post(wk.opts.addr+"/v1/sessions", "application/json", bytes.NewReader(body))
+	if err == nil {
+		defer resp.Body.Close()
+		var out struct {
+			Session int `json:"session"`
+		}
+		if resp.StatusCode != http.StatusCreated {
+			io.Copy(io.Discard, resp.Body)
+			retryAfter = retryAfterHint(resp.Header)
+		} else if json.NewDecoder(resp.Body).Decode(&out) == nil {
+			wk.n[nOpened]++
+			return out.Session, true
+		}
+	}
+	wk.n[nRejected]++
+	wk.backoff(retryAfter)
+	return 0, false
 }
 
 // retryAfterHint reads the server's Retry-After header; absent or
@@ -110,416 +409,83 @@ func retryAfterHint(h http.Header) time.Duration {
 	return time.Second
 }
 
-// jitter spreads a backoff hint over [d/2, d] so clients pushed back at the
-// same instant don't return in lockstep and re-create the overload.
-func (c *lgClient) jitter(d time.Duration) time.Duration {
+// backoff sleeps (or until the run ends) for the hint spread over [d/2, d],
+// so clients pushed back at the same instant don't return in lockstep and
+// re-create the overload.
+func (wk *loadWorker) backoff(d time.Duration) {
 	if d <= 0 {
 		d = time.Second
 	}
 	half := d / 2
-	return half + time.Duration(c.rng.Next()%uint64(half+1))
-}
-
-type lgObject struct {
-	ID     int `json:"id"`
-	Blocks int `json:"blocks"`
-}
-
-// runLoadgen drives concurrent sessions against a running gateway and
-// reports throughput and latency percentiles, split by the reorganization
-// window when a scale-up was requested mid-run.
-func runLoadgen(opts loadgenOptions, w io.Writer) error {
-	if opts.clients < 1 {
-		return fmt.Errorf("clients %d", opts.clients)
-	}
-	if opts.duration <= 0 {
-		return fmt.Errorf("duration %s", opts.duration)
-	}
-	if opts.perSess < 1 {
-		opts.perSess = 32
-	}
-	base := opts.addr
-	hc := &http.Client{Timeout: 30 * time.Second}
-
-	// Discover the library from the gateway itself.
-	resp, err := hc.Get(base + "/v1/objects")
-	if err != nil {
-		return fmt.Errorf("objects: %w", err)
-	}
-	var objects []lgObject
-	err = json.NewDecoder(resp.Body).Decode(&objects)
-	resp.Body.Close()
-	if err != nil {
-		return fmt.Errorf("objects: %w", err)
-	}
-	if len(objects) == 0 {
-		return fmt.Errorf("gateway has no objects loaded")
-	}
-
-	fmt.Fprintf(w, "loadgen: %d clients against %s for %s (%d objects, Zipf θ=%g)\n",
-		opts.clients, base, opts.duration, len(objects), opts.zipf)
-
-	start := time.Now()
-	deadline := start.Add(opts.duration)
-	clients := make([]*lgClient, opts.clients)
-	var wg sync.WaitGroup
-	for i := range clients {
-		z, err := workload.NewZipf(prng.NewSplitMix64(opts.seed+uint64(i)*2654435761), len(objects), opts.zipf)
-		if err != nil {
-			return err
-		}
-		c := &lgClient{
-			http: hc, base: base, replica: opts.follower, cluster: opts.cluster, zipf: z,
-			rng:     prng.NewSplitMix64(opts.seed*31 + uint64(i)),
-			objects: objects, perSess: opts.perSess, start: start,
-		}
-		clients[i] = c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.run(deadline)
-		}()
-	}
-
-	// Live dashboard: scrape the Prometheus endpoint at the requested
-	// interval and print one line per tick with throughput, latency, and
-	// the server's own view of the reorganization.
-	dashDone := make(chan struct{})
-	if opts.dash > 0 {
-		go func() {
-			defer close(dashDone)
-			tick := time.NewTicker(opts.dash)
-			defer tick.Stop()
-			var lastReads float64
-			for now := range tick.C {
-				if !now.Before(deadline) {
-					return
-				}
-				samples, err := scrapeSamples(hc, base)
-				if err != nil {
-					continue
-				}
-				ms := obs.NewMetricSet(samples)
-				var line string
-				if opts.cluster {
-					// The router's page carries one relabeled copy of each
-					// gateway counter per shard: sum them for the fleet rate.
-					reads := sumSamples(samples, "gateway_reads_total")
-					shards, _ := ms.Value("cluster_shards")
-					unavail, _ := ms.Value("cluster_unavailable_total")
-					line = fmt.Sprintf("dash t=%-7s %7.0f req/s  shards=%.0f  unavailable=%.0f",
-						time.Since(start).Round(100*time.Millisecond),
-						(reads-lastReads)/opts.dash.Seconds(), shards, unavail)
-					if h, ok := ms.Histogram("cluster_proxy_seconds", "", ""); ok && h.Count > 0 {
-						line += fmt.Sprintf("  p95=%s", secondsDuration(h.Quantile(0.95)))
-					}
-					lastReads = reads
-				} else {
-					reads, _ := ms.Value("gateway_reads_total")
-					disks, _ := ms.Value("cm_disks")
-					pending, _ := ms.Value("cm_migration_pending")
-					unf, _ := ms.Value("cm_unfairness")
-					line = fmt.Sprintf("dash t=%-7s %7.0f req/s  disks=%.0f  pending=%.0f  unfairness=%.3f",
-						time.Since(start).Round(100*time.Millisecond),
-						(reads-lastReads)/opts.dash.Seconds(), disks, pending, unf)
-					if h, ok := ms.Histogram("gateway_read_seconds", "", ""); ok && h.Count > 0 {
-						line += fmt.Sprintf("  p95=%s", secondsDuration(h.Quantile(0.95)))
-					}
-					lastReads = reads
-				}
-				fmt.Fprintln(w, line)
-			}
-		}()
-	} else {
-		close(dashDone)
-	}
-
-	// With a follower in play, sample its replication lag through the run;
-	// percentiles land in the final report next to the latency ones.
-	lagDone := make(chan struct{})
-	var lagSamples []uint64
-	if opts.follower != "" {
-		go func() {
-			defer close(lagDone)
-			tick := time.NewTicker(10 * time.Millisecond)
-			defer tick.Stop()
-			for now := range tick.C {
-				if !now.Before(deadline) {
-					return
-				}
-				if lag, err := fetchFollowerLag(hc, opts.follower); err == nil {
-					lagSamples = append(lagSamples, lag)
-				}
-			}
-		}()
-	} else {
-		close(lagDone)
-	}
-
-	// Mid-run scale-up over HTTP, with the reorganization window measured
-	// by polling /v1/status.
-	var reorgStart, reorgEnd time.Duration
-	if opts.scaleAt > 0 && opts.scaleAt < opts.duration {
-		time.Sleep(opts.scaleAt)
-		scaleReq := map[string]int{"add": opts.add}
-		if opts.cluster {
-			// The router scales one shard's array at a time.
-			scaleReq["shard"] = opts.shard
-		}
-		body, _ := json.Marshal(scaleReq)
-		reorgStart = time.Since(start)
-		resp, err := hc.Post(base+"/v1/scale", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return fmt.Errorf("scale: %w", err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			fmt.Fprintf(w, "loadgen: scale-up rejected with status %d\n", resp.StatusCode)
-			reorgStart = 0
-		} else {
-			fmt.Fprintf(w, "loadgen: scale-up +%d accepted at t=%s\n", opts.add, reorgStart.Round(time.Millisecond))
-			for time.Now().Before(deadline.Add(30 * time.Second)) {
-				var reorganizing bool
-				var err error
-				if opts.cluster {
-					reorganizing, err = fetchShardReorganizing(hc, base, opts.shard)
-				} else {
-					var st lgStatus
-					st, err = fetchStatus(hc, base)
-					reorganizing = st.Reorganizing
-				}
-				if err == nil && !reorganizing {
-					reorgEnd = time.Since(start)
-					break
-				}
-				time.Sleep(20 * time.Millisecond)
-			}
-			fmt.Fprintf(w, "loadgen: reorganization drained in %s\n", (reorgEnd - reorgStart).Round(time.Millisecond))
-		}
-	}
-	wg.Wait()
-	<-dashDone
-	<-lagDone
-	elapsed := time.Since(start)
-
-	// Merge per-client tallies.
-	var all []sample
-	var opened, rejected, retries int
-	codes := map[int]int{}
-	for _, c := range clients {
-		all = append(all, c.samples...)
-		opened += c.opened
-		rejected += c.reject
-		retries += c.retries
-		for _, s := range c.samples {
-			codes[s.code]++
-		}
-	}
-	fmt.Fprintf(w, "requests %d in %s (%.1f req/s)  sessions opened %d  rejected %d  retries after 503 %d\n",
-		len(all), elapsed.Round(time.Millisecond), float64(len(all))/elapsed.Seconds(), opened, rejected, retries)
-	keys := make([]int, 0, len(codes))
-	for k := range codes {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	fmt.Fprintf(w, "status:")
-	for _, k := range keys {
-		fmt.Fprintf(w, "  %d x %d", k, codes[k])
-	}
-	fmt.Fprintln(w)
-
-	// Percentiles come from the same fixed-bucket histogram the server
-	// exposes, so client-side and scraped figures are directly comparable.
-	report := func(label string, keep func(sample) bool) {
-		h := obs.MustNewHistogram(obs.LatencyBuckets())
-		for _, s := range all {
-			if s.code == http.StatusOK && keep(s) {
-				h.ObserveDuration(s.lat)
-			}
-		}
-		if h.Count() == 0 {
-			return
-		}
-		sn := h.Snapshot()
-		fmt.Fprintf(w, "%-22s n=%-7d p50 %-9s p95 %-9s p99 %s\n", label, sn.Count,
-			secondsDuration(sn.Quantile(0.50)),
-			secondsDuration(sn.Quantile(0.95)),
-			secondsDuration(sn.Quantile(0.99)))
-	}
-	report("read latency overall:", func(sample) bool { return true })
-	if reorgEnd > reorgStart {
-		report("  before reorg:", func(s sample) bool { return s.at < reorgStart })
-		report("  during reorg:", func(s sample) bool { return s.at >= reorgStart && s.at < reorgEnd })
-		report("  after reorg:", func(s sample) bool { return s.at >= reorgEnd })
-	}
-	if opts.cluster {
-		reportShardSkew(w, all, report)
-	}
-	if len(lagSamples) > 0 {
-		sort.Slice(lagSamples, func(i, j int) bool { return lagSamples[i] < lagSamples[j] })
-		q := func(p float64) uint64 {
-			i := int(p * float64(len(lagSamples)-1))
-			return lagSamples[i]
-		}
-		fmt.Fprintf(w, "replication lag (events) n=%-7d p50 %-9d p95 %-9d p99 %d  max %d\n",
-			len(lagSamples), q(0.50), q(0.95), q(0.99), lagSamples[len(lagSamples)-1])
-	}
-	return nil
-}
-
-// reportShardSkew breaks successful reads down by the shard that answered
-// them (the router stamps every proxied response with X-Scaddar-Shard).
-// Object→shard routing is uniform by hash, but Zipf popularity concentrates
-// traffic on whichever shards hold the hot objects — the skew factor shows
-// how far the hottest shard sits above a uniform split.
-func reportShardSkew(w io.Writer, all []sample, report func(string, func(sample) bool)) {
-	counts := map[string]int{}
-	total := 0
-	for _, s := range all {
-		if s.code == http.StatusOK && s.shard != "" {
-			counts[s.shard]++
-			total++
-		}
-	}
-	if total == 0 {
-		fmt.Fprintln(w, "per-shard: no attributed reads (is the target a cluster router?)")
-		return
-	}
-	shards := make([]string, 0, len(counts))
-	for id := range counts {
-		shards = append(shards, id)
-	}
-	sort.Slice(shards, func(i, j int) bool {
-		a, _ := strconv.Atoi(shards[i])
-		b, _ := strconv.Atoi(shards[j])
-		return a < b
-	})
-	ideal := 1.0 / float64(len(shards))
-	maxShare := 0.0
-	fmt.Fprintf(w, "per-shard read share (uniform would be %.1f%% each):\n", 100*ideal)
-	for _, id := range shards {
-		share := float64(counts[id]) / float64(total)
-		if share > maxShare {
-			maxShare = share
-		}
-		id := id
-		report(fmt.Sprintf("  shard %-3s %5.1f%%:", id, 100*share),
-			func(s sample) bool { return s.shard == id })
-	}
-	fmt.Fprintf(w, "skew: hottest shard carries %.2fx its uniform share\n", maxShare/ideal)
-}
-
-// lgReplStatus is the slice of the replica's /v1/replication JSON the lag
-// sampler cares about.
-type lgReplStatus struct {
-	Follower struct {
-		AppliedLSN uint64 `json:"appliedLsn"`
-		LeaderLSN  uint64 `json:"leaderLsn"`
-	} `json:"follower"`
-}
-
-// fetchFollowerLag reads the replica's position and returns how many
-// journal events it trails the leader's advertised frontier by.
-func fetchFollowerLag(hc *http.Client, base string) (uint64, error) {
-	resp, err := hc.Get(base + "/v1/replication")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("replication status %d", resp.StatusCode)
-	}
-	var st lgReplStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return 0, err
-	}
-	if st.Follower.LeaderLSN <= st.Follower.AppliedLSN {
-		return 0, nil
-	}
-	return st.Follower.LeaderLSN - st.Follower.AppliedLSN, nil
-}
-
-// run is one client loop: open a session on a Zipf-popular object, walk its
-// blocks with timed lookups, close, repeat until the deadline.
-func (c *lgClient) run(deadline time.Time) {
-	for time.Now().Before(deadline) {
-		obj := c.objects[c.zipf.Draw()]
-		sess, retryAfter, ok := c.openSession(obj.ID)
-		if !ok {
-			c.reject++
-			c.retries++
-			time.Sleep(c.jitter(retryAfter))
-			continue
-		}
-		c.opened++
-		pos := int(c.rng.Next() % uint64(obj.Blocks))
-		for i := 0; i < c.perSess && time.Now().Before(deadline); i++ {
-			idx := (pos + i) % obj.Blocks
-			target := c.base
-			if c.replica != "" && i%2 == 1 {
-				target = c.replica
-			}
-			t0 := time.Now()
-			resp, err := c.http.Get(fmt.Sprintf("%s/v1/objects/%d/blocks/%d", target, obj.ID, idx))
-			if err != nil {
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			s := sample{
-				at:   t0.Sub(c.start),
-				lat:  time.Since(t0),
-				code: resp.StatusCode,
-			}
-			if c.cluster {
-				s.shard = resp.Header.Get(clusterShardHeader)
-			}
-			c.samples = append(c.samples, s)
-			// A 503 is the server pushing back, not a miss: honor its
-			// Retry-After hint with jitter and retry the same block.
-			if resp.StatusCode == http.StatusServiceUnavailable {
-				c.retries++
-				time.Sleep(c.jitter(retryAfterHint(resp.Header)))
-				i--
-			}
-		}
-		req, _ := http.NewRequest("DELETE", fmt.Sprintf("%s/v1/sessions/%d", c.base, sess), nil)
-		if resp, err := c.http.Do(req); err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
+	select {
+	case <-wk.ctx.Done():
+	case <-time.After(half + time.Duration(wk.rng.Next()%uint64(half+1))):
 	}
 }
 
-// openSession opens one streaming session; on 503 it reports the server's
-// Retry-After hint so the caller can back off.
-func (c *lgClient) openSession(object int) (id int, retryAfter time.Duration, ok bool) {
-	body, _ := json.Marshal(map[string]int{"object": object})
-	resp, err := c.http.Post(c.base+"/v1/sessions", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, time.Second, false
+// drawBlock picks a Zipf-popular object and a uniform block within it.
+func (wk *loadWorker) drawBlock() (lgObject, int) {
+	obj := wk.objects[wk.zipf.Draw()]
+	return obj, int(wk.rng.Next() % uint64(obj.Blocks))
+}
+
+// latencyLine renders the percentiles of the kept samples (nil keeps all).
+// They come from the same fixed-bucket histogram the server exposes, so
+// client-side and scraped figures are directly comparable.
+func latencyLine(samples []sample, keep func(sample) bool) (n uint64, line string) {
+	h := obs.MustNewHistogram(obs.LatencyBuckets())
+	for _, s := range samples {
+		if keep == nil || keep(s) {
+			h.ObserveDuration(s.lat)
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		io.Copy(io.Discard, resp.Body)
-		return 0, retryAfterHint(resp.Header), false
+	sn := h.Snapshot()
+	return sn.Count, fmt.Sprintf("p50 %-9s p95 %-9s p99 %s",
+		secondsDuration(sn.Quantile(0.50)), secondsDuration(sn.Quantile(0.95)), secondsDuration(sn.Quantile(0.99)))
+}
+
+// report prints one labelled percentile line for the kept samples, or
+// nothing when none are kept.
+func (l *load) report(res *loadResult, label string, keep func(sample) bool) {
+	if n, line := latencyLine(res.samples, keep); n > 0 {
+		l.printf("%-22s n=%-7d %s\n", label, n, line)
 	}
-	var out struct {
-		Session int `json:"session"`
+}
+
+// reportWindows prints the overall percentile line and, when a scale-up was
+// driven, its before/during/after split. An undrained window has no after.
+func (l *load) reportWindows(res *loadResult, label string, keep func(sample) bool) {
+	if keep == nil {
+		keep = func(sample) bool { return true }
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, time.Second, false
+	l.report(res, label, keep)
+	if win := res.window; win != nil {
+		l.report(res, "  before reorg:", func(s sample) bool { return keep(s) && s.at < win.start })
+		l.report(res, "  during reorg:", func(s sample) bool { return keep(s) && s.at >= win.start && s.at < win.end })
+		l.report(res, "  after reorg:", func(s sample) bool { return keep(s) && s.at >= win.end })
 	}
-	return out.Session, 0, true
 }
 
 // lgStatus is the slice of the /v1/status JSON the load generator cares
-// about.
+// about: a gateway's own fields, or — on a cluster router's aggregated
+// page — the routing table and every shard's embedded status document.
 type lgStatus struct {
-	Disks        int    `json:"disks"`
 	Reorganizing bool   `json:"reorganizing"`
 	BinAddr      string `json:"binAddr"`
+	Rounds       int    `json:"rounds"`
+	Gateway      struct {
+		StreamChunks    int64 `json:"streamChunks"`
+		StreamFlushes   int64 `json:"streamFlushes"`
+		StreamMisses    int64 `json:"streamMisses"`
+		StreamEvictions int64 `json:"streamEvictions"`
+		DeltasPublished int64 `json:"deltasPublished"`
+	} `json:"gateway"`
+	Cluster cluster.TopologyView `json:"cluster"`
+	Shards  []struct {
+		ID     int      `json:"id"`
+		Status lgStatus `json:"status"`
+		Error  string   `json:"error"`
+	} `json:"shards"`
 }
 
 func fetchStatus(hc *http.Client, base string) (lgStatus, error) {
@@ -532,59 +498,17 @@ func fetchStatus(hc *http.Client, base string) (lgStatus, error) {
 	return m, json.NewDecoder(resp.Body).Decode(&m)
 }
 
-// clusterShardHeader is the response header the cluster router stamps with
-// the ID of the shard that answered a proxied request.
-const clusterShardHeader = cluster.ShardHeader
-
-// scrapeSamples fetches and parses the target's Prometheus exposition.
-func scrapeSamples(hc *http.Client, base string) ([]obs.Sample, error) {
-	resp, err := hc.Get(base + "/v1/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	return obs.ParseText(resp.Body)
-}
-
-// sumSamples adds up every sample with the given name regardless of labels
-// (a cluster page carries one per-shard copy of each gateway counter).
-func sumSamples(samples []obs.Sample, name string) float64 {
-	var sum float64
-	for _, s := range samples {
-		if s.Name == name {
-			sum += s.Value
-		}
-	}
-	return sum
-}
-
-// fetchShardReorganizing reads one shard's embedded status document out of
-// the router's aggregated /v1/status page.
-func fetchShardReorganizing(hc *http.Client, base string, shard int) (bool, error) {
-	resp, err := hc.Get(base + "/v1/status")
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	var doc struct {
-		Shards []struct {
-			ID     int      `json:"id"`
-			Status lgStatus `json:"status"`
-			Error  string   `json:"error"`
-		} `json:"shards"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return false, err
-	}
-	for _, sh := range doc.Shards {
-		if sh.ID == shard {
+// shard picks one shard's status document out of a router's page.
+func (st lgStatus) shard(id int) (lgStatus, error) {
+	for _, sh := range st.Shards {
+		if sh.ID == id {
 			if sh.Error != "" {
-				return false, fmt.Errorf("shard %d: %s", shard, sh.Error)
+				return lgStatus{}, fmt.Errorf("shard %d: %s", id, sh.Error)
 			}
-			return sh.Status.Reorganizing, nil
+			return sh.Status, nil
 		}
 	}
-	return false, fmt.Errorf("shard %d not in cluster status", shard)
+	return lgStatus{}, fmt.Errorf("shard %d not in cluster status", id)
 }
 
 // secondsDuration renders a float64 seconds value (the unit obs histograms

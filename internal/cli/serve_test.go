@@ -52,12 +52,16 @@ func TestServeAndLoadgen(t *testing.T) {
 		scaleAt:  100 * time.Millisecond,
 		add:      2,
 		perSess:  16,
+		// The dashboard reports while the scale driver does: under -race
+		// this is the check that only the engine writes to lgOut.
+		dash: 5 * time.Millisecond,
 	}, &lgOut)
 	if err != nil {
 		t.Fatalf("loadgen: %v\n%s", err, lgOut.String())
 	}
 	out := lgOut.String()
 	for _, want := range []string{
+		"dash t=",
 		"scale-up +2 accepted",
 		"reorganization drained in",
 		"read latency overall:",
@@ -122,7 +126,8 @@ func TestServeAndBinLoadgen(t *testing.T) {
 	}
 
 	var lgOut strings.Builder
-	err := runBinLoad(loadgenOptions{
+	err := runLoadgen(loadgenOptions{
+		bin:      true,
 		addr:     "http://" + addr,
 		clients:  3,
 		duration: 250 * time.Millisecond,
@@ -163,13 +168,13 @@ func TestServeBadFlags(t *testing.T) {
 	if err := serveGateway(serveOptions{redundancy: "raid6"}, &out, nil, nil); err == nil {
 		t.Error("bad redundancy accepted")
 	}
-	if err := runBinLoad(loadgenOptions{clients: 0}, &out); err == nil {
+	if err := runLoadgen(loadgenOptions{bin: true, clients: 0}, &out); err == nil {
 		t.Error("bin: zero clients accepted")
 	}
-	if err := runBinLoad(loadgenOptions{clients: 1, duration: 0}, &out); err == nil {
+	if err := runLoadgen(loadgenOptions{bin: true, clients: 1, duration: 0}, &out); err == nil {
 		t.Error("bin: zero duration accepted")
 	}
-	if err := runBinLoad(loadgenOptions{clients: 1, duration: time.Second, batch: 0}, &out); err == nil {
+	if err := runLoadgen(loadgenOptions{bin: true, clients: 1, duration: time.Second, batch: 0}, &out); err == nil {
 		t.Error("bin: zero batch accepted")
 	}
 	if err := runLoadgen(loadgenOptions{clients: 0}, &out); err == nil {
@@ -180,5 +185,18 @@ func TestServeBadFlags(t *testing.T) {
 	}
 	if err := runLoadgen(loadgenOptions{clients: 1, duration: time.Second, addr: "http://127.0.0.1:1"}, &out); err == nil {
 		t.Error("unreachable gateway accepted")
+	}
+	// A flag the chosen mode would silently ignore is refused by name, before
+	// anything is contacted; -bin -stream stays the error it was.
+	for _, tc := range []struct{ args, want string }{
+		{"-deadline 1s", "-deadline is not used in lookup mode"},
+		{"-stream -dash 1s", "-dash is not used in -stream mode"},
+		{"-bin -scale-at 1s", "-scale-at is not used in -bin mode"},
+		{"-bin -stream", "mutually exclusive"},
+	} {
+		err := cmdLoadgen(strings.Fields(tc.args+" -addr http://127.0.0.1:1"), &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("loadgen %s: error %v, want %q", tc.args, err, tc.want)
+		}
 	}
 }

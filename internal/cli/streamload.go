@@ -1,13 +1,13 @@
 package cli
 
-// loadgen -stream: the streaming-mode load generator. Instead of timed block
-// lookups it opens real playback sessions and drains their chunked streams,
-// exactly the way a population of viewers would:
+// loadgen -stream: the streaming mode of the load engine. Instead of timed
+// block lookups its operation opens a real playback session and drains the
+// chunked stream, exactly the way a population of viewers would:
 //
 //   - every client shares ONE dataplane.ClientLocator kept current by a
-//     single delta subscription (GET /v1/locator/snapshot once, then
-//     GET /v1/locator/deltas long-polls) — ten thousand sessions tracking a
-//     live reorganization cost the server one feed, not 10k lookups/round;
+//     single feed subscription (ClientLocator.Follow: the full snapshot once,
+//     then long-polled deltas) — ten thousand sessions tracking a live
+//     reorganization cost the server one feed, not 10k lookups/round;
 //   - every received chunk is CRC-checked by the wire framing and verified
 //     byte-for-byte against the seeded content oracle at its block index, so
 //     a migration or rebuild that served the wrong bytes is caught here;
@@ -17,224 +17,78 @@ package cli
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"scaddar/internal/dataplane"
-	"scaddar/internal/obs"
 	"scaddar/internal/prng"
-	"scaddar/internal/workload"
 )
 
-// streamTally is one streaming client's outcome counters.
-type streamTally struct {
-	opened    int
-	rejected  int
-	done      int
-	evicted   int
-	stopped   int
-	chunks    int
-	bytes     int64
-	frameErrs int
-	oracleErr int
-	locateErr int
-	gaps      []sample // lat = inter-chunk gap, at = offset from run start
-	misses    int      // gaps above the -deadline threshold
-}
-
-// streamClient drains whole sessions until the run deadline.
-type streamClient struct {
-	http     *http.Client
-	base     string
-	loc      *dataplane.ClientLocator
-	objects  []lgObject
-	zipf     *workload.Zipf
-	rng      prng.Source
-	deadline time.Duration // client-side gap threshold; 0 = off
-	start    time.Time
-	tally    streamTally
-}
-
-// runStreamLoad drives concurrent streaming sessions against a gateway and
+// streamLoad drives concurrent streaming sessions against a gateway and
 // reports chunk integrity plus pacing percentiles.
-func runStreamLoad(opts loadgenOptions, w io.Writer) error {
-	if opts.clients < 1 {
-		return fmt.Errorf("clients %d", opts.clients)
-	}
-	if opts.duration <= 0 {
-		return fmt.Errorf("duration %s", opts.duration)
-	}
-	base := opts.addr
-	hc := &http.Client{} // no global timeout: streams legitimately outlive any fixed budget
-	factory := func(seed uint64) prng.Source { return prng.NewSplitMix64(seed) }
-	loc := dataplane.NewClientLocator(factory)
+func (l *load) streamLoad() error {
+	opts := l.opts
+	streams := &http.Client{} // no global timeout: streams legitimately outlive any fixed budget
+	loc := dataplane.NewClientLocator(func(seed uint64) prng.Source { return prng.NewSplitMix64(seed) })
 
-	snap, err := fetchLocatorSnapshot(hc, base)
+	// One feed subscription keeps the shared locator current for everyone.
+	followCtx, stopFollow := context.WithCancel(context.Background())
+	defer stopFollow()
+	followed, err := loc.Follow(followCtx, streams, opts.addr)
 	if err != nil {
 		return err
 	}
-	if err := loc.ApplySnapshot(snap); err != nil {
+	l.printf("loadgen: %d streaming clients against %s for %s (%d objects, Zipf θ=%g, one shared locator)\n",
+		opts.clients, opts.addr, opts.duration, len(l.objects), opts.zipf)
+
+	// Read the server's counters before the run so the final report can
+	// attribute flushes and rounds to this run alone.
+	before, beforeErr := fetchStatus(l.hc, opts.addr)
+
+	res, err := l.run(func(wk *loadWorker) func() error {
+		return func() error { wk.playSession(streams, loc); return nil }
+	})
+	stopFollow()
+	resyncs := followed()
+	if err != nil {
 		return err
 	}
-	if len(snap.Objects) == 0 {
-		return fmt.Errorf("gateway has no objects loaded")
-	}
-	objects := make([]lgObject, len(snap.Objects))
-	for i, o := range snap.Objects {
-		objects[i] = lgObject{ID: o.ID, Blocks: o.Blocks}
-	}
 
-	fmt.Fprintf(w, "loadgen: %d streaming clients against %s for %s (%d objects, Zipf θ=%g, one shared locator)\n",
-		opts.clients, base, opts.duration, len(objects), opts.zipf)
-
-	// Snapshot the server's counters before the run so the final report can
-	// attribute flushes and rounds to this run alone.
-	before, beforeErr := fetchStreamCounters(hc, base)
-
-	start := time.Now()
-	deadline := start.Add(opts.duration)
-	runCtx, cancelRun := context.WithDeadline(context.Background(), deadline)
-	defer cancelRun()
-
-	// One delta subscription keeps the shared locator current for everyone.
-	var resyncs int
-	subDone := make(chan struct{})
-	go func() {
-		defer close(subDone)
-		resyncs = followLocatorFeed(runCtx, hc, base, loc)
-	}()
-
-	clients := make([]*streamClient, opts.clients)
-	var wg sync.WaitGroup
-	for i := range clients {
-		z, err := workload.NewZipf(prng.NewSplitMix64(opts.seed+uint64(i)*2654435761), len(objects), opts.zipf)
-		if err != nil {
-			return err
-		}
-		c := &streamClient{
-			http: hc, base: base, loc: loc, objects: objects, zipf: z,
-			rng:      prng.NewSplitMix64(opts.seed*31 + uint64(i)),
-			deadline: opts.deadline, start: start,
-		}
-		clients[i] = c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.run(runCtx, deadline)
-		}()
-	}
-
-	// Mid-run scale-up, with the reorganization window measured by status
-	// polls — the same shape as lookup mode.
-	var reorgStart, reorgEnd time.Duration
-	if opts.scaleAt > 0 && opts.scaleAt < opts.duration {
-		time.Sleep(opts.scaleAt)
-		body, _ := json.Marshal(map[string]int{"add": opts.add})
-		reorgStart = time.Since(start)
-		resp, err := hc.Post(base+"/v1/scale", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return fmt.Errorf("scale: %w", err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			fmt.Fprintf(w, "loadgen: scale-up rejected with status %d\n", resp.StatusCode)
-			reorgStart = 0
-		} else {
-			fmt.Fprintf(w, "loadgen: scale-up +%d accepted at t=%s\n", opts.add, reorgStart.Round(time.Millisecond))
-			for time.Now().Before(deadline.Add(30 * time.Second)) {
-				st, err := fetchStatus(hc, base)
-				if err == nil && !st.Reorganizing {
-					reorgEnd = time.Since(start)
-					break
-				}
-				time.Sleep(20 * time.Millisecond)
-			}
-			fmt.Fprintf(w, "loadgen: reorganization drained in %s\n", (reorgEnd - reorgStart).Round(time.Millisecond))
-		}
-	}
-	wg.Wait()
-	cancelRun()
-	<-subDone
-	elapsed := time.Since(start)
-
-	// Merge tallies.
-	var t streamTally
-	var gaps []sample
-	for _, c := range clients {
-		t.opened += c.tally.opened
-		t.rejected += c.tally.rejected
-		t.done += c.tally.done
-		t.evicted += c.tally.evicted
-		t.stopped += c.tally.stopped
-		t.chunks += c.tally.chunks
-		t.bytes += c.tally.bytes
-		t.frameErrs += c.tally.frameErrs
-		t.oracleErr += c.tally.oracleErr
-		t.locateErr += c.tally.locateErr
-		t.misses += c.tally.misses
-		gaps = append(gaps, c.tally.gaps...)
-	}
-	fmt.Fprintf(w, "sessions opened %d (rejected %d): %d done, %d evicted, %d stopped\n",
-		t.opened, t.rejected, t.done, t.evicted, t.stopped)
-	fmt.Fprintf(w, "chunks %d (%.1f MiB, %.1f chunks/s)  frame errors %d  oracle mismatches %d  locate errors %d  feed resyncs %d\n",
-		t.chunks, float64(t.bytes)/(1<<20), float64(t.chunks)/elapsed.Seconds(),
-		t.frameErrs, t.oracleErr, t.locateErr, resyncs)
-	mibs := float64(t.bytes) / (1 << 20) / elapsed.Seconds()
-	fmt.Fprintf(w, "throughput %.1f MiB/s aggregate, %.2f MiB/s per client (%d clients)\n",
+	n := res.n
+	l.printf("sessions opened %d (rejected %d): %d done, %d evicted, %d stopped\n",
+		n[nOpened], n[nRejected], n[nDone], n[nEvicted], n[nStopped])
+	l.printf("chunks %d (%.1f MiB, %.1f chunks/s)  frame errors %d  oracle mismatches %d  locate errors %d  feed resyncs %d\n",
+		n[nChunks], float64(n[nBytes])/(1<<20), res.rate(nChunks),
+		n[nFrameErrs], n[nOracleErrs], n[nLocateErrs], resyncs)
+	mibs := res.rate(nBytes) / (1 << 20)
+	l.printf("throughput %.1f MiB/s aggregate, %.2f MiB/s per client (%d clients)\n",
 		mibs, mibs/float64(opts.clients), opts.clients)
-	if t.frameErrs > 0 || t.oracleErr > 0 {
-		fmt.Fprintf(w, "loadgen: INTEGRITY FAILURES DETECTED\n")
+	if n[nFrameErrs] > 0 || n[nOracleErrs] > 0 {
+		l.printf("loadgen: INTEGRITY FAILURES DETECTED\n")
 	}
 	if opts.deadline > 0 {
-		fmt.Fprintf(w, "client deadline %s: %d chunk gaps missed it\n", opts.deadline, t.misses)
+		l.printf("client deadline %s: %d chunk gaps missed it\n", opts.deadline, n[nMisses])
 	}
-
-	// Pacing percentiles: chunk inter-arrival gaps, split by the reorg
-	// window when one was driven.
-	report := func(label string, keep func(sample) bool) {
-		h := obs.MustNewHistogram(obs.LatencyBuckets())
-		for _, s := range gaps {
-			if keep(s) {
-				h.ObserveDuration(s.lat)
-			}
-		}
-		if h.Count() == 0 {
-			return
-		}
-		sn := h.Snapshot()
-		fmt.Fprintf(w, "%-22s n=%-7d p50 %-9s p95 %-9s p99 %s\n", label, sn.Count,
-			secondsDuration(sn.Quantile(0.50)),
-			secondsDuration(sn.Quantile(0.95)),
-			secondsDuration(sn.Quantile(0.99)))
-	}
-	report("chunk gap overall:", func(sample) bool { return true })
-	if reorgEnd > reorgStart {
-		report("  before reorg:", func(s sample) bool { return s.at < reorgStart })
-		report("  during reorg:", func(s sample) bool { return s.at >= reorgStart && s.at < reorgEnd })
-		report("  after reorg:", func(s sample) bool { return s.at >= reorgEnd })
-	}
+	l.reportWindows(res, "chunk gap overall:", nil)
 
 	// The server's own data-plane counters close the loop: its deadline
 	// misses (hiccups) and evictions should explain any client-side gaps,
 	// and the flush count shows how hard the coalesced drain worked — an
 	// awake session pays one Write+flush per round regardless of how many
 	// chunks it gathered, so flushes/round ≈ concurrently-drained sessions.
-	if st, err := fetchStreamCounters(hc, base); err == nil {
-		fmt.Fprintf(w, "server: %d chunks buffered, %d deadline misses, %d evictions, %d locator deltas\n",
-			st.StreamChunks, st.StreamMisses, st.StreamEvictions, st.DeltasPublished)
+	if st, err := fetchStatus(l.hc, opts.addr); err == nil {
+		g := st.Gateway
+		l.printf("server: %d chunks buffered, %d deadline misses, %d evictions, %d locator deltas\n",
+			g.StreamChunks, g.StreamMisses, g.StreamEvictions, g.DeltasPublished)
 		if beforeErr == nil {
 			rounds := st.Rounds - before.Rounds
-			flushes := st.StreamFlushes - before.StreamFlushes
-			chunks := st.StreamChunks - before.StreamChunks
+			flushes := g.StreamFlushes - before.Gateway.StreamFlushes
+			chunks := g.StreamChunks - before.Gateway.StreamChunks
 			if rounds > 0 && flushes > 0 {
-				fmt.Fprintf(w, "server: %d flushes over %d rounds (%.2f flushes/round, %.2f chunks/flush)\n",
+				l.printf("server: %d flushes over %d rounds (%.2f flushes/round, %.2f chunks/flush)\n",
 					flushes, rounds, float64(flushes)/float64(rounds), float64(chunks)/float64(flushes))
 			}
 		}
@@ -242,65 +96,21 @@ func runStreamLoad(opts loadgenOptions, w io.Writer) error {
 	return nil
 }
 
-// run is one streaming client loop: open a session on a Zipf-popular
-// object, drain its chunk stream verifying every frame, repeat.
-func (c *streamClient) run(ctx context.Context, deadline time.Time) {
-	for time.Now().Before(deadline) {
-		obj := c.objects[c.zipf.Draw()]
-		sess, retryAfter, ok := c.openStream(obj.ID)
-		if !ok {
-			c.tally.rejected++
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(c.jitterGap(retryAfter)):
-			}
-			continue
-		}
-		c.tally.opened++
-		c.drainStream(ctx, sess, obj)
+// playSession is the streaming operation: open a session on a Zipf-popular
+// object and read its chunk stream to the end frame (or the run deadline),
+// verifying framing, oracle bytes, and the shared locator.
+func (wk *loadWorker) playSession(streams *http.Client, loc *dataplane.ClientLocator) {
+	obj := wk.objects[wk.zipf.Draw()]
+	sess, ok := wk.openSession(obj.ID)
+	if !ok {
+		return
 	}
-}
-
-// jitterGap spreads a backoff hint over [d/2, d].
-func (c *streamClient) jitterGap(d time.Duration) time.Duration {
-	if d <= 0 {
-		d = time.Second
-	}
-	half := d / 2
-	return half + time.Duration(c.rng.Next()%uint64(half+1))
-}
-
-// openStream opens a session for an object.
-func (c *streamClient) openStream(object int) (id int, retryAfter time.Duration, ok bool) {
-	body, _ := json.Marshal(map[string]int{"object": object})
-	resp, err := c.http.Post(c.base+"/v1/sessions", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, time.Second, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		io.Copy(io.Discard, resp.Body)
-		return 0, retryAfterHint(resp.Header), false
-	}
-	var out struct {
-		Session int `json:"session"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, time.Second, false
-	}
-	return out.Session, 0, true
-}
-
-// drainStream reads a session's chunk stream to its end frame (or the run
-// deadline), verifying framing, oracle bytes, and the shared locator.
-func (c *streamClient) drainStream(ctx context.Context, sess int, obj lgObject) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s/v1/sessions/%d/stream", c.base, sess), nil)
+	req, err := http.NewRequestWithContext(wk.ctx, http.MethodGet,
+		fmt.Sprintf("%s/v1/sessions/%d/stream", wk.opts.addr, sess), nil)
 	if err != nil {
 		return
 	}
-	resp, err := c.http.Do(req)
+	resp, err := streams.Do(req)
 	if err != nil {
 		return
 	}
@@ -309,7 +119,7 @@ func (c *streamClient) drainStream(ctx context.Context, sess int, obj lgObject) 
 		io.Copy(io.Discard, resp.Body)
 		return
 	}
-	info, haveInfo := c.loc.Object(obj.ID)
+	info, haveInfo := loc.Object(obj.ID)
 	br := bufio.NewReader(resp.Body)
 	var prev time.Time
 	for {
@@ -317,8 +127,8 @@ func (c *streamClient) drainStream(ctx context.Context, sess int, obj lgObject) 
 		if err != nil {
 			// A deadline cancellation mid-frame is the run ending, not a
 			// protocol failure.
-			if ctx.Err() == nil && err != io.EOF {
-				c.tally.frameErrs++
+			if wk.ctx.Err() == nil && err != io.EOF {
+				wk.n[nFrameErrs]++
 			}
 			return
 		}
@@ -326,152 +136,32 @@ func (c *streamClient) drainStream(ctx context.Context, sess int, obj lgObject) 
 		if f.End {
 			switch f.Reason {
 			case dataplane.CloseDone:
-				c.tally.done++
+				wk.n[nDone]++
 			case dataplane.CloseEvicted:
-				c.tally.evicted++
+				wk.n[nEvicted]++
 			default:
-				c.tally.stopped++
+				wk.n[nStopped]++
 			}
 			return
 		}
-		c.tally.chunks++
-		c.tally.bytes += int64(len(f.Data))
+		wk.n[nChunks]++
+		wk.n[nBytes] += int64(len(f.Data))
 		if haveInfo && !dataplane.VerifySeededContent(f.Data, info.Seed, uint64(f.Index)) {
-			c.tally.oracleErr++
+			wk.n[nOracleErrs]++
 		}
 		// Exercise the shared locator exactly as a smart client would: the
 		// block that just arrived must be locatable without asking the
 		// server.
-		if _, err := c.loc.Locate(obj.ID, f.Index); err != nil {
-			c.tally.locateErr++
+		if _, err := loc.Locate(obj.ID, f.Index); err != nil {
+			wk.n[nLocateErrs]++
 		}
 		if !prev.IsZero() {
 			gap := now.Sub(prev)
-			c.tally.gaps = append(c.tally.gaps, sample{at: prev.Sub(c.start), lat: gap})
-			if c.deadline > 0 && gap > c.deadline {
-				c.tally.misses++
+			wk.samples = append(wk.samples, sample{at: prev.Sub(wk.start), lat: gap})
+			if wk.opts.deadline > 0 && gap > wk.opts.deadline {
+				wk.n[nMisses]++
 			}
 		}
 		prev = now
 	}
-}
-
-// fetchLocatorSnapshot fetches the full wire-format locator snapshot.
-func fetchLocatorSnapshot(hc *http.Client, base string) (*dataplane.Snapshot, error) {
-	resp, err := hc.Get(base + "/v1/locator/snapshot")
-	if err != nil {
-		return nil, fmt.Errorf("locator snapshot: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("locator snapshot: status %d", resp.StatusCode)
-	}
-	var snap dataplane.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("locator snapshot: %w", err)
-	}
-	return &snap, nil
-}
-
-// followLocatorFeed long-polls the delta feed and applies every delta to the
-// shared locator until ctx ends. A 410 (cursor fell out of the bounded ring)
-// or a sequence gap triggers a full snapshot refetch; the count of those
-// resyncs is returned.
-func followLocatorFeed(ctx context.Context, hc *http.Client, base string, loc *dataplane.ClientLocator) int {
-	resyncs := 0
-	after := loc.Seq()
-	resync := func() bool {
-		snap, err := fetchLocatorSnapshot(hc, base)
-		if err != nil {
-			return false
-		}
-		if err := loc.ApplySnapshot(snap); err != nil {
-			return false
-		}
-		after = loc.Seq()
-		resyncs++
-		return true
-	}
-	for ctx.Err() == nil {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-			fmt.Sprintf("%s/v1/locator/deltas?after=%d", base, after), nil)
-		if err != nil {
-			return resyncs
-		}
-		resp, err := hc.Do(req)
-		if err != nil {
-			continue
-		}
-		if resp.StatusCode == http.StatusGone {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			resync()
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			continue
-		}
-		var dr struct {
-			Deltas []dataplane.Delta `json:"deltas"`
-			Seq    uint64            `json:"seq"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&dr)
-		resp.Body.Close()
-		if err != nil {
-			continue
-		}
-		for _, d := range dr.Deltas {
-			if err := loc.Apply(d); err != nil {
-				resync()
-				break
-			}
-		}
-		if s := loc.Seq(); s > after {
-			after = s
-		} else if dr.Seq > after {
-			after = dr.Seq
-		}
-	}
-	return resyncs
-}
-
-// streamCounters is the slice of /v1/status the streaming report uses.
-type streamCounters struct {
-	Rounds          int
-	StreamChunks    int64
-	StreamFlushes   int64
-	StreamMisses    int64
-	StreamEvictions int64
-	DeltasPublished int64
-}
-
-// fetchStreamCounters pulls the gateway's data-plane counters from
-// /v1/status.
-func fetchStreamCounters(hc *http.Client, base string) (streamCounters, error) {
-	var out struct {
-		Rounds  int `json:"rounds"`
-		Gateway struct {
-			StreamChunks    int64 `json:"streamChunks"`
-			StreamFlushes   int64 `json:"streamFlushes"`
-			StreamMisses    int64 `json:"streamMisses"`
-			StreamEvictions int64 `json:"streamEvictions"`
-			DeltasPublished int64 `json:"deltasPublished"`
-		} `json:"gateway"`
-	}
-	resp, err := hc.Get(base + "/v1/status")
-	if err != nil {
-		return streamCounters{}, err
-	}
-	defer resp.Body.Close()
-	err = json.NewDecoder(resp.Body).Decode(&out)
-	return streamCounters{
-		Rounds:          out.Rounds,
-		StreamChunks:    out.Gateway.StreamChunks,
-		StreamFlushes:   out.Gateway.StreamFlushes,
-		StreamMisses:    out.Gateway.StreamMisses,
-		StreamEvictions: out.Gateway.StreamEvictions,
-		DeltasPublished: out.Gateway.DeltasPublished,
-	}, err
 }

@@ -46,7 +46,8 @@ func TestServeAndStreamLoadgen(t *testing.T) {
 	}
 
 	var lgOut strings.Builder
-	err := runStreamLoad(loadgenOptions{
+	err := runLoadgen(loadgenOptions{
+		stream:   true,
 		addr:     "http://" + addr,
 		clients:  6,
 		duration: 500 * time.Millisecond,

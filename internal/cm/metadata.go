@@ -87,8 +87,8 @@ func (s *Server) ExportMetadata() (*Metadata, error) {
 // through encoding/json directly.
 
 // RestoreServer rebuilds a server from exported metadata: the strategy is
-// reconstructed from the operation log (replaying it into a fresh SCADDAR
-// strategy), every object's blocks are re-placed by computation alone, and
+// reconstructed from the operation log (placement.RestoreScaddar), every
+// object's blocks are re-placed by computation alone, and
 // the result is integrity-verified. x0 must be built over the same
 // generator family and seeds as the original server.
 func RestoreServer(cfg Config, md *Metadata, x0 placement.X0Func) (*Server, error) {
@@ -101,35 +101,9 @@ func RestoreServer(cfg Config, md *Metadata, x0 placement.X0Func) (*Server, erro
 	if md.History == nil {
 		return nil, fmt.Errorf("cm: metadata has no history")
 	}
-	strat, err := placement.NewScaddar(md.History.N0(), x0)
+	strat, err := placement.RestoreScaddar(md.History, md.Epoch, md.Bits, x0)
 	if err != nil {
 		return nil, err
-	}
-	if md.Bits != 0 {
-		if err := strat.SetBits(md.Bits); err != nil {
-			return nil, err
-		}
-	}
-	for e := uint64(0); e < md.Epoch; e++ {
-		if err := strat.Rebaseline(); err != nil {
-			return nil, err
-		}
-	}
-	// Replay the operation log into the strategy.
-	for j := 1; j <= md.History.Ops(); j++ {
-		op := md.History.Op(j)
-		switch op.Kind {
-		case scaddar.OpAdd:
-			if err := strat.AddDisks(op.Count()); err != nil {
-				return nil, err
-			}
-		case scaddar.OpRemove:
-			if err := strat.RemoveDisks(op.Removed...); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("cm: metadata op %d has unknown kind", j)
-		}
 	}
 	srv, err := NewServer(cfg, strat)
 	if err != nil {

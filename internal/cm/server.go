@@ -1081,46 +1081,52 @@ func (s *Server) advanceStream(st *Stream, blocks int, delivered bool) {
 	}
 }
 
-// ScaleUp attaches count new disks and starts the minimal reorganization
-// that rebalances onto them. The migration runs inside subsequent Tick
-// calls using spare bandwidth; the new disks serve reads immediately for
-// blocks already moved. The returned plan describes the migration.
-func (s *Server) ScaleUp(count int) (*reorg.Plan, error) {
-	if s.Ingesting() {
-		return nil, fmt.Errorf("%w: cannot scale while a recording is in progress", ErrBusy)
+// reorgIdle is the precondition every reorganization shares: no recording,
+// no migration in flight, a healthy array, and no scale-down awaiting its
+// CompleteScaleDown.
+func (s *Server) reorgIdle() error {
+	switch {
+	case s.Ingesting():
+		return fmt.Errorf("%w: cannot scale while a recording is in progress", ErrBusy)
+	case s.Reorganizing():
+		return fmt.Errorf("%w: a reorganization is already in progress", ErrBusy)
+	case s.Degraded():
+		return fmt.Errorf("%w: cannot scale while the array is degraded", ErrBusy)
+	case len(s.pendingRemoval) > 0:
+		return fmt.Errorf("%w: a scale-down awaits completion", ErrBusy)
 	}
-	if s.Reorganizing() {
-		return nil, fmt.Errorf("%w: a reorganization is already in progress", ErrBusy)
-	}
-	if s.Degraded() {
-		return nil, fmt.Errorf("%w: cannot scale while the array is degraded", ErrBusy)
-	}
-	if len(s.pendingRemoval) > 0 {
-		return nil, fmt.Errorf("%w: a scale-down awaits completion", ErrBusy)
-	}
-	blocks := s.allBlocks()
-	plan, err := reorg.PlanAdd(s.strat, blocks, count)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := s.array.Add(count, s.cfg.Profile); err != nil {
-		return nil, err
-	}
-	if err := s.attachAddedPayloads(s.N() - count); err != nil {
-		return nil, err
-	}
+	return nil
+}
+
+// startMigration is the tail every reorganization shares: install the plan's
+// executor, charge the randomness budget for the strategy's new disk count
+// (a complete redistribution resets it instead), and journal the start
+// event — last, so sinks observe the server with the migration in place.
+func (s *Server) startMigration(plan *reorg.Plan, ev Event) (*reorg.Plan, error) {
 	exec, err := s.newExecutor(plan)
 	if err != nil {
 		return nil, err
 	}
 	s.migration = exec
 	if s.budget != nil {
-		if err := s.budget.Record(s.strat.N()); err != nil {
+		account := s.budget.Record
+		if ev.Kind == EventRedistributeStarted {
+			account = s.budget.Reset
+		}
+		if err := account(s.strat.N()); err != nil {
 			return nil, err
 		}
 	}
-	s.emit(Event{Kind: EventScaleUpStarted, Count: count})
+	s.emit(ev)
 	return plan, nil
+}
+
+// ScaleUp attaches count new disks and starts the minimal reorganization
+// that rebalances onto them. The migration runs inside subsequent Tick
+// calls using spare bandwidth; the new disks serve reads immediately for
+// blocks already moved. The returned plan describes the migration.
+func (s *Server) ScaleUp(count int) (*reorg.Plan, error) {
+	return s.scaleUp(count, nil)
 }
 
 // ScaleUpProfile attaches count new disks of a possibly different
@@ -1131,45 +1137,35 @@ func (s *Server) ScaleUp(count int) (*reorg.Plan, error) {
 // multiple logical disks via the hetero mapping is how its full bandwidth
 // is exploited (experiment E11 quantifies the difference).
 func (s *Server) ScaleUpProfile(count int, profile disk.Profile) (*reorg.Plan, error) {
-	if s.Ingesting() {
-		return nil, fmt.Errorf("%w: cannot scale while a recording is in progress", ErrBusy)
+	return s.scaleUp(count, &profile)
+}
+
+// scaleUp is ScaleUp with the array's own profile (nil) or ScaleUpProfile
+// with a given one; the journaled event carries the profile only when the
+// caller named one.
+func (s *Server) scaleUp(count int, profile *disk.Profile) (*reorg.Plan, error) {
+	if err := s.reorgIdle(); err != nil {
+		return nil, err
 	}
-	if s.Reorganizing() {
-		return nil, fmt.Errorf("%w: a reorganization is already in progress", ErrBusy)
+	added := s.cfg.Profile
+	if profile != nil {
+		if profile.BlocksPerRound(s.cfg.Round, s.cfg.BlockBytes) < 1 {
+			return nil, fmt.Errorf("cm: disk %s cannot serve a single %d-byte block per %v round",
+				profile.Name, s.cfg.BlockBytes, s.cfg.Round)
+		}
+		added = *profile
 	}
-	if s.Degraded() {
-		return nil, fmt.Errorf("%w: cannot scale while the array is degraded", ErrBusy)
-	}
-	if len(s.pendingRemoval) > 0 {
-		return nil, fmt.Errorf("%w: a scale-down awaits completion", ErrBusy)
-	}
-	if profile.BlocksPerRound(s.cfg.Round, s.cfg.BlockBytes) < 1 {
-		return nil, fmt.Errorf("cm: disk %s cannot serve a single %d-byte block per %v round",
-			profile.Name, s.cfg.BlockBytes, s.cfg.Round)
-	}
-	blocks := s.allBlocks()
-	plan, err := reorg.PlanAdd(s.strat, blocks, count)
+	plan, err := reorg.PlanAdd(s.strat, s.allBlocks(), count)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := s.array.Add(count, profile); err != nil {
+	if _, err := s.array.Add(count, added); err != nil {
 		return nil, err
 	}
 	if err := s.attachAddedPayloads(s.N() - count); err != nil {
 		return nil, err
 	}
-	exec, err := s.newExecutor(plan)
-	if err != nil {
-		return nil, err
-	}
-	s.migration = exec
-	if s.budget != nil {
-		if err := s.budget.Record(s.strat.N()); err != nil {
-			return nil, err
-		}
-	}
-	s.emit(Event{Kind: EventScaleUpStarted, Count: count, Profile: &profile})
-	return plan, nil
+	return s.startMigration(plan, Event{Kind: EventScaleUpStarted, Count: count, Profile: profile})
 }
 
 // ScaleDown starts draining the disks at the given logical indices. Blocks
@@ -1177,28 +1173,13 @@ func (s *Server) ScaleUpProfile(count int, profile disk.Profile) (*reorg.Plan, e
 // CompleteScaleDown detaches the empty disks. Streams keep reading from the
 // doomed disks until their blocks have moved.
 func (s *Server) ScaleDown(indices ...int) (*reorg.Plan, error) {
-	if s.Ingesting() {
-		return nil, fmt.Errorf("%w: cannot scale while a recording is in progress", ErrBusy)
+	if err := s.reorgIdle(); err != nil {
+		return nil, err
 	}
-	if s.Reorganizing() {
-		return nil, fmt.Errorf("%w: a reorganization is already in progress", ErrBusy)
-	}
-	if s.Degraded() {
-		return nil, fmt.Errorf("%w: cannot scale while the array is degraded", ErrBusy)
-	}
-	if len(s.pendingRemoval) > 0 {
-		return nil, fmt.Errorf("%w: a scale-down awaits completion", ErrBusy)
-	}
-	blocks := s.allBlocks()
-	plan, err := reorg.PlanRemove(s.strat, blocks, indices...)
+	plan, err := reorg.PlanRemove(s.strat, s.allBlocks(), indices...)
 	if err != nil {
 		return nil, err
 	}
-	exec, err := s.newExecutor(plan)
-	if err != nil {
-		return nil, err
-	}
-	s.migration = exec
 	s.pendingRemoval = append([]int(nil), indices...)
 	// Build the post-removal -> pre-removal logical translation used by
 	// locate() while the drain is in flight.
@@ -1211,13 +1192,7 @@ func (s *Server) ScaleDown(indices ...int) (*reorg.Plan, error) {
 			s.removalPreOf[nw] = old
 		}
 	}
-	if s.budget != nil {
-		if err := s.budget.Record(s.strat.N()); err != nil {
-			return nil, err
-		}
-	}
-	s.emit(Event{Kind: EventScaleDownStarted, Disks: append([]int(nil), indices...)})
-	return plan, nil
+	return s.startMigration(plan, Event{Kind: EventScaleDownStarted, Disks: append([]int(nil), indices...)})
 }
 
 // NeedsRedistribution reports whether the configured unfairness tolerance
@@ -1238,17 +1213,8 @@ func (s *Server) Budget() *scaddar.Budget { return s.budget }
 // migration runs inside subsequent Tick calls like any scaling operation.
 // The placement strategy must support rebaselining (SCADDAR does).
 func (s *Server) FullRedistribute() (*reorg.Plan, error) {
-	if s.Ingesting() {
-		return nil, fmt.Errorf("%w: cannot scale while a recording is in progress", ErrBusy)
-	}
-	if s.Reorganizing() {
-		return nil, fmt.Errorf("%w: a reorganization is already in progress", ErrBusy)
-	}
-	if s.Degraded() {
-		return nil, fmt.Errorf("%w: cannot scale while the array is degraded", ErrBusy)
-	}
-	if len(s.pendingRemoval) > 0 {
-		return nil, fmt.Errorf("%w: a scale-down awaits completion", ErrBusy)
+	if err := s.reorgIdle(); err != nil {
+		return nil, err
 	}
 	rb, ok := s.strat.(reorg.Rebaseliner)
 	if !ok {
@@ -1258,18 +1224,7 @@ func (s *Server) FullRedistribute() (*reorg.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	exec, err := s.newExecutor(plan)
-	if err != nil {
-		return nil, err
-	}
-	s.migration = exec
-	if s.budget != nil {
-		if err := s.budget.Reset(s.strat.N()); err != nil {
-			return nil, err
-		}
-	}
-	s.emit(Event{Kind: EventRedistributeStarted})
-	return plan, nil
+	return s.startMigration(plan, Event{Kind: EventRedistributeStarted})
 }
 
 // CompleteScaleDown detaches the drained disks of a ScaleDown. It fails if

@@ -1,9 +1,13 @@
 package dataplane
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"sync"
+	"time"
 
 	"scaddar/internal/placement"
 	"scaddar/internal/scaddar"
@@ -17,7 +21,7 @@ var ErrSnapshotRequired = errors.New("dataplane: client locator needs a fresh sn
 // ClientLocator is the client side of the snapshot+delta protocol: a local,
 // pure-function replica of the server's block locator. ApplySnapshot
 // installs a full Snapshot (reconstructing the placement strategy from the
-// operation log exactly as cm.RestoreServer does); Apply folds in feed
+// operation log with the constructor cm.RestoreServer uses); Apply folds in feed
 // deltas — dropping moved blocks from the pending set, or swapping in the
 // fresh snapshot an epoch delta carries. Locate is safe for any number of
 // concurrent readers; many streaming sessions share one ClientLocator, so a
@@ -49,33 +53,24 @@ func (c *ClientLocator) ApplySnapshot(snap *Snapshot) error {
 	if err := hist.UnmarshalBinary(snap.History); err != nil {
 		return fmt.Errorf("dataplane: snapshot history: %w", err)
 	}
-	strat, err := placement.NewScaddar(hist.N0(), placement.NewX0Func(c.factory))
+	strat, err := placement.RestoreScaddar(hist, snap.Epoch, snap.Bits, placement.NewX0Func(c.factory))
 	if err != nil {
 		return err
 	}
-	if snap.Bits != 0 {
-		if err := strat.SetBits(snap.Bits); err != nil {
-			return err
+	// PreOf and Pending[].From are indexed and returned by Locate: a
+	// snapshot off the wire is refused unless both stay inside the array.
+	if snap.PreOf != nil && len(snap.PreOf) != hist.N() {
+		return fmt.Errorf("dataplane: snapshot preOf has %d entries for %d disks", len(snap.PreOf), hist.N())
+	}
+	for _, d := range snap.PreOf {
+		if d < 0 || d >= snap.N {
+			return fmt.Errorf("dataplane: snapshot preOf entry %d outside [0,%d)", d, snap.N)
 		}
 	}
-	for e := uint64(0); e < snap.Epoch; e++ {
-		if err := strat.Rebaseline(); err != nil {
-			return err
-		}
-	}
-	for j := 1; j <= hist.Ops(); j++ {
-		op := hist.Op(j)
-		switch op.Kind {
-		case scaddar.OpAdd:
-			if err := strat.AddDisks(op.Count()); err != nil {
-				return err
-			}
-		case scaddar.OpRemove:
-			if err := strat.RemoveDisks(op.Removed...); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("dataplane: snapshot op %d has unknown kind", j)
+	for _, p := range snap.Pending {
+		if p.From < 0 || p.From >= snap.N {
+			return fmt.Errorf("dataplane: snapshot pending block (%d,%d) from disk %d outside [0,%d)",
+				p.Object, p.Index, p.From, snap.N)
 		}
 	}
 	loc, err := strat.ConcurrentLocator(c.factory)
@@ -137,6 +132,68 @@ func (c *ClientLocator) Apply(d Delta) error {
 	}
 	c.seq = d.Seq
 	return nil
+}
+
+// Follow is the client end of the gateway's locator feed. It installs the
+// full snapshot from base/v1/locator/snapshot before returning, then keeps
+// the locator current in a background goroutine that long-polls the delta
+// feed until ctx ends. Whenever the feed cannot be continued — the cursor
+// fell out of the bounded ring (410), a sequence gap, an unreadable reply —
+// it resynchronizes from a fresh snapshot. wait blocks until that goroutine
+// has exited and returns how many resyncs it performed.
+func (c *ClientLocator) Follow(ctx context.Context, hc *http.Client, base string) (wait func() int, err error) {
+	resync := func() error {
+		var snap Snapshot
+		if err := getJSON(ctx, hc, base+"/v1/locator/snapshot", &snap); err != nil {
+			return fmt.Errorf("dataplane: locator snapshot: %w", err)
+		}
+		return c.ApplySnapshot(&snap)
+	}
+	if err := resync(); err != nil {
+		return nil, err
+	}
+	resyncs, done := 0, make(chan struct{})
+	go func() {
+		defer close(done)
+		for ctx.Err() == nil {
+			var page struct {
+				Deltas []Delta `json:"deltas"`
+			}
+			err := getJSON(ctx, hc, fmt.Sprintf("%s/v1/locator/deltas?after=%d", base, c.Seq()), &page)
+			for i := 0; err == nil && i < len(page.Deltas); i++ {
+				err = c.Apply(page.Deltas[i])
+			}
+			switch {
+			case err == nil || ctx.Err() != nil: // applied, or the caller is done
+			case resync() == nil:
+				resyncs++
+			default:
+				// The gateway is unreachable or draining: do not spin on it.
+				select {
+				case <-ctx.Done():
+				case <-time.After(100 * time.Millisecond):
+				}
+			}
+		}
+	}()
+	return func() int { <-done; return resyncs }, nil
+}
+
+// getJSON decodes one 200 reply; any other outcome is an error.
+func getJSON(ctx context.Context, hc *http.Client, url string, v any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := hc.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
+	}
+	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 // Seq returns the feed sequence the locator reflects.

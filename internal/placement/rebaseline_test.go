@@ -3,6 +3,7 @@ package placement
 import (
 	"testing"
 
+	"scaddar/internal/scaddar"
 	"scaddar/internal/stats"
 )
 
@@ -145,5 +146,61 @@ func TestSetBitsBoundsEpochValues(t *testing.T) {
 		if d := sc.Disk(b); d < 0 || d >= 5 {
 			t.Fatalf("disk %d out of range", d)
 		}
+	}
+}
+
+// TestRestoreScaddarAgreesWithReplay: the O(1) constructor that persistence
+// and the client locator use must place every block exactly where the
+// strategy it was exported from does — a strategy that reached its epoch by
+// real Rebaseline calls and its log by real scaling operations.
+func TestRestoreScaddarAgreesWithReplay(t *testing.T) {
+	blocks := testBlocks(6, 200)
+	for _, bits := range []uint{64, 20} {
+		for epoch := uint64(0); epoch <= 3; epoch++ {
+			live, err := NewScaddar(5, x0For(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := live.SetBits(bits); err != nil {
+				t.Fatal(err)
+			}
+			for e := uint64(0); e < epoch; e++ {
+				if err := live.Rebaseline(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := live.AddDisks(3); err != nil {
+				t.Fatal(err)
+			}
+			if err := live.RemoveDisks(1, 6); err != nil {
+				t.Fatal(err)
+			}
+			restored, err := RestoreScaddar(live.History(), live.Epoch(), live.Bits(), x0For(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if restored.Epoch() != epoch || restored.Bits() != bits || restored.N() != live.N() {
+				t.Fatalf("bits %d epoch %d: restored epoch=%d bits=%d n=%d", bits, epoch,
+					restored.Epoch(), restored.Bits(), restored.N())
+			}
+			for _, b := range blocks {
+				if got, want := restored.Disk(b), live.Disk(b); got != want {
+					t.Fatalf("bits %d epoch %d block %v: restored disk %d, live %d", bits, epoch, b, got, want)
+				}
+			}
+			// The restored strategy owns its log: scaling it leaves the source alone.
+			if err := restored.AddDisks(1); err != nil {
+				t.Fatal(err)
+			}
+			if live.History().Ops() != 2 {
+				t.Fatalf("restoring shared the history: source now has %d ops", live.History().Ops())
+			}
+		}
+	}
+	if _, err := RestoreScaddar(nil, 0, 0, x0For(t)); err == nil {
+		t.Error("nil history accepted")
+	}
+	if _, err := RestoreScaddar(scaddar.MustNewHistory(3), 0, 65, x0For(t)); err == nil {
+		t.Error("65-bit width accepted")
 	}
 }

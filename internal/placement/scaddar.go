@@ -37,6 +37,25 @@ func NewScaddar(n0 int, x0 X0Func) (*Scaddar, error) {
 	return &Scaddar{hist: h, x0: x0, bits: 64}, nil
 }
 
+// RestoreScaddar rebuilds a strategy from its persisted or wire form: the
+// operation log as it stood, the count of complete redistributions before
+// it, and the generator width (0 means the 64-bit default). A Rebaseline
+// only restarts the log and bumps the epoch counter, so the epoch is set
+// directly — the cost does not depend on a number a peer may have sent. The
+// history is cloned; the History decoders have already re-validated it.
+func RestoreScaddar(hist *scaddar.History, epoch uint64, bits uint, x0 X0Func) (*Scaddar, error) {
+	if hist == nil || hist.N0() < 1 {
+		return nil, fmt.Errorf("placement: restore needs a history over at least 1 disk")
+	}
+	s := &Scaddar{hist: hist.Clone(), x0: x0, epoch: epoch, bits: 64}
+	if bits != 0 {
+		if err := s.SetBits(bits); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
 // SetBits declares the width of the x0 source (1..64). Epoch-mixed values
 // after a Rebaseline are truncated to this width, keeping the randomness
 // budget honest for narrow generators.

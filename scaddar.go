@@ -648,8 +648,8 @@ type StreamClientLocator = dataplane.ClientLocator
 // GET /v1/locator/snapshot.
 type StreamLocatorSnapshot = dataplane.Snapshot
 
-// StreamLocatorDelta is one feed entry from GET /v1/locator/deltas:
-// moved-block batches during a reorganization, or a fresh snapshot at epoch
+// StreamLocatorDelta is one entry of the locator delta feed
+// (StreamClientLocator.Follow subscribes to it): moved-block batches during a reorganization, or a fresh snapshot at epoch
 // boundaries.
 type StreamLocatorDelta = dataplane.Delta
 
