@@ -69,14 +69,15 @@ benchtables:
 	$(GO) run ./cmd/benchtables > benchtables_output.txt
 	@echo "regenerated benchtables_output.txt"
 
-# Capture every benchmark in the module as BENCH_14.json (benchmark name →
+# Capture every benchmark in the module as BENCH_$(PR).json (benchmark name →
 # ns/op, bytes/op, allocs/op): one target, no hand-kept -bench regexp, so
-# consecutive captures have the same keys and diff line by line. Rename the
-# output for the PR that takes the capture. BENCH_5/7/8/9/10.json are the
-# partial captures of the four targets this one replaced, kept as history.
+# consecutive captures have the same keys and diff line by line. PR is the
+# number of the change taking the capture: `make bench PR=16`. Only the
+# latest captures are kept in the tree; git has the rest.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./... | $(GO) run ./tools/benchjson > BENCH_14.json
-	@echo "regenerated BENCH_14.json"
+	@test -n "$(PR)" || { echo 'usage: make bench PR=<n>   (writes BENCH_<n>.json)'; exit 2; }
+	$(GO) test -run '^$$' -bench . -benchmem ./... | $(GO) run ./tools/benchjson > BENCH_$(PR).json
+	@echo "regenerated BENCH_$(PR).json"
 
 # Short fuzz passes over the History codecs (seed corpora under
 # internal/scaddar/testdata/fuzz/), the compiled-chain differential

@@ -4,7 +4,7 @@ package cm
 // lookup frame carries many (object, block) pairs, and resolving them one
 // Locate call at a time would re-pay the wrapped-error allocation and the
 // op-by-op chain walk per block. LocateBatch instead resolves the catalog
-// and pending-index phase per entry, then hands every still-unresolved X0 to
+// and pending-set phase per entry, then hands every still-unresolved X0 to
 // the compiled chain's op-major LocateBatch sweep, and reports per-entry
 // failures as status codes rather than errors — so the whole batch is
 // zero-alloc once the caller's scratch has warmed up.
@@ -79,7 +79,7 @@ func (sn *LocatorSnapshot) LocateBatch(addrs []BlockAddr, disks []int32, status 
 			continue
 		}
 		ref := placement.BlockRef{Seed: obj.seed, Index: uint64(a.Index)}
-		if from, pending := sn.pending.lookup(ref); pending {
+		if from, pending := sn.pending.Source(ref); pending {
 			disks[i], status[i] = int32(from), LocateOK
 			continue
 		}

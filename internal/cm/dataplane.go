@@ -320,6 +320,8 @@ type LocatorState struct {
 	// PreOf translates post-removal logical indices to pre-removal ones
 	// while a scale-down drain is in flight; nil otherwise.
 	PreOf []int
+	// view is the pending set Pending and Reorganizing were taken from.
+	view reorg.PendingView
 }
 
 // LocatorStateExport captures the current locator state. It requires a
@@ -335,24 +337,52 @@ func (s *Server) LocatorStateExport() (*LocatorState, error) {
 		return nil, err
 	}
 	ls := &LocatorState{
-		History:      hist,
-		Bits:         sc.Bits(),
-		Epoch:        sc.Epoch(),
-		N:            s.N(),
-		Reorganizing: s.Reorganizing(),
-		Objects:      s.Catalog(),
+		History: hist,
+		Bits:    sc.Bits(),
+		Epoch:   sc.Epoch(),
+		N:       s.N(),
+		Objects: s.Catalog(),
 	}
-	if s.migration != nil {
-		for _, m := range s.migration.PendingList() {
-			object, ok := s.objectOfSeed(m.Block.Seed)
-			if !ok {
-				continue
+	if s.migration != nil && s.removalPreOf != nil {
+		ls.PreOf = append([]int(nil), s.removalPreOf...)
+	}
+	return ls.AsOf(s.PendingView()), nil
+}
+
+// PendingView returns the in-flight migration's pending set as of now (the
+// zero view outside a migration). Owner goroutine only; the view may be
+// handed to any goroutine and stays a point-in-time value.
+func (s *Server) PendingView() reorg.PendingView {
+	if s.migration == nil {
+		return reorg.PendingView{}
+	}
+	return s.migration.View()
+}
+
+// AsOf returns a copy of the state with Pending and Reorganizing taken from
+// a view of the same migration, sharing everything else. It is how a holder
+// of one export (taken when the migration started) gets the export of any
+// later round without going back to the server: rounds that only move blocks
+// change nothing else. Safe on any goroutine.
+func (ls *LocatorState) AsOf(view reorg.PendingView) *LocatorState {
+	if view == ls.view {
+		return ls
+	}
+	out := *ls
+	out.view = view
+	out.Reorganizing = view.Len() > 0
+	out.Pending = nil
+	if out.Reorganizing {
+		objectOf := make(map[uint64]int, len(ls.Objects))
+		for _, o := range ls.Objects {
+			objectOf[o.Seed] = o.ID
+		}
+		out.Pending = make([]PendingMove, 0, view.Len())
+		view.Each(func(m reorg.Move) {
+			if object, ok := objectOf[m.Block.Seed]; ok {
+				out.Pending = append(out.Pending, PendingMove{Object: object, Index: m.Block.Index, From: m.From})
 			}
-			ls.Pending = append(ls.Pending, PendingMove{Object: object, Index: m.Block.Index, From: m.From})
-		}
-		if s.removalPreOf != nil {
-			ls.PreOf = append([]int(nil), s.removalPreOf...)
-		}
+		})
 	}
-	return ls, nil
+	return &out
 }

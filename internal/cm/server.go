@@ -381,9 +381,7 @@ func (s *Server) N() int { return s.array.N() }
 
 // Reorganizing reports whether a scaling operation is still migrating
 // blocks.
-func (s *Server) Reorganizing() bool {
-	return s.migration != nil && !s.migration.Done()
-}
+func (s *Server) Reorganizing() bool { return s.MigrationRemaining() > 0 }
 
 // blockID packs (object, index) into a disk-layer block identity.
 func blockID(object int, index uint64) disk.BlockID {
@@ -1292,12 +1290,7 @@ func (s *Server) FinishReorganization() error {
 }
 
 // MigrationRemaining reports pending reorganization moves.
-func (s *Server) MigrationRemaining() int {
-	if s.migration == nil {
-		return 0
-	}
-	return s.migration.Remaining()
-}
+func (s *Server) MigrationRemaining() int { return s.PendingView().Len() }
 
 // ProblemStreams — streams currently mid-hiccup — is not tracked separately;
 // use Stream.Hiccups. VerifyIntegrity checks the global invariant instead:

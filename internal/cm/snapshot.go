@@ -5,9 +5,7 @@ import (
 	"sort"
 
 	"scaddar/internal/disk"
-	"scaddar/internal/par"
 	"scaddar/internal/placement"
-	"scaddar/internal/prng"
 	"scaddar/internal/reorg"
 	"scaddar/internal/scaddar"
 )
@@ -42,27 +40,29 @@ type snapObject struct {
 
 // LocatorSnapshot is an immutable, concurrency-safe view of the block
 // location function at one instant: the object catalog, a SafeLocator over
-// a cloned operation log, the in-flight migration's pending-source index,
-// and the scale-down index translation. All fields are written once at
-// build time; any number of goroutines may call Locate concurrently
+// a cloned operation log, a point-in-time view of the in-flight migration's
+// pending set, and the scale-down index translation. All fields are written
+// once at build time; any number of goroutines may call Locate concurrently
 // afterwards.
 //
 // The snapshot holds the SafeLocator's compiled REMAP chain directly, so
-// the steady-state Locate path — pending-index probe, X0 regeneration,
+// the steady-state Locate path — pending-set probe, X0 regeneration,
 // multiply-shift remap — interprets no operation log and allocates nothing.
 type LocatorSnapshot struct {
-	n            int
-	epoch        uint64
-	reorganizing bool
-	degraded     bool
-	objects      map[int]snapObject
-	loc          *scaddar.SafeLocator
+	n        int
+	epoch    uint64
+	degraded bool
+	objects  map[int]snapObject
+	loc      *scaddar.SafeLocator
 	// chain is loc's compiled chain, resolved once at build time so Locate
 	// skips even the cached-compile version check.
 	chain *scaddar.CompiledChain
-	// pending indexes blocks whose migration move has not executed yet by
-	// their pre-operation source disk (mirrors Executor.PendingSource).
-	pending *pendingIndex
+	// pending is the in-flight migration's pending set as of build time
+	// (mirrors Executor.PendingSource then): blocks whose move had not
+	// executed yet, by their pre-operation source disk. It is a view onto
+	// the executor's own set, not a copy, so building it costs nothing; the
+	// zero view outside a migration.
+	pending reorg.PendingView
 	// preOf translates post-removal logical indices back to the
 	// pre-removal numbering while a scale-down drain is in flight
 	// (mirrors Server.removalPreOf).
@@ -71,115 +71,13 @@ type LocatorSnapshot struct {
 	health []disk.Health
 }
 
-// pendingIndex is an immutable sharded view of an in-flight migration's
-// pending moves. It is built once by BuildSnapshot — in parallel for large
-// move sets — and read lock-free afterwards: shard choice is a pure hash of
-// the block reference, so concurrent readers never contend on a lock or
-// allocate.
-type pendingIndex struct {
-	mask   uint64
-	shards []map[placement.BlockRef]int
-}
-
-// pendingShard hashes a block reference to its shard.
-func pendingShard(b placement.BlockRef, mask uint64) uint64 {
-	return prng.Combine(b.Seed, b.Index) & mask
-}
-
-// buildPendingIndex builds the sharded pending index from the executor's
-// pending-move list. Small lists index serially into a single shard. Large
-// lists fan disjoint ranges of the move list across GOMAXPROCS workers,
-// each accumulating per-shard slices; the per-shard accumulators are then
-// merged in worker order, so the resulting index content is identical to a
-// serial build regardless of core count.
-func buildPendingIndex(moves []reorg.Move) *pendingIndex {
-	return buildPendingIndexN(moves, par.Workers())
-}
-
-// buildPendingIndexN is buildPendingIndex with an explicit worker count, so
-// determinism tests can exercise the fan-out/merge path on any machine.
-func buildPendingIndexN(moves []reorg.Move, workers int) *pendingIndex {
-	if len(moves) == 0 {
-		return nil
-	}
-	if len(moves) < par.MinParallel || workers < 2 {
-		m := make(map[placement.BlockRef]int, len(moves))
-		for _, mv := range moves {
-			m[mv.Block] = mv.From
-		}
-		return &pendingIndex{mask: 0, shards: []map[placement.BlockRef]int{m}}
-	}
-	nshards := 1
-	for nshards < workers {
-		nshards <<= 1
-	}
-	mask := uint64(nshards - 1)
-	// Phase 1: workers partition the move list into contiguous ranges and
-	// bucket their range by shard.
-	locals := make([][][]reorg.Move, workers)
-	par.RangesN(workers, workers, func(wlo, whi int) {
-		for w := wlo; w < whi; w++ {
-			buckets := make([][]reorg.Move, nshards)
-			lo, hi := w*len(moves)/workers, (w+1)*len(moves)/workers
-			for _, mv := range moves[lo:hi] {
-				s := pendingShard(mv.Block, mask)
-				buckets[s] = append(buckets[s], mv)
-			}
-			locals[w] = buckets
-		}
-	})
-	// Phase 2: each shard map is filled from the per-worker accumulators in
-	// worker order (blocks are distinct across moves, so the content is
-	// order-independent anyway; worker order keeps the merge deterministic
-	// by construction).
-	idx := &pendingIndex{mask: mask, shards: make([]map[placement.BlockRef]int, nshards)}
-	par.RangesN(nshards, workers, func(slo, shi int) {
-		for s := slo; s < shi; s++ {
-			total := 0
-			for w := 0; w < workers; w++ {
-				total += len(locals[w][s])
-			}
-			m := make(map[placement.BlockRef]int, total)
-			for w := 0; w < workers; w++ {
-				for _, mv := range locals[w][s] {
-					m[mv.Block] = mv.From
-				}
-			}
-			idx.shards[s] = m
-		}
-	})
-	return idx
-}
-
-// lookup reports the pending-move source disk for a block, if its move has
-// not executed yet. Safe for concurrent callers; never allocates.
-func (p *pendingIndex) lookup(b placement.BlockRef) (from int, pending bool) {
-	if p == nil {
-		return 0, false
-	}
-	from, pending = p.shards[pendingShard(b, p.mask)][b]
-	return from, pending
-}
-
-// size returns the total number of indexed pending moves.
-func (p *pendingIndex) size() int {
-	if p == nil {
-		return 0
-	}
-	n := 0
-	for _, m := range p.shards {
-		n += len(m)
-	}
-	return n
-}
-
 // BuildSnapshot constructs a LocatorSnapshot of the server's current state.
 // The placement strategy must provide a concurrent locator
 // (placement.ConcurrentLocatorProvider; SCADDAR does), built from the same
 // generator factory the strategy's X0Func uses. It must be called from the
 // goroutine that owns the server — typically after every scaling operation
 // and after each Tick while a migration is draining, so the pending set
-// stays fresh.
+// stays fresh. The cost does not depend on how many moves are pending.
 func (s *Server) BuildSnapshot(factory scaddar.SourceFactory) (*LocatorSnapshot, error) {
 	provider, ok := s.strat.(placement.ConcurrentLocatorProvider)
 	if !ok {
@@ -194,19 +92,16 @@ func (s *Server) BuildSnapshot(factory scaddar.SourceFactory) (*LocatorSnapshot,
 		objs[id] = snapObject{seed: o.Seed, blocks: o.Blocks, blockBytes: o.BlockBytes}
 	}
 	sn := &LocatorSnapshot{
-		n:            s.N(),
-		epoch:        s.placementEpoch,
-		reorganizing: s.Reorganizing(),
-		degraded:     s.Degraded(),
-		objects:      objs,
-		loc:          loc,
-		chain:        loc.Chain(),
+		n:        s.N(),
+		epoch:    s.placementEpoch,
+		degraded: s.Degraded(),
+		objects:  objs,
+		loc:      loc,
+		chain:    loc.Chain(),
+		pending:  s.PendingView(),
 	}
-	if s.migration != nil {
-		sn.pending = buildPendingIndex(s.migration.PendingList())
-		if s.removalPreOf != nil {
-			sn.preOf = append([]int(nil), s.removalPreOf...)
-		}
+	if s.migration != nil && s.removalPreOf != nil {
+		sn.preOf = append([]int(nil), s.removalPreOf...)
 	}
 	sn.health = make([]disk.Health, s.N())
 	for i := range sn.health {
@@ -229,7 +124,7 @@ func (sn *LocatorSnapshot) N() int { return sn.n }
 func (sn *LocatorSnapshot) Epoch() uint64 { return sn.epoch }
 
 // Reorganizing reports whether a migration was draining at snapshot time.
-func (sn *LocatorSnapshot) Reorganizing() bool { return sn.reorganizing }
+func (sn *LocatorSnapshot) Reorganizing() bool { return sn.pending.Len() > 0 }
 
 // Degraded reports whether any disk was failed or rebuilding at snapshot
 // time.
@@ -259,7 +154,7 @@ func (sn *LocatorSnapshot) Locate(object, index int) (int, error) {
 		return 0, fmt.Errorf("%w: object %d has no block %d", ErrBlockOutOfRange, object, index)
 	}
 	ref := placement.BlockRef{Seed: obj.seed, Index: uint64(index)}
-	if from, pending := sn.pending.lookup(ref); pending {
+	if from, pending := sn.pending.Source(ref); pending {
 		return from, nil
 	}
 	x0, err := sn.loc.X0(obj.seed, uint64(index))

@@ -1,67 +1,17 @@
 package cm
 
 import (
+	"runtime"
 	"testing"
 
 	"scaddar/internal/placement"
-	"scaddar/internal/prng"
 	"scaddar/internal/reorg"
 )
-
-// synthMoves builds n distinct pending moves with deterministic contents.
-func synthMoves(n int) []reorg.Move {
-	moves := make([]reorg.Move, n)
-	for i := range moves {
-		moves[i] = reorg.Move{
-			Block: placement.BlockRef{Seed: uint64(i%37 + 1), Index: uint64(i)},
-			From:  i % 11,
-			To:    i % 13,
-		}
-	}
-	return moves
-}
-
-func TestPendingIndexParallelMatchesSerial(t *testing.T) {
-	moves := synthMoves(5000)
-	serial := buildPendingIndexN(moves, 1)
-	if serial.size() != len(moves) {
-		t.Fatalf("serial index holds %d of %d moves", serial.size(), len(moves))
-	}
-	for _, workers := range []int{2, 3, 4, 8} {
-		idx := buildPendingIndexN(moves, workers)
-		if idx.size() != serial.size() {
-			t.Fatalf("workers=%d: index holds %d moves, serial %d", workers, idx.size(), serial.size())
-		}
-		for _, m := range moves {
-			from, ok := idx.lookup(m.Block)
-			if !ok || from != m.From {
-				t.Fatalf("workers=%d: lookup(%v) = (%d,%v), want (%d,true)",
-					workers, m.Block, from, ok, m.From)
-			}
-		}
-		if _, ok := idx.lookup(placement.BlockRef{Seed: 999999, Index: 0}); ok {
-			t.Fatalf("workers=%d: absent block reported pending", workers)
-		}
-	}
-}
-
-func TestPendingIndexEmpty(t *testing.T) {
-	if idx := buildPendingIndexN(nil, 4); idx != nil {
-		t.Fatal("empty move list built a non-nil index")
-	}
-	var nilIdx *pendingIndex
-	if _, ok := nilIdx.lookup(placement.BlockRef{}); ok {
-		t.Fatal("nil index reported a pending block")
-	}
-	if nilIdx.size() != 0 {
-		t.Fatal("nil index reports nonzero size")
-	}
-}
 
 // TestSnapshotLocateZeroAlloc is the read-path allocation guard: once the
 // per-object sequences exist, LocatorSnapshot.Locate — the gateway's per-
 // request locate step — must not allocate, neither in steady state nor
-// mid-migration with a pending index in place.
+// mid-migration with a pending view in place.
 func TestSnapshotLocateZeroAlloc(t *testing.T) {
 	srv := newServer(t, 4)
 	loadObjects(t, srv, 4, 100)
@@ -71,7 +21,7 @@ func TestSnapshotLocateZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	migrating := buildSnap(t, srv)
-	if migrating.pending.size() == 0 {
+	if migrating.pending.Len() == 0 {
 		t.Fatal("scale-up produced no pending moves; the guard would not cover the pending path")
 	}
 	for name, sn := range map[string]*LocatorSnapshot{"steady": steady, "migrating": migrating} {
@@ -93,32 +43,104 @@ func TestSnapshotLocateZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkBuildSnapshot measures snapshot construction mid-migration — the
-// owner rebuilds one after every drained round, so this bounds how often the
-// gateway can refresh its read view.
-func BenchmarkBuildSnapshot(b *testing.B) {
-	x0 := placement.NewX0Func(func(seed uint64) prng.Source { return prng.NewSplitMix64(seed) })
-	strat, err := placement.NewScaddar(8, x0)
+// drainingServer returns a server of objects × blocks on 8 disks with a
+// scale-up to 10 just started: a fifth of its blocks are pending moves.
+func drainingServer(tb testing.TB, objects, blocks int) *Server {
+	tb.Helper()
+	strat, err := placement.NewScaddar(8, placement.NewX0Func(testFactory))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	srv, err := NewServer(DefaultConfig(), strat)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	for i := 0; i < 8; i++ {
-		if err := srv.AddObject(testObject(i, 500)); err != nil {
-			b.Fatal(err)
+	for i := 0; i < objects; i++ {
+		if err := srv.AddObject(testObject(i, blocks)); err != nil {
+			tb.Fatal(err)
 		}
 	}
 	if _, err := srv.ScaleUp(2); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := srv.BuildSnapshot(testFactory); err != nil {
-			b.Fatal(err)
+	return srv
+}
+
+// TestBuildSnapshotMidDrainPin pins what a mid-drain publish costs: with
+// 25 k moves pending BuildSnapshot takes a view of the executor's set instead
+// of indexing it, so it allocates what an idle build does — not the 180
+// allocations and 5.4 MB a rebuilt index cost per round.
+func TestBuildSnapshotMidDrainPin(t *testing.T) {
+	srv := drainingServer(t, 64, 2000)
+	if n := srv.MigrationRemaining(); n < 25000 {
+		t.Fatalf("fixture has %d pending moves, want at least 25000", n)
+	}
+	const runs = 20
+	var sink *LocatorSnapshot
+	var before, after runtime.MemStats
+	allocs := testing.AllocsPerRun(runs, func() { sink = buildSnap(t, srv) })
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		sink = buildSnap(t, srv)
+	}
+	runtime.ReadMemStats(&after)
+	if sink.pending.Len() != srv.MigrationRemaining() {
+		t.Fatalf("snapshot sees %d pending moves, server %d", sink.pending.Len(), srv.MigrationRemaining())
+	}
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; allocs > 24 || bytes > 64<<10 {
+		t.Errorf("BuildSnapshot with %d moves pending: %.0f allocations, %d bytes; want <= 24 and <= 64 KiB",
+			srv.MigrationRemaining(), allocs, bytes)
+	}
+}
+
+// BenchmarkBuildSnapshot measures snapshot construction mid-migration — the
+// owner rebuilds one after every drained round, so this bounds how often the
+// gateway can refresh its read view. The cost must not depend on how many
+// moves are pending.
+func BenchmarkBuildSnapshot(b *testing.B) {
+	for _, c := range []struct {
+		name            string
+		objects, blocks int
+	}{{"pending=800", 8, 500}, {"pending=25k", 64, 2000}} {
+		b.Run(c.name, func(b *testing.B) {
+			srv := drainingServer(b, c.objects, c.blocks)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := srv.BuildSnapshot(testFactory); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReplayMigrated measures replaying one journaled round of a drain
+// (264 moves, what two new disks take per round) into a server with 25 k
+// moves pending — recovery's and the follower's inner loop. Each move is one
+// map probe and one stamp; the cost per event no longer scales with the
+// catalogue.
+func BenchmarkReplayMigrated(b *testing.B) {
+	b.Run("pending=25k", func(b *testing.B) {
+		const perEvent = 264
+		var srv *Server
+		var pending []BlockPos
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if len(pending) < perEvent {
+				b.StopTimer()
+				srv = drainingServer(b, 64, 2000)
+				pending = pending[:0]
+				srv.PendingView().Each(func(m reorg.Move) {
+					object, _ := srv.objectOfSeed(m.Block.Seed)
+					pending = append(pending, BlockPos{Object: object, Index: m.Block.Index})
+				})
+				b.StartTimer()
+			}
+			if err := srv.ReplayMigratedBlocks(pending[:perEvent]); err != nil {
+				b.Fatal(err)
+			}
+			pending = pending[perEvent:]
 		}
-	}
+	})
 }

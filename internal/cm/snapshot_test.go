@@ -254,3 +254,68 @@ func BenchmarkLookup(b *testing.B) {
 		})
 	})
 }
+
+// TestSnapshotIsPointInTime: snapshots share the executor's pending set
+// instead of copying it, so each must keep answering as of its own round
+// while the owner drains on. Every round's snapshot is checked against
+// Server.locate as it stood that round — by reader goroutines running
+// concurrently with the rounds that follow (run under -race) — and a block
+// moved in round r+1 must still read as pending through round r's snapshot.
+func TestSnapshotIsPointInTime(t *testing.T) {
+	const objects, blocks = 6, 300
+	srv := newServer(t, 4)
+	objs := loadObjects(t, srv, objects, blocks)
+	if _, err := srv.ScaleUp(2); err != nil {
+		t.Fatal(err)
+	}
+	locateAll := func() []int {
+		out := make([]int, 0, objects*blocks)
+		for _, o := range objs {
+			for i := 0; i < blocks; i++ {
+				out = append(out, srv.locate(placement.BlockRef{Seed: o.Seed, Index: uint64(i)}))
+			}
+		}
+		return out
+	}
+	var wg sync.WaitGroup
+	var prevSnap *LocatorSnapshot
+	var prevWant []int
+	stale := 0
+	for round := 0; srv.Reorganizing(); round++ {
+		sn, want := buildSnap(t, srv), locateAll()
+		if prevSnap != nil {
+			for k := range want {
+				if want[k] == prevWant[k] {
+					continue
+				}
+				// Moved since the previous round: old snapshot, old home.
+				if got, err := prevSnap.Locate(k/blocks, k%blocks); err != nil || got != prevWant[k] {
+					t.Fatalf("round %d: block %d/%d moved %d→%d, the previous round's snapshot now says %d (%v)",
+						round, k/blocks, k%blocks, prevWant[k], want[k], got, err)
+				}
+				stale++
+			}
+		}
+		prevSnap, prevWant = sn, want
+		wg.Add(1)
+		go func(round int) {
+			defer wg.Done()
+			for pass := 0; pass < 3; pass++ {
+				for k, w := range want {
+					if got, err := sn.Locate(k/blocks, k%blocks); err != nil || got != w {
+						t.Errorf("round %d snapshot: block %d/%d on disk %d (%v), the server had it on %d that round",
+							round, k/blocks, k%blocks, got, err, w)
+						return
+					}
+				}
+			}
+		}(round)
+		if err := srv.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	if stale == 0 {
+		t.Fatal("no block moved between two snapshots; the test did not cover the stale-view case")
+	}
+}

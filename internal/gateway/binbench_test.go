@@ -14,7 +14,7 @@ import (
 // ONE LOOKUP (batches of 64 are issued every 64 iterations), so ns/op and
 // allocs/op compare directly against the HTTP benchmark's per-read numbers
 // — that is the ≥10×-throughput, ≤2-allocs acceptance gate for this
-// protocol, recorded in BENCH_9.json.
+// protocol, recorded in the committed BENCH_<n>.json.
 func BenchmarkBinGatewayRead(b *testing.B) {
 	const batch = 64
 	_, addr := newBinGateway(b, 8, 8, 500, nil, nil)

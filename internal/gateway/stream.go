@@ -16,9 +16,8 @@ package gateway
 //   - cm.EventSink (teed via AddEventSink): migrated-block events accumulate
 //     into per-round "moves" deltas, epoch events (scale start/finish,
 //     catalog changes) mark the feed dirty; flush — called after every tick
-//     and mutating command — publishes them and refreshes the cached full
-//     snapshot that GET /v1/locator/snapshot serves without touching the
-//     mailbox.
+//     and mutating command — publishes them and re-points the state that
+//     GET /v1/locator/snapshot serves without touching the mailbox.
 //
 // The pacer is the round driver itself: chunks arrive at session buffers
 // once per round, so a client that keeps up reads one block per round and a
@@ -42,10 +41,13 @@ var ErrStreamAttached = fmt.Errorf("gateway: stream already has a consumer")
 type dataPlane struct {
 	g    *Gateway
 	feed *dataplane.Feed
-	// snap is the cached full locator snapshot, republished by flush so the
-	// snapshot endpoint never pays for the mailbox (10k clients fetching
-	// their baseline must not serialize behind the round driver).
-	snap atomic.Pointer[dataplane.Snapshot]
+	// wire builds what the snapshot endpoint serves, re-pointed by flush so
+	// a fetch never pays for the mailbox (10k clients fetching their
+	// baseline must not serialize behind the round driver).
+	wire atomic.Pointer[func() *dataplane.Snapshot]
+	// base is the server's last full export, taken at the latest epoch or
+	// catalog boundary. Owner-goroutine only.
+	base *cm.LocatorState
 
 	mu       sync.Mutex
 	sessions map[int]*dataplane.Session // stream ID → attached consumer
@@ -71,12 +73,50 @@ func newDataPlane(g *Gateway, srv *cm.Server) (*dataPlane, error) {
 	}
 	srv.SetDeliverySink(dp)
 	srv.AddEventSink(dp.onEvent)
-	snap, err := dp.buildSnapshot()
-	if err != nil {
+	var err error
+	if dp.base, err = srv.LocatorStateExport(); err != nil {
 		return nil, err
 	}
-	dp.snap.Store(snap)
+	dp.publish(0)
 	return dp, nil
+}
+
+// publish re-points the snapshot endpoint at {base, the migration's pending
+// set as of now, seq} and returns the builder. Rounds that only move blocks
+// change nothing else, so this tuple — O(1) on the owner goroutine — is all a
+// round publishes; the wire snapshot, pending list and all, is built off the
+// owner by the first fetch that wants it, once per sequence. Owner only.
+func (dp *dataPlane) publish(seq uint64) func() *dataplane.Snapshot {
+	base, view := dp.base, dp.g.srv.PendingView()
+	build := sync.OnceValue(func() *dataplane.Snapshot { return wireSnapshot(base.AsOf(view), seq) })
+	dp.wire.Store(&build)
+	return build
+}
+
+// wireSnapshot converts a locator state into the wire snapshot.
+func wireSnapshot(ls *cm.LocatorState, seq uint64) *dataplane.Snapshot {
+	snap := &dataplane.Snapshot{
+		Seq:          seq,
+		N:            ls.N,
+		Epoch:        ls.Epoch,
+		Bits:         ls.Bits,
+		Reorganizing: ls.Reorganizing,
+		History:      ls.History,
+		PreOf:        ls.PreOf,
+	}
+	snap.Objects = make([]dataplane.ObjectInfo, len(ls.Objects))
+	for i, o := range ls.Objects {
+		snap.Objects[i] = dataplane.ObjectInfo{
+			ID: o.ID, Seed: o.Seed, Blocks: o.Blocks, BlockBytes: o.BlockBytes,
+		}
+	}
+	if len(ls.Pending) > 0 {
+		snap.Pending = make([]dataplane.PendingBlock, len(ls.Pending))
+		for i, p := range ls.Pending {
+			snap.Pending[i] = dataplane.PendingBlock{Object: p.Object, Index: int(p.Index), From: p.From}
+		}
+	}
+	return snap
 }
 
 // WantsPayload implements cm.DeliverySink: the server materializes bytes
@@ -210,8 +250,7 @@ func (dp *dataPlane) closeAll(reason dataplane.CloseReason) {
 // onEvent is the cm.EventSink tee: accumulate migrated blocks for the next
 // moves delta; mark the feed dirty at every boundary that changes the
 // placement function or the catalog. Owner goroutine only; must not call
-// back into the server (flush does the LocatorStateExport, after the
-// mutation completes).
+// back into the server (flush does that, after the mutation completes).
 func (dp *dataPlane) onEvent(ev cm.Event) {
 	switch ev.Kind {
 	case cm.EventBlocksMigrated:
@@ -227,16 +266,17 @@ func (dp *dataPlane) onEvent(ev cm.Event) {
 	}
 }
 
-// flush publishes accumulated deltas and keeps the cached snapshot current.
+// flush publishes accumulated deltas and keeps the served snapshot current.
 // Owner goroutine only, called after every tick and mutating command.
 //
 // Moves publish before any snapshot: within a round the server migrates
 // blocks and may then complete the reorganization, and a client replaying
-// the feed must see the same order. After publishing moves the cached
-// snapshot is rebuilt (without a feed entry) so a freshly connecting client
-// starts at the current sequence instead of replaying the whole drain —
-// that refresh is also what keeps long migrations from outrunning the
-// bounded feed ring and forcing ErrDeltaGone resyncs.
+// the feed must see the same order. A round that only moved blocks then
+// re-points the served snapshot at the new pending view and sequence, so a
+// freshly connecting client starts at the current sequence instead of
+// replaying the whole drain — which is also what keeps long migrations from
+// outrunning the bounded feed ring and forcing ErrDeltaGone resyncs. Only an
+// epoch or catalog boundary pays for a full export: its delta carries one.
 func (dp *dataPlane) flush() {
 	moved := len(dp.moves) > 0
 	if moved {
@@ -244,62 +284,30 @@ func (dp *dataPlane) flush() {
 		dp.g.m.deltasPublished.Inc()
 		dp.moves = nil
 	}
-	if !dp.dirty && !moved {
+	if !dp.dirty {
+		if moved {
+			dp.publish(dp.feed.Seq())
+		}
 		return
 	}
-	snap, err := dp.buildSnapshot()
+	base, err := dp.g.srv.LocatorStateExport()
 	if err != nil {
 		dp.g.logf("gateway: locator snapshot: %v", err)
 		return
 	}
-	if dp.dirty {
-		dp.dirty = false
-		// Stamp the sequence Publish is about to assign (flush is the feed's
-		// only publisher): once the delta is in the ring, concurrent pollers
-		// encode the shared snapshot, so it must never be written again.
-		snap.Seq = dp.feed.Seq() + 1
-		dp.feed.Publish(dataplane.Delta{Kind: dataplane.DeltaSnapshot, Snapshot: snap})
-		dp.g.m.deltasPublished.Inc()
-	} else {
-		snap.Seq = dp.feed.Seq()
-	}
-	dp.snap.Store(snap)
-}
-
-// buildSnapshot converts the server's locator state into the wire snapshot.
-// Owner goroutine only.
-func (dp *dataPlane) buildSnapshot() (*dataplane.Snapshot, error) {
-	ls, err := dp.g.srv.LocatorStateExport()
-	if err != nil {
-		return nil, err
-	}
-	snap := &dataplane.Snapshot{
-		Seq:          dp.feed.Seq(),
-		N:            ls.N,
-		Epoch:        ls.Epoch,
-		Bits:         ls.Bits,
-		Reorganizing: ls.Reorganizing,
-		History:      ls.History,
-		PreOf:        ls.PreOf,
-	}
-	snap.Objects = make([]dataplane.ObjectInfo, len(ls.Objects))
-	for i, o := range ls.Objects {
-		snap.Objects[i] = dataplane.ObjectInfo{
-			ID: o.ID, Seed: o.Seed, Blocks: o.Blocks, BlockBytes: o.BlockBytes,
-		}
-	}
-	if len(ls.Pending) > 0 {
-		snap.Pending = make([]dataplane.PendingBlock, len(ls.Pending))
-		for i, p := range ls.Pending {
-			snap.Pending[i] = dataplane.PendingBlock{Object: p.Object, Index: int(p.Index), From: p.From}
-		}
-	}
-	return snap, nil
+	dp.base, dp.dirty = base, false
+	// Stamped with the sequence Publish is about to assign (flush is the
+	// feed's only publisher) and built before it goes in: once the delta is
+	// in the ring, concurrent pollers encode the shared snapshot.
+	snap := dp.publish(dp.feed.Seq() + 1)()
+	dp.feed.Publish(dataplane.Delta{Kind: dataplane.DeltaSnapshot, Snapshot: snap})
+	dp.g.m.deltasPublished.Inc()
 }
 
 // Feed returns the locator delta feed (exposed for tests and embedding).
 func (g *Gateway) Feed() *dataplane.Feed { return g.dp.feed }
 
-// LocatorSnapshotWire returns the currently cached wire-format locator
-// snapshot — the same value GET /v1/locator/snapshot serves.
-func (g *Gateway) LocatorSnapshotWire() *dataplane.Snapshot { return g.dp.snap.Load() }
+// LocatorSnapshotWire returns the current wire-format locator snapshot — the
+// same value GET /v1/locator/snapshot serves — building it if this is the
+// first request since the round that published it.
+func (g *Gateway) LocatorSnapshotWire() *dataplane.Snapshot { return (*g.dp.wire.Load())() }

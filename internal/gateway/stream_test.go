@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -418,4 +419,82 @@ func TestStreamSurvivesScaleUp(t *testing.T) {
 		t.Fatal("no frames before completion")
 	}
 	waitStatus(t, g, "scale-up drain", func(st Status) bool { return !st.Reorganizing && st.Disks == 6 })
+}
+
+// TestLocatorSnapshotBuiltOnDemand: during a drain the owner publishes only
+// a {base export, pending view, sequence} tuple per round; the wire snapshot
+// is built by whoever asks for it. Checked from inside the owner goroutine,
+// where the published tuple and the server cannot disagree: the snapshot
+// built from the tuple equals a fresh full export, carries the feed's current
+// sequence, and is built once per sequence. A tuple kept unbuilt from early
+// in the drain must still build to what the export said that round — a
+// published snapshot is a point-in-time value whenever it is materialised.
+func TestLocatorSnapshotBuiltOnDemand(t *testing.T) {
+	g := newTestGateway(t, 4, 4, 2000, func(c *cm.Config) { c.Round = 100 * time.Millisecond }, nil)
+	rec, out := doJSON(t, g.Handler(), http.MethodPost, "/v1/scale", map[string]any{"add": 2})
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("scale: %d %v", rec.Code, out)
+	}
+	planned := int(out["moves"].(float64))
+	samePending := func(got []dataplane.PendingBlock, want []cm.PendingMove) error {
+		if len(got) != len(want) {
+			return fmt.Errorf("wire snapshot lists %d pending blocks, export %d", len(got), len(want))
+		}
+		for i, p := range want {
+			if got[i] != (dataplane.PendingBlock{Object: p.Object, Index: int(p.Index), From: p.From}) {
+				return fmt.Errorf("pending[%d] = %+v, export has %+v", i, got[i], p)
+			}
+		}
+		return nil
+	}
+	var early *func() *dataplane.Snapshot
+	var earlyWant []cm.PendingMove
+	midDrain := map[int]bool{}
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		v, err := g.Exec(context.Background(), func(s *cm.Server) (any, error) {
+			want, err := s.LocatorStateExport()
+			if err != nil {
+				return nil, err
+			}
+			if n := len(want.Pending); early == nil && n > 0 && n < planned {
+				// Nobody has fetched this round's snapshot: keep it unbuilt.
+				early, earlyWant = g.dp.wire.Load(), want.Pending
+				return false, nil
+			}
+			wire := g.LocatorSnapshotWire()
+			if wire != g.LocatorSnapshotWire() {
+				return nil, fmt.Errorf("two fetches at one sequence built two snapshots")
+			}
+			if wire.Seq != g.Feed().Seq() || wire.Reorganizing != want.Reorganizing || wire.N != want.N {
+				return nil, fmt.Errorf("wire snapshot seq=%d reorganizing=%v n=%d; feed seq=%d, export %v/%d",
+					wire.Seq, wire.Reorganizing, wire.N, g.Feed().Seq(), want.Reorganizing, want.N)
+			}
+			if err := samePending(wire.Pending, want.Pending); err != nil {
+				return nil, err
+			}
+			if n := len(want.Pending); n > 0 && n < planned {
+				midDrain[n] = true
+			}
+			return !s.Reorganizing() && s.N() == 6, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.(bool) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("reorganization did not drain")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if early == nil || len(midDrain) < 2 {
+		t.Fatalf("saw %d distinct mid-drain states; the drain was too short to test", len(midDrain))
+	}
+	if err := samePending((*early)().Pending, earlyWant); err != nil {
+		t.Fatalf("tuple from early in the drain, built after it: %v", err)
+	}
+	if final := g.LocatorSnapshotWire(); final.N != 6 || final.Reorganizing || len(final.Pending) != 0 {
+		t.Fatalf("final wire snapshot: n=%d reorganizing=%v pending=%d", final.N, final.Reorganizing, len(final.Pending))
+	}
 }

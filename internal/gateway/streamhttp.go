@@ -173,12 +173,13 @@ func (g *Gateway) stopAbandonedStream(id int, sess *dataplane.Session) {
 	})
 }
 
-// handleLocatorSnapshot serves the cached full locator snapshot — the
-// baseline of the snapshot+delta protocol. One atomic load, no mailbox: ten
+// handleLocatorSnapshot serves the full locator snapshot — the baseline of
+// the snapshot+delta protocol. One atomic load and, for the first fetch after
+// a round that changed it, one build on this goroutine; no mailbox: ten
 // thousand clients bootstrapping cost the round driver nothing.
 func (g *Gateway) handleLocatorSnapshot(w http.ResponseWriter, r *http.Request) {
 	g.m.snapshotFetches.Inc()
-	writeJSON(w, http.StatusOK, g.dp.snap.Load())
+	writeJSON(w, http.StatusOK, g.LocatorSnapshotWire())
 }
 
 // deltaResponse is the payload of the locator delta long-poll.

@@ -22,6 +22,7 @@ package reorg
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"scaddar/internal/disk"
 	"scaddar/internal/placement"
@@ -163,18 +164,83 @@ type DiskFunc func(logical int) (*disk.Disk, error)
 // write the destination, and drop the source copy.
 type PayloadMoveFunc func(b placement.BlockRef, id disk.BlockID, src, dst *disk.Disk) error
 
+// pendingSet is the one record of which of a plan's moves have not executed
+// yet. moves and index are built once and never written again; doneAt[i] is
+// zero while move i is pending and otherwise the 1-based count of retirements
+// at which it retired (executed or extracted), written once by the executor's
+// owner. That stamp is what lets any number of point-in-time views share the
+// set without copying it.
+type pendingSet struct {
+	moves  []Move
+	index  map[placement.BlockRef]int32 // block -> position in moves
+	doneAt []atomic.Uint32
+}
+
+// PendingView is a read-only view of a migration's pending set as it stood
+// after asOf retirements: a move is pending in the view unless it retired at
+// or before asOf. Views are values, never go stale (a view taken at round r
+// still reports a block pending after round r+1 moves it), cost nothing to
+// take, and are safe for concurrent readers while the owner keeps executing.
+// The zero view has no pending moves.
+type PendingView struct {
+	set  *pendingSet
+	asOf uint32
+}
+
+func (v PendingView) pending(i int32) bool {
+	d := v.set.doneAt[i].Load()
+	return d == 0 || d > v.asOf
+}
+
+// Source reports the logical disk a block must still be read from because
+// its move had not executed as of the view: one map probe and one atomic
+// load, no allocation.
+func (v PendingView) Source(b placement.BlockRef) (from int, pending bool) {
+	if v.set == nil {
+		return 0, false
+	}
+	if i, ok := v.set.index[b]; ok && v.pending(i) {
+		return v.set.moves[i].From, true
+	}
+	return 0, false
+}
+
+// Len returns the number of moves pending in the view.
+func (v PendingView) Len() int {
+	if v.set == nil {
+		return 0
+	}
+	return len(v.set.moves) - int(v.asOf)
+}
+
+// Each calls fn for every move pending in the view, in plan order.
+func (v PendingView) Each(fn func(Move)) {
+	if v.Len() == 0 {
+		return
+	}
+	for i, m := range v.set.moves {
+		if v.pending(int32(i)) {
+			fn(m)
+		}
+	}
+}
+
 // Executor carries out a plan move by move, optionally throttled by
 // per-disk I/O budgets so that migration shares each round's bandwidth with
-// stream service.
+// stream service. It takes ownership of the plan's move list, which must
+// not be modified afterwards.
 type Executor struct {
-	plan      *Plan
-	blockID   BlockIDFunc
-	diskOf    DiskFunc
-	payload   PayloadMoveFunc
-	pending   []Move
-	pendingBy map[placement.BlockRef]int // block -> current source disk
-	moved     int
-	rounds    int
+	blockID BlockIDFunc
+	diskOf  DiskFunc
+	payload PayloadMoveFunc
+	set     *pendingSet
+	// order lists plan positions still to scan, in plan order, so Step keeps
+	// its scan order without touching the shared set. It may hold positions
+	// ExecuteBlock already retired; scans drop those.
+	order   []int32
+	retired uint32 // moves executed or extracted so far: the stamp clock
+	moved   int
+	rounds  int
 	// movedLog accumulates the blocks Step executed since the last
 	// TakeMoved call, for durable-event emission.
 	movedLog []placement.BlockRef
@@ -188,13 +254,17 @@ func NewExecutor(plan *Plan, blockID BlockIDFunc, diskOf DiskFunc) (*Executor, e
 	if blockID == nil || diskOf == nil {
 		return nil, fmt.Errorf("reorg: executor needs block-ID and disk resolvers")
 	}
-	pending := make([]Move, len(plan.Moves))
-	copy(pending, plan.Moves)
-	pendingBy := make(map[placement.BlockRef]int, len(pending))
-	for _, m := range pending {
-		pendingBy[m.Block] = m.From
+	set := &pendingSet{
+		moves:  plan.Moves,
+		index:  make(map[placement.BlockRef]int32, len(plan.Moves)),
+		doneAt: make([]atomic.Uint32, len(plan.Moves)),
 	}
-	return &Executor{plan: plan, blockID: blockID, diskOf: diskOf, pending: pending, pendingBy: pendingBy}, nil
+	order := make([]int32, len(plan.Moves))
+	for i, m := range plan.Moves {
+		set.index[m.Block] = int32(i)
+		order[i] = int32(i)
+	}
+	return &Executor{blockID: blockID, diskOf: diskOf, set: set, order: order}, nil
 }
 
 // SetPayloadMover installs the optional hook that moves each block's real
@@ -202,38 +272,20 @@ func NewExecutor(plan *Plan, blockID BlockIDFunc, diskOf DiskFunc) (*Executor, e
 // a nil mover (the default) keeps the executor a pure metadata simulation.
 func (e *Executor) SetPayloadMover(fn PayloadMoveFunc) { e.payload = fn }
 
+// View returns the pending set as of now. Owner goroutine only; the view
+// itself may be handed to any goroutine.
+func (e *Executor) View() PendingView { return PendingView{set: e.set, asOf: e.retired} }
+
 // PendingSource reports the logical disk a block must still be read from
 // because its move has not executed yet. This is what keeps the access
 // function correct while a reorganization is in flight: until the block
 // physically moves, it is served from its pre-operation home.
 func (e *Executor) PendingSource(b placement.BlockRef) (from int, pending bool) {
-	from, pending = e.pendingBy[b]
-	return from, pending
-}
-
-// PendingSources returns a copy of the pending-move source map: every block
-// whose move has not executed yet, keyed to the logical disk it must still
-// be read from. Concurrent read paths snapshot this once per round to serve
-// lookups without touching the (single-owner) executor.
-func (e *Executor) PendingSources() map[placement.BlockRef]int {
-	out := make(map[placement.BlockRef]int, len(e.pendingBy))
-	for b, from := range e.pendingBy {
-		out[b] = from
-	}
-	return out
-}
-
-// PendingList returns a copy of the not-yet-executed moves in plan order.
-// Unlike PendingSources it is a flat slice, so bulk consumers (the cm
-// snapshot builder) can partition it into ranges and index it in parallel.
-func (e *Executor) PendingList() []Move {
-	out := make([]Move, len(e.pending))
-	copy(out, e.pending)
-	return out
+	return e.View().Source(b)
 }
 
 // Done reports whether every move has been executed.
-func (e *Executor) Done() bool { return len(e.pending) == 0 }
+func (e *Executor) Done() bool { return e.Remaining() == 0 }
 
 // Moved returns the number of moves executed so far.
 func (e *Executor) Moved() int { return e.moved }
@@ -242,20 +294,24 @@ func (e *Executor) Moved() int { return e.moved }
 func (e *Executor) Rounds() int { return e.rounds }
 
 // Remaining returns the number of moves not yet executed.
-func (e *Executor) Remaining() int { return len(e.pending) }
+func (e *Executor) Remaining() int { return e.View().Len() }
 
 // ExecuteAll runs the whole plan without throttling (an offline
 // reorganization with the server down) and returns the number of blocks
 // moved.
 func (e *Executor) ExecuteAll() (int, error) {
 	n := 0
-	for len(e.pending) > 0 {
-		if err := e.executeOne(e.pending[0]); err != nil {
+	for k, i := range e.order {
+		if e.set.doneAt[i].Load() != 0 {
+			continue
+		}
+		if err := e.executeOne(i); err != nil {
+			e.order = e.order[k:]
 			return n, err
 		}
-		e.pending = e.pending[1:]
 		n++
 	}
+	e.order = nil
 	return n, nil
 }
 
@@ -264,23 +320,26 @@ func (e *Executor) ExecuteAll() (int, error) {
 // indexed by plan-space logical disk; it is decremented in place. Moves
 // whose source or destination budget is exhausted are skipped and stay
 // pending for the next round, so one saturated disk does not stall the whole
-// migration.
+// migration. A move that fails stays pending too, like everything after it.
 func (e *Executor) Step(budget []int) (moved int, err error) {
 	e.rounds++
-	kept := e.pending[:0]
-	for i, m := range e.pending {
-		if m.From >= len(budget) || m.To >= len(budget) {
-			kept = append(kept, e.pending[i:]...)
-			e.pending = kept
-			return moved, fmt.Errorf("reorg: move endpoints %d→%d outside budget of %d disks", m.From, m.To, len(budget))
-		}
-		if budget[m.From] <= 0 || budget[m.To] <= 0 {
-			kept = append(kept, m)
+	kept := e.order[:0]
+	for k, i := range e.order {
+		if e.set.doneAt[i].Load() != 0 {
 			continue
 		}
-		if err := e.executeOne(m); err != nil {
-			kept = append(kept, e.pending[i+1:]...)
-			e.pending = kept
+		m := e.set.moves[i]
+		switch {
+		case m.From >= len(budget) || m.To >= len(budget):
+			err = fmt.Errorf("reorg: move endpoints %d→%d outside budget of %d disks", m.From, m.To, len(budget))
+		case budget[m.From] <= 0 || budget[m.To] <= 0:
+			kept = append(kept, i)
+			continue
+		default:
+			err = e.executeOne(i)
+		}
+		if err != nil {
+			e.order = append(kept, e.order[k:]...)
 			return moved, err
 		}
 		e.movedLog = append(e.movedLog, m.Block)
@@ -288,7 +347,7 @@ func (e *Executor) Step(budget []int) (moved int, err error) {
 		budget[m.To]--
 		moved++
 	}
-	e.pending = kept
+	e.order = kept
 	return moved, nil
 }
 
@@ -303,21 +362,13 @@ func (e *Executor) TakeMoved() []placement.BlockRef {
 }
 
 // ExecuteBlock executes the pending move of one specific block, regardless
-// of its position in the pending order. It exists for journal replay.
+// of its position in the plan. It exists for journal replay.
 func (e *Executor) ExecuteBlock(b placement.BlockRef) error {
-	if _, ok := e.pendingBy[b]; !ok {
+	i, ok := e.set.index[b]
+	if !ok || e.set.doneAt[i].Load() != 0 {
 		return fmt.Errorf("reorg: block %+v has no pending move", b)
 	}
-	for i, m := range e.pending {
-		if m.Block == b {
-			if err := e.executeOne(m); err != nil {
-				return err
-			}
-			e.pending = append(e.pending[:i], e.pending[i+1:]...)
-			return nil
-		}
-	}
-	return fmt.Errorf("reorg: pending move for %+v not indexed", b)
+	return e.executeOne(i)
 }
 
 // ExtractBySource removes and returns every pending move whose source is
@@ -329,25 +380,34 @@ func (e *Executor) ExecuteBlock(b placement.BlockRef) error {
 // location is the move's destination from now on.
 func (e *Executor) ExtractBySource(from int) []Move {
 	var out []Move
-	kept := e.pending[:0]
-	for _, m := range e.pending {
-		if m.From == from {
+	kept := e.order[:0]
+	for _, i := range e.order {
+		if e.set.doneAt[i].Load() != 0 {
+			continue
+		}
+		if m := e.set.moves[i]; m.From == from {
 			out = append(out, m)
-			delete(e.pendingBy, m.Block)
+			e.retire(i)
 		} else {
-			kept = append(kept, m)
+			kept = append(kept, i)
 		}
 	}
-	// Zero the tail so extracted moves are not retained by the backing array.
-	for i := len(kept); i < len(e.pending); i++ {
-		e.pending[i] = Move{}
-	}
-	e.pending = kept
+	e.order = kept
 	return out
 }
 
-// executeOne performs one move against the physical disks.
-func (e *Executor) executeOne(m Move) error {
+// retire stamps move i as no longer pending, for every view taken from now
+// on.
+func (e *Executor) retire(i int32) {
+	e.retired++
+	e.set.doneAt[i].Store(e.retired)
+}
+
+// executeOne performs move i against the physical disks and retires it. A
+// move that fails leaves the metadata where it was, so it is still pending
+// in fact as well as in every view, and can be retried.
+func (e *Executor) executeOne(i int32) error {
+	m := e.set.moves[i]
 	src, err := e.diskOf(m.From)
 	if err != nil {
 		return fmt.Errorf("reorg: resolving source of %+v: %w", m, err)
@@ -361,16 +421,19 @@ func (e *Executor) executeOne(m Move) error {
 		return fmt.Errorf("reorg: %w", err)
 	}
 	if err := dst.Store(id); err != nil {
+		_ = src.Store(id) // undo: it was there a moment ago
 		return fmt.Errorf("reorg: %w", err)
 	}
 	if e.payload != nil {
 		if err := e.payload(m.Block, id, src, dst); err != nil {
+			_ = dst.Remove(id) // undo both halves: they just succeeded
+			_ = src.Store(id)
 			return fmt.Errorf("reorg: %w", err)
 		}
 	}
 	src.RecordMigration()
 	dst.RecordMigration()
-	delete(e.pendingBy, m.Block)
+	e.retire(i)
 	e.moved++
 	return nil
 }

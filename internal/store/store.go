@@ -541,14 +541,17 @@ func (s *Store) Sink() cm.EventSink {
 }
 
 // Sync flushes and fsyncs the journal — the group-commit point. The gateway
-// calls it once per scheduling round.
+// calls it once per scheduling round. With nothing appended since the last
+// sync it returns at once: everything is durable already, and an idle round
+// must not pay for an fsync. (Durable-before-ack is untouched — an
+// acknowledged operation appended an event.)
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
 		return s.err
 	}
-	if s.cfg.ReadOnly {
+	if s.cfg.ReadOnly || s.unsynced == 0 {
 		return nil
 	}
 	if err := s.syncLocked(); err != nil {
