@@ -72,8 +72,10 @@ benchtables:
 # Capture every benchmark in the module as BENCH_$(PR).json (benchmark name →
 # ns/op, bytes/op, allocs/op): one target, no hand-kept -bench regexp, so
 # consecutive captures have the same keys and diff line by line. PR is the
-# number of the change taking the capture: `make bench PR=16`. Only the
-# latest captures are kept in the tree; git has the rest.
+# number of the change taking the capture: `make bench PR=17`. Only the
+# latest captures are kept in the tree; git has the rest. CI's allocation
+# gate (`benchjson -allocs-against`, .github/workflows/ci.yml) names the
+# newest one: point it at the new file when a capture replaces it.
 bench:
 	@test -n "$(PR)" || { echo 'usage: make bench PR=<n>   (writes BENCH_<n>.json)'; exit 2; }
 	$(GO) test -run '^$$' -bench . -benchmem ./... | $(GO) run ./tools/benchjson > BENCH_$(PR).json

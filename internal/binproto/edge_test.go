@@ -111,6 +111,38 @@ func TestMalformedBodyKeepsConnection(t *testing.T) {
 	}
 }
 
+// TestMalformedBatchBodies: the batch body is sized once against its count
+// — count u32, then exactly count (object u32, block u32) pairs. Every other
+// shape is answered with a typed error on a connection that stays usable.
+func TestMalformedBatchBodies(t *testing.T) {
+	b := newTestBackend(t, 4, 1, 10)
+	nc := rawConn(t, startServer(t, b, nil))
+	pair := func(p []byte) []byte { return appendU32(appendU32(p, 0), 3) }
+	head := func(corr, count uint32) []byte { return appendU32(appendHeader(nil, OpLocateBatch, corr), count) }
+	for name, req := range map[string][]byte{
+		"no count":        appendHeader(nil, OpLocateBatch, 1),
+		"half a count":    append(appendHeader(nil, OpLocateBatch, 2), 1, 0),
+		"a pair short":    pair(head(3, 2)),
+		"half a pair":     append(pair(head(4, 2)), 0, 0, 0, 0),
+		"a pair too many": pair(pair(head(5, 1))),
+		"a byte too many": append(pair(head(6, 1)), 0xEE),
+		"pairs for none":  pair(head(7, 0)),
+	} {
+		sendRaw(t, nc, req)
+		if resp := readRaw(t, nc); resp[0] != OpError || resp[5] != ErrCodeMalformed {
+			t.Fatalf("%s: got op 0x%02x code %d, want a malformed-body error", name, resp[0], resp[5])
+		}
+	}
+	sendRaw(t, nc, head(8, 0))
+	if resp := readRaw(t, nc); resp[0] != OpLocateBatch|RespFlag || len(resp) != 5+8+1+4 {
+		t.Fatalf("empty batch: got op 0x%02x and %d bytes, want a reply of no entries", resp[0], len(resp))
+	}
+	sendRaw(t, nc, pair(pair(head(9, 2))))
+	if resp := readRaw(t, nc); resp[0] != OpLocateBatch|RespFlag || len(resp) != 5+8+1+4+2*5 {
+		t.Fatalf("batch of two after the malformed ones: got op 0x%02x and %d bytes", resp[0], len(resp))
+	}
+}
+
 func TestOversizedLengthPrefixDropsConnection(t *testing.T) {
 	b := newTestBackend(t, 4, 1, 10)
 	nc := rawConn(t, startServer(t, b, nil))

@@ -2,6 +2,7 @@ package binproto
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -288,33 +289,44 @@ func (s *Server) handleFrame(c *srvConn, payload []byte) (drain bool, err error)
 			s.m.errorFrames.Inc()
 			return false, s.writeReply(c, appendError(c.out[:0], corr, ErrCodeDraining, op, "server draining"))
 		}
-		count := int(cur.u32())
-		if cur.bad {
+		// The one frame that carries a thousand fields is checked for size
+		// once and read in place, not field by field through the cursor.
+		body := cur.rest()
+		if len(body) < 4 {
 			s.m.errorFrames.Inc()
 			return false, s.writeReply(c, appendError(c.out[:0], corr, ErrCodeMalformed, op, "batch body lacks count"))
 		}
+		count := int(binary.LittleEndian.Uint32(body))
 		if count > s.cfg.MaxBatch {
 			s.m.errorFrames.Inc()
 			return false, s.writeReply(c, appendError(c.out[:0], corr, ErrCodeTooLarge, op,
 				fmt.Sprintf("batch of %d exceeds limit %d", count, s.cfg.MaxBatch)))
 		}
-		c.addrs = growAddrs(c.addrs, count)
-		for i := 0; i < count; i++ {
-			c.addrs[i] = cm.BlockAddr{Object: int(cur.u32()), Index: int(cur.u32())}
-		}
-		if !cur.done() {
+		pairs := body[4:]
+		if len(pairs) != 8*count {
 			s.m.errorFrames.Inc()
 			return false, s.writeReply(c, appendError(c.out[:0], corr, ErrCodeMalformed, op, "batch body is count u32 then count (object u32, block u32) pairs"))
+		}
+		c.addrs = growAddrs(c.addrs, count)
+		for i := range c.addrs[:count] {
+			p := pairs[8*i : 8*i+8]
+			c.addrs[i] = cm.BlockAddr{Object: int(binary.LittleEndian.Uint32(p)), Index: int(binary.LittleEndian.Uint32(p[4:]))}
 		}
 		c.disks = growInt32s(c.disks, count)
 		c.status = growBytes(c.status, count)
 		sn := s.cfg.Snapshot()
 		s.m.lookups.Add(uint64(count))
 		sn.LocateBatch(c.addrs[:count], c.disks, c.status, &c.scratch)
-		out := appendHeader(c.out[:0], op|RespFlag, corr)
+		const head, entry = 5 + 8 + 1 + 4, 4 + 1
+		out := c.out[:0]
+		if cap(out) < head+entry*count {
+			out = make([]byte, 0, head+entry*count)
+		}
+		out = appendHeader(out, op|RespFlag, corr)
 		out = appendU64(out, sn.Epoch())
 		out = append(out, snapFlags(sn))
 		out = appendU32(out, uint32(count))
+		out = out[:head+entry*count]
 		for i := 0; i < count; i++ {
 			st := entryStatusForLocate(c.status[i])
 			if st != 0 {
@@ -322,8 +334,9 @@ func (s *Server) handleFrame(c *srvConn, payload []byte) (drain bool, err error)
 			} else if !sn.Healthy(int(c.disks[i])) {
 				st = EntryUnhealthy
 			}
-			out = appendU32(out, uint32(c.disks[i]))
-			out = append(out, st)
+			e := out[head+entry*i : head+entry*i+entry]
+			binary.LittleEndian.PutUint32(e, uint32(c.disks[i]))
+			e[4] = st
 		}
 		err = s.writeReply(c, out)
 
@@ -337,7 +350,7 @@ func (s *Server) handleFrame(c *srvConn, payload []byte) (drain bool, err error)
 		out = appendU64(out, sn.Epoch())
 		out = append(out, snapFlags(sn))
 		out = appendU32(out, uint32(sn.N()))
-		out = appendU32(out, uint32(len(sn.Objects())))
+		out = appendU32(out, uint32(sn.ObjectCount()))
 		err = s.writeReply(c, out)
 
 	case OpPing:

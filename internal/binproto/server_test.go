@@ -1,7 +1,9 @@
 package binproto
 
 import (
+	"bufio"
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -323,5 +325,46 @@ func TestVersionNegotiationRejectsUnknown(t *testing.T) {
 	var one [1]byte
 	if _, err := nc.Read(one[:]); err == nil {
 		t.Fatal("connection stayed open after version mismatch")
+	}
+}
+
+// noDeadlineConn is the part of a connection handleFrame touches: the write
+// deadline it arms before buffering a reply.
+type noDeadlineConn struct{ net.Conn }
+
+func (noDeadlineConn) SetWriteDeadline(time.Time) error { return nil }
+
+// TestServerFramesZeroAlloc is the handler-side allocation guard: once a
+// connection's scratch has grown, answering an Epoch frame — which used to
+// build and sort the whole object list to count it — and a LocateBatch frame
+// allocates nothing.
+func TestServerFramesZeroAlloc(t *testing.T) {
+	b := newTestBackend(t, 6, 64, 50)
+	s, err := NewServer(ServerConfig{Snapshot: b.snap.Load})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &srvConn{nc: noDeadlineConn{}, bw: bufio.NewWriter(io.Discard)}
+
+	epoch := appendHeader(nil, OpEpoch, 7)
+	batch := appendU32(appendHeader(nil, OpLocateBatch, 8), 256)
+	for i := 0; i < 256; i++ {
+		batch = appendU32(appendU32(batch, uint32(i%64)), uint32(i%50))
+	}
+	for name, req := range map[string][]byte{"Epoch": epoch, "LocateBatch": batch} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := s.handleFrame(c, req); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s frame: handler allocates %.1f/op", name, n)
+		}
+	}
+	if got, want := s.m.lookups.Value(), uint64(256*101); got != want {
+		t.Errorf("handler counted %d lookups, want %d", got, want)
+	}
+	if s.m.errorFrames.Value() != 0 || s.m.lookupErrors.Value() != 0 {
+		t.Errorf("handler counted %d error frames and %d lookup errors on well-formed requests",
+			s.m.errorFrames.Value(), s.m.lookupErrors.Value())
 	}
 }

@@ -3,13 +3,11 @@ package cm
 // This file adds the bulk companion to LocatorSnapshot.Locate. A binary
 // lookup frame carries many (object, block) pairs, and resolving them one
 // Locate call at a time would re-pay the wrapped-error allocation and the
-// op-by-op chain walk per block. LocateBatch instead resolves the catalog
-// and pending-set phase per entry, then hands every still-unresolved X0 to
+// op-by-op chain walk per block. LocateBatch instead runs Locate's own
+// resolve step per entry, then hands every still-unresolved X0 to
 // the compiled chain's op-major LocateBatch sweep, and reports per-entry
 // failures as status codes rather than errors — so the whole batch is
 // zero-alloc once the caller's scratch has warmed up.
-
-import "scaddar/internal/placement"
 
 // BlockAddr names one block in a bulk lookup: catalog object ID plus block
 // index within the object.
@@ -47,14 +45,6 @@ type BatchScratch struct {
 	pos []int
 }
 
-// grow returns s sized to n, reusing capacity when possible.
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
 // LocateBatch resolves addrs[i] into disks[i] and status[i], applying the
 // same mid-migration rules as Locate: pending moves are served from their
 // pre-operation home, and scale-down drains translate back to the
@@ -66,38 +56,26 @@ func (sn *LocatorSnapshot) LocateBatch(addrs []BlockAddr, disks []int32, status 
 	if len(disks) < len(addrs) || len(status) < len(addrs) {
 		panic("cm: LocateBatch output shorter than input")
 	}
-	sc.xs = sc.xs[:0]
-	sc.pos = sc.pos[:0]
+	if cap(sc.xs) < len(addrs) {
+		sc.xs, sc.ds, sc.pos = make([]uint64, len(addrs)), make([]int, len(addrs)), make([]int, len(addrs))
+	}
+	xs, pos := sc.xs[:len(addrs)], sc.pos[:len(addrs)]
+	n := 0
 	for i, a := range addrs {
-		obj, ok := sn.objects[a.Object]
-		if !ok {
-			disks[i], status[i] = 0, LocateUnknownObject
-			continue
+		switch x0, home, st := sn.resolve(a); st {
+		case LocateOK:
+			xs[n], pos[n] = x0, i
+			n++
+		case locatePending:
+			disks[i], status[i] = int32(home), LocateOK
+		default:
+			disks[i], status[i] = 0, st
 		}
-		if a.Index < 0 || a.Index >= obj.blocks {
-			disks[i], status[i] = 0, LocateOutOfRange
-			continue
-		}
-		ref := placement.BlockRef{Seed: obj.seed, Index: uint64(a.Index)}
-		if from, pending := sn.pending.Source(ref); pending {
-			disks[i], status[i] = int32(from), LocateOK
-			continue
-		}
-		x0, err := sn.loc.X0(obj.seed, uint64(a.Index))
-		if err != nil {
-			disks[i], status[i] = 0, LocateFailed
-			continue
-		}
-		sc.xs = append(sc.xs, x0)
-		sc.pos = append(sc.pos, i)
 	}
-	if len(sc.xs) == 0 {
-		return
-	}
-	sc.ds = growInts(sc.ds, len(sc.xs))
-	sn.chain.LocateBatch(sc.xs, sc.ds)
-	for k, i := range sc.pos {
-		d := sc.ds[k]
+	ds := sc.ds[:n]
+	sn.chain.LocateBatch(xs[:n], ds)
+	for k, i := range pos[:n] {
+		d := ds[k]
 		if sn.preOf != nil {
 			d = sn.preOf[d]
 		}

@@ -123,7 +123,7 @@ func (s *Server) stepIngests(used []int, caps []int) error {
 		}
 		if in.Written == in.Object.Blocks {
 			in.Done = true
-			s.objects[in.Object.ID] = in.Object
+			s.listObject(in.Object)
 			s.emit(Event{Kind: EventIngestCommitted, Object: in.Object})
 		}
 	}

@@ -130,8 +130,7 @@ func (s *Server) ReplayIngestCommit(obj workload.Object) error {
 			return err
 		}
 	}
-	s.objects[obj.ID] = obj
-	s.seedOf[obj.Seed] = obj.ID
+	s.listObject(obj)
 	return nil
 }
 

@@ -246,6 +246,9 @@ type Server struct {
 	// non-durable observers teed behind it (see events.go).
 	events     EventSink
 	extraSinks []EventSink
+	// catalog is the resolved read-path catalogue BuildSnapshot keeps and
+	// every snapshot shares (snapshot.go); nil once the object set changed.
+	catalog *placement.Catalog
 	// placementEpoch counts epoch events (IsEpochEvent) emitted so far: it
 	// advances when a scaling operation starts or finishes, never mid-drain.
 	// Snapshots carry it so remote readers can detect that two answers came
@@ -408,6 +411,15 @@ func objectLayout(strat placement.Strategy, obj workload.Object) []int {
 	return placement.Snapshot(strat, blocks)
 }
 
+// listObject enters an object in the catalog. With RemoveObject it is the
+// only writer of the object set, and like it drops the resolved read-path
+// catalogue, which the next BuildSnapshot rebuilds.
+func (s *Server) listObject(obj workload.Object) {
+	s.objects[obj.ID] = obj
+	s.seedOf[obj.Seed] = obj.ID
+	s.catalog = nil
+}
+
 // AddObject loads an object's blocks onto the array according to the
 // placement strategy. Objects must have distinct IDs and seeds and match
 // the server block size.
@@ -441,8 +453,7 @@ func (s *Server) AddObject(obj workload.Object) error {
 	}
 	// Reserve the identity before the block loop so the payload oracle can
 	// resolve the object's seed for the bytes being written.
-	s.objects[obj.ID] = obj
-	s.seedOf[obj.Seed] = obj.ID
+	s.listObject(obj)
 	for i, logical := range objectLayout(s.strat, obj) {
 		d, err := s.array.Disk(logical)
 		if err != nil {
@@ -491,6 +502,7 @@ func (s *Server) RemoveObject(id int) error {
 	}
 	delete(s.objects, id)
 	delete(s.seedOf, obj.Seed)
+	s.catalog = nil
 	s.emit(Event{Kind: EventObjectRemoved, ObjectID: id})
 	return nil
 }

@@ -8,29 +8,38 @@ import (
 	"scaddar/internal/reorg"
 )
 
-// TestSnapshotLocateZeroAlloc is the read-path allocation guard: once the
-// per-object sequences exist, LocatorSnapshot.Locate — the gateway's per-
-// request locate step — must not allocate, neither in steady state nor
-// mid-migration with a pending view in place.
+// TestSnapshotLocateZeroAlloc is the read-path allocation guard: Locate —
+// the gateway's per-request locate step — and LocateBatch on a warm scratch
+// must not allocate, neither in steady state nor mid-migration with a pending
+// view in place, nor in epoch 1, where every X0 also passes through the
+// epoch transform.
 func TestSnapshotLocateZeroAlloc(t *testing.T) {
 	srv := newServer(t, 4)
 	loadObjects(t, srv, 4, 100)
 
-	steady := buildSnap(t, srv)
+	snaps := map[string]*LocatorSnapshot{"steady": buildSnap(t, srv)}
 	if _, err := srv.ScaleUp(2); err != nil {
 		t.Fatal(err)
 	}
-	migrating := buildSnap(t, srv)
-	if migrating.pending.Len() == 0 {
-		t.Fatal("scale-up produced no pending moves; the guard would not cover the pending path")
+	snaps["migrating"] = buildSnap(t, srv)
+	drain(t, srv)
+	if _, err := srv.FullRedistribute(); err != nil {
+		t.Fatal(err)
 	}
-	for name, sn := range map[string]*LocatorSnapshot{"steady": steady, "migrating": migrating} {
-		// Warm the per-seed sequence cache.
-		for o := 0; o < 4; o++ {
-			if _, err := sn.Locate(o, 0); err != nil {
-				t.Fatal(err)
-			}
+	snaps["epoch 1, migrating"] = buildSnap(t, srv)
+	drain(t, srv)
+	snaps["epoch 1, steady"] = buildSnap(t, srv)
+	for _, name := range []string{"migrating", "epoch 1, migrating"} {
+		if snaps[name].pending.Len() == 0 {
+			t.Fatalf("%s: no pending moves; the guard would not cover the pending path", name)
 		}
+	}
+	addrs := make([]BlockAddr, 256)
+	for i := range addrs {
+		addrs[i] = BlockAddr{Object: i % 4, Index: (i * 7) % 100}
+	}
+	disks, status := make([]int32, len(addrs)), make([]uint8, len(addrs))
+	for name, sn := range snaps {
 		i := 0
 		if n := testing.AllocsPerRun(200, func() {
 			if _, err := sn.Locate(i%4, (i*7)%100); err != nil {
@@ -39,6 +48,10 @@ func TestSnapshotLocateZeroAlloc(t *testing.T) {
 			i++
 		}); n != 0 {
 			t.Errorf("%s snapshot Locate allocates %.1f/op", name, n)
+		}
+		var sc BatchScratch
+		if n := testing.AllocsPerRun(50, func() { sn.LocateBatch(addrs, disks, status, &sc) }); n != 0 {
+			t.Errorf("%s snapshot LocateBatch allocates %.1f/op on a warm scratch", name, n)
 		}
 	}
 }
@@ -66,30 +79,34 @@ func drainingServer(tb testing.TB, objects, blocks int) *Server {
 	return srv
 }
 
-// TestBuildSnapshotMidDrainPin pins what a mid-drain publish costs: with
+// TestBuildSnapshotMidDrainPin pins what a mid-drain publish costs. With
 // 25 k moves pending BuildSnapshot takes a view of the executor's set instead
-// of indexing it, so it allocates what an idle build does — not the 180
-// allocations and 5.4 MB a rebuilt index cost per round.
+// of indexing it, and with 10,000 objects it shares the resolved catalogue
+// instead of copying the object map: either way it allocates what an idle
+// build over a handful of objects does.
 func TestBuildSnapshotMidDrainPin(t *testing.T) {
-	srv := drainingServer(t, 64, 2000)
-	if n := srv.MigrationRemaining(); n < 25000 {
-		t.Fatalf("fixture has %d pending moves, want at least 25000", n)
-	}
-	const runs = 20
-	var sink *LocatorSnapshot
-	var before, after runtime.MemStats
-	allocs := testing.AllocsPerRun(runs, func() { sink = buildSnap(t, srv) })
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		sink = buildSnap(t, srv)
-	}
-	runtime.ReadMemStats(&after)
-	if sink.pending.Len() != srv.MigrationRemaining() {
-		t.Fatalf("snapshot sees %d pending moves, server %d", sink.pending.Len(), srv.MigrationRemaining())
-	}
-	if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; allocs > 24 || bytes > 64<<10 {
-		t.Errorf("BuildSnapshot with %d moves pending: %.0f allocations, %d bytes; want <= 24 and <= 64 KiB",
-			srv.MigrationRemaining(), allocs, bytes)
+	for _, c := range []struct{ objects, blocks, minPending int }{{64, 2000, 25000}, {10000, 4, 5000}} {
+		srv := drainingServer(t, c.objects, c.blocks)
+		if n := srv.MigrationRemaining(); n < c.minPending {
+			t.Fatalf("fixture has %d pending moves, want at least %d", n, c.minPending)
+		}
+		const runs = 20
+		var sink *LocatorSnapshot
+		var before, after runtime.MemStats
+		allocs := testing.AllocsPerRun(runs, func() { sink = buildSnap(t, srv) })
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			sink = buildSnap(t, srv)
+		}
+		runtime.ReadMemStats(&after)
+		if sink.pending.Len() != srv.MigrationRemaining() || sink.ObjectCount() != c.objects {
+			t.Fatalf("snapshot sees %d pending moves and %d objects, server %d and %d",
+				sink.pending.Len(), sink.ObjectCount(), srv.MigrationRemaining(), c.objects)
+		}
+		if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; allocs > 24 || bytes > 64<<10 {
+			t.Errorf("BuildSnapshot with %d objects and %d moves pending: %.0f allocations, %d bytes; want <= 24 and <= 64 KiB",
+				c.objects, srv.MigrationRemaining(), allocs, bytes)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"scaddar/internal/placement"
 	"scaddar/internal/prng"
+	"scaddar/internal/workload"
 )
 
 func testFactory(seed uint64) prng.Source { return prng.NewSplitMix64(seed) }
@@ -255,6 +256,59 @@ func BenchmarkLookup(b *testing.B) {
 	})
 }
 
+// BenchmarkSnapshotLocateBatch is the batched read path in the shape the
+// end-to-end ledger drives it (bench's lookup_bin_batch and its
+// cm.snapshot_locate_batch probe): one frame of 1,024 addresses, objects
+// drawn Zipf(0.729) from 64 and blocks uniformly from 2,000, over an array
+// twelve scaling operations old (6 disks, seven additions, five removals).
+func BenchmarkSnapshotLocateBatch(b *testing.B) {
+	strat, err := placement.NewScaddar(6, placement.NewX0Func(testFactory))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, op := range [][]int{nil, nil, {2}, nil, {0, 5}, nil, nil, nil, {3}, {6}, nil, {4}} {
+		if op == nil {
+			err = strat.AddDisks(1)
+		} else {
+			err = strat.RemoveDisks(op...)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	srv, err := NewServer(DefaultConfig(), strat)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const objects, blocks, frame = 64, 2000, 1024
+	for i := 0; i < objects; i++ {
+		if err := srv.AddObject(testObject(i, blocks)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sn, err := srv.BuildSnapshot(testFactory)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := prng.NewSplitMix64(17)
+	zipf, err := workload.NewZipf(src, objects, 0.729)
+	if err != nil {
+		b.Fatal(err)
+	}
+	addrs := make([]BlockAddr, frame)
+	for i := range addrs {
+		addrs[i] = BlockAddr{Object: zipf.Draw(), Index: int(src.Next() % blocks)}
+	}
+	disks, status := make([]int32, frame), make([]uint8, frame)
+	var sc BatchScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sn.LocateBatch(addrs, disks, status, &sc)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/frame, "ns/block")
+}
+
 // TestSnapshotIsPointInTime: snapshots share the executor's pending set
 // instead of copying it, so each must keep answering as of its own round
 // while the owner drains on. Every round's snapshot is checked against
@@ -264,25 +318,16 @@ func BenchmarkLookup(b *testing.B) {
 func TestSnapshotIsPointInTime(t *testing.T) {
 	const objects, blocks = 6, 300
 	srv := newServer(t, 4)
-	objs := loadObjects(t, srv, objects, blocks)
+	loadObjects(t, srv, objects, blocks)
 	if _, err := srv.ScaleUp(2); err != nil {
 		t.Fatal(err)
-	}
-	locateAll := func() []int {
-		out := make([]int, 0, objects*blocks)
-		for _, o := range objs {
-			for i := 0; i < blocks; i++ {
-				out = append(out, srv.locate(placement.BlockRef{Seed: o.Seed, Index: uint64(i)}))
-			}
-		}
-		return out
 	}
 	var wg sync.WaitGroup
 	var prevSnap *LocatorSnapshot
 	var prevWant []int
 	stale := 0
 	for round := 0; srv.Reorganizing(); round++ {
-		sn, want := buildSnap(t, srv), locateAll()
+		sn, want := buildSnap(t, srv), locateAllBlocks(srv, objects, blocks)
 		if prevSnap != nil {
 			for k := range want {
 				if want[k] == prevWant[k] {

@@ -34,8 +34,7 @@ type ClientLocator struct {
 	seq     uint64
 	n       int
 	reorg   bool
-	objects map[int]ObjectInfo
-	loc     *scaddar.SafeLocator
+	catalog *placement.Catalog // nil until the first snapshot
 	chain   *scaddar.CompiledChain
 	pending map[[2]int]int // (object, index) → pre-operation disk
 	preOf   []int
@@ -73,13 +72,13 @@ func (c *ClientLocator) ApplySnapshot(snap *Snapshot) error {
 				p.Object, p.Index, p.From, snap.N)
 		}
 	}
-	loc, err := strat.ConcurrentLocator(c.factory)
+	rows := make([]placement.CatalogRow, len(snap.Objects))
+	for i, o := range snap.Objects {
+		rows[i] = placement.CatalogRow(o)
+	}
+	catalog, err := strat.ResolveCatalog(c.factory, rows)
 	if err != nil {
 		return err
-	}
-	objects := make(map[int]ObjectInfo, len(snap.Objects))
-	for _, o := range snap.Objects {
-		objects[o.ID] = o
 	}
 	pending := make(map[[2]int]int, len(snap.Pending))
 	for _, p := range snap.Pending {
@@ -94,9 +93,8 @@ func (c *ClientLocator) ApplySnapshot(snap *Snapshot) error {
 	c.seq = snap.Seq
 	c.n = snap.N
 	c.reorg = snap.Reorganizing
-	c.objects = objects
-	c.loc = loc
-	c.chain = loc.Chain()
+	c.catalog = catalog
+	c.chain = strat.History().Compile() // strat is private to this snapshot: nothing scales it
 	c.pending = pending
 	c.preOf = preOf
 	return nil
@@ -116,7 +114,7 @@ func (c *ClientLocator) Apply(d Delta) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.loc == nil {
+	if c.catalog == nil {
 		return ErrSnapshotRequired
 	}
 	if d.Seq <= c.seq {
@@ -229,15 +227,22 @@ func (c *ClientLocator) PendingCount() int {
 func (c *ClientLocator) Object(id int) (ObjectInfo, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	o, ok := c.objects[id]
-	return o, ok
+	if c.catalog != nil {
+		if o := c.catalog.Find(id); o != nil {
+			return ObjectInfo(o.CatalogRow), true
+		}
+	}
+	return ObjectInfo{}, false
 }
 
 // Objects returns the number of cataloged objects.
 func (c *ClientLocator) Objects() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.objects)
+	if c.catalog == nil {
+		return 0
+	}
+	return c.catalog.Len()
 }
 
 // Locate computes the logical disk currently holding a block, applying the
@@ -247,11 +252,11 @@ func (c *ClientLocator) Objects() int {
 func (c *ClientLocator) Locate(object, index int) (int, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if c.loc == nil {
+	if c.catalog == nil {
 		return 0, ErrSnapshotRequired
 	}
-	obj, ok := c.objects[object]
-	if !ok {
+	obj := c.catalog.Find(object)
+	if obj == nil {
 		return 0, fmt.Errorf("dataplane: unknown object %d", object)
 	}
 	if index < 0 || index >= obj.Blocks {
@@ -260,9 +265,9 @@ func (c *ClientLocator) Locate(object, index int) (int, error) {
 	if from, pending := c.pending[[2]int{object, index}]; pending {
 		return from, nil
 	}
-	x0, err := c.loc.X0(obj.Seed, uint64(index))
-	if err != nil {
-		return 0, err
+	x0, ok := obj.X0(uint64(index))
+	if !ok {
+		return 0, fmt.Errorf("%w: object %d", placement.ErrGeneratorWidth, object)
 	}
 	d := c.chain.Locate(x0)
 	if c.preOf != nil {

@@ -57,6 +57,7 @@ func TestApplySnapshotHostile(t *testing.T) {
 		{"preOf past the array", func(s *Snapshot) { s.PreOf = []int{0, 1, 3} }, "preOf entry 3 outside [0,3)"},
 		{"negative preOf", func(s *Snapshot) { s.PreOf = []int{0, -1, 2} }, "preOf entry -1 outside [0,3)"},
 		{"pending from nowhere", func(s *Snapshot) { s.Pending = []PendingBlock{{Object: 0, Index: 1, From: 7}} }, "from disk 7 outside [0,3)"},
+		{"one object twice", func(s *Snapshot) { s.Objects = append(s.Objects, ObjectInfo{ID: 0, Seed: 43, Blocks: 9}) }, "lists object 0 twice"},
 	} {
 		snap := wireSnapshot(t)
 		tc.corrupt(snap)

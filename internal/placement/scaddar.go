@@ -91,7 +91,13 @@ func (s *Scaddar) blockX0(b BlockRef) uint64 {
 	if s.epoch == 0 {
 		return x
 	}
-	return prng.Combine(s.epoch, x) >> (64 - s.bits)
+	return epochMix(s.epoch, s.bits, x)
+}
+
+// epochMix is the post-Rebaseline transform: the raw value mixed with the
+// epoch counter and truncated to the declared generator width.
+func epochMix(epoch uint64, bits uint, x uint64) uint64 {
+	return prng.Combine(epoch, x) >> (64 - bits)
 }
 
 // Disk locates the block through the REMAP chain.
@@ -144,51 +150,6 @@ func (s *Scaddar) Rebaseline() error {
 	s.hist = h
 	s.epoch++
 	return nil
-}
-
-// ConcurrentLocator returns a SafeLocator over a clone of the current
-// operation log whose lookups agree with Disk() for every block — including
-// after Rebaseline epochs, which are reproduced by wrapping the factory's
-// sources in the same epoch-mixing transform blockX0 applies. factory must
-// build the same generator family the strategy's X0Func was built from.
-//
-// The clone is immutable from the strategy's point of view: later scaling
-// operations on the strategy do not disturb it, so the returned locator is
-// a consistent point-in-time snapshot safe for concurrent lookups.
-func (s *Scaddar) ConcurrentLocator(factory scaddar.SourceFactory) (*scaddar.SafeLocator, error) {
-	if factory == nil {
-		return nil, fmt.Errorf("placement: concurrent locator needs a source factory")
-	}
-	f := factory
-	if s.epoch > 0 {
-		epoch, bits := s.epoch, s.bits
-		f = func(seed uint64) prng.Source {
-			return &epochSource{inner: factory(seed), epoch: epoch, bits: bits}
-		}
-	}
-	return scaddar.NewSafeLocator(s.hist.Clone(), f)
-}
-
-// epochSource applies the post-Rebaseline transform of blockX0 — mix the
-// raw value with the epoch counter and truncate to the declared width — to
-// every output of an inner source, so SafeLocator sequences built from it
-// reproduce the strategy's epoch-mixed X0 values.
-type epochSource struct {
-	inner prng.Source
-	epoch uint64
-	bits  uint
-}
-
-func (s *epochSource) Next() uint64 { return prng.Combine(s.epoch, s.inner.Next()) >> (64 - s.bits) }
-func (s *epochSource) Bits() uint   { return s.bits }
-func (s *epochSource) Seed() uint64 { return s.inner.Seed() }
-func (s *epochSource) Reset()       { s.inner.Reset() }
-
-// ConcurrentLocatorProvider is a strategy that can produce point-in-time
-// SafeLocator snapshots for concurrent read paths (Scaddar implements it).
-type ConcurrentLocatorProvider interface {
-	Strategy
-	ConcurrentLocator(factory scaddar.SourceFactory) (*scaddar.SafeLocator, error)
 }
 
 // AddDisks records an addition operation.

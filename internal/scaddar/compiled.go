@@ -1,9 +1,6 @@
 package scaddar
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // This file compiles the interpreted REMAP chain into straight-line integer
 // arithmetic. The interpreted path (History.Step) pays, per operation and
@@ -30,24 +27,18 @@ import (
 // memory bounded at a few megabytes no matter what the log claims.
 const survivorTableBudget = 1 << 20
 
-// compiledOp is one REMAP operation lowered to precomputed arithmetic.
+// compiledOp is one REMAP operation lowered to precomputed arithmetic over
+// the chain state (Q, d) — see CompiledChain.
 type compiledOp struct {
-	kind    OpKind
+	kind OpKind
+	// nBefore is N_{j-1}: an addition moves a block exactly when its fresh
+	// draw t = Q mod N_j lands on an added disk, t >= nBefore.
 	nBefore uint64
-	nAfter  uint64
-	dBefore magicDiv // div/mod by NBefore
-	dAfter  magicDiv // additions: the q mod NAfter step
-	// dBoth is the addition fast path: a reciprocal for NBefore*NAfter.
-	// Since ⌊⌊x/a⌋/b⌋ = ⌊x/(ab)⌋, the quotient q = x/NBefore and the
-	// product quotient qab = x/(NBefore·NAfter) can be computed from x in
-	// parallel, and the staying block's next value is NAfter·qab + x mod
-	// NBefore — two independent multiply-highs instead of a serial chain of
-	// two. Only set (fused=true) when the product fits in 64 bits.
-	dBoth magicDiv
-	fused bool
+	// dAfter divides by N_j, the only reciprocal an operation needs.
+	dAfter magicDiv
 	// survivor is the removal's rank table: survivor[r] is disk r's index
 	// in the compacted post-removal numbering, or -1 if r was removed.
-	// nil for additions and for removals wider than survivorTableMax.
+	// nil for additions and for removals past survivorTableBudget.
 	survivor []int32
 	// removed backs the binary-search fallback when survivor is nil.
 	removed []int
@@ -58,15 +49,25 @@ type compiledOp struct {
 // unlimited concurrent readers. A chain answers for the exact log contents
 // it was compiled from; once the source History records another operation,
 // Valid reports false and History.Compile builds a fresh chain.
+//
+// The chain carries a block's random value as the pair (Q, d) with
+// X = Q·N + d, d its disk and Q the randomness left for later operations,
+// instead of as X. Every REMAP begins with q = X div N_{j-1} and
+// r = X mod N_{j-1}, and the step before produced X as q'·N_{j-1} + disk —
+// so that division only recomputes what was just known. On the pair:
+//
+//	start:    (Q, d) = divmod(X_0, N_0)
+//	addition: Q' = Q div N_j, t = Q mod N_j; d' = t if t >= N_{j-1}, else d
+//	removal:  d survives: (Q, new(d)); d removed: (Q', d') = divmod(Q, N_j)
+//
+// which is one reciprocal multiply per operation (none for a block a removal
+// leaves in place), X_j = Q·N_j + d at every prefix j, and no closing mod.
 type CompiledChain struct {
 	hist    *History
 	version uint64
-	n0      uint64
-	n       uint64 // N_j, the current disk count
-	nPrev   uint64 // N_{j-1}, for Moved's before-disk
+	n       uint64   // N_j, the current disk count
+	d0      magicDiv // divides by N_0: X_0 → (Q, d)
 	ops     []compiledOp
-	dN      magicDiv // mod by N_j
-	dNPrev  magicDiv // mod by N_{j-1}
 }
 
 // chainCache is the holder History keeps its compiled form in. It is a
@@ -101,29 +102,18 @@ func compileChain(h *History) *CompiledChain {
 	c := &CompiledChain{
 		hist:    h,
 		version: h.version,
-		n0:      uint64(h.n0),
 		n:       uint64(h.N()),
-		nPrev:   uint64(h.NAt(maxInt(len(h.ops)-1, 0))),
+		d0:      newMagicDiv(uint64(h.n0)),
 		ops:     make([]compiledOp, len(h.ops)),
 	}
-	c.dN = newMagicDiv(c.n)
-	c.dNPrev = newMagicDiv(c.nPrev)
 	budget := survivorTableBudget
 	for i, op := range h.ops {
 		co := compiledOp{
 			kind:    op.Kind,
 			nBefore: uint64(op.NBefore),
-			nAfter:  uint64(op.NAfter),
-			dBefore: newMagicDiv(uint64(op.NBefore)),
+			dAfter:  newMagicDiv(uint64(op.NAfter)),
 		}
-		switch op.Kind {
-		case OpAdd:
-			co.dAfter = newMagicDiv(uint64(op.NAfter))
-			if hi, lo := bits.Mul64(co.nBefore, co.nAfter); hi == 0 {
-				co.dBoth = newMagicDiv(lo)
-				co.fused = true
-			}
-		case OpRemove:
+		if op.Kind == OpRemove {
 			if op.NBefore <= budget {
 				co.survivor = survivorTable(op.NBefore, op.Removed)
 				budget -= op.NBefore
@@ -181,112 +171,87 @@ func (c *CompiledChain) N() int { return int(c.n) }
 // Ops returns the number of compiled operations (the paper's j).
 func (c *CompiledChain) Ops() int { return len(c.ops) }
 
-// step applies one compiled operation.
-func (op *compiledOp) step(x uint64) (xj uint64, moved bool) {
-	q, r := op.dBefore.divmod(x)
-	if op.kind == OpAdd {
-		if t := op.dAfter.mod(q); t < op.nBefore {
-			return q - t + r, false
-		}
-		return q, true
+// add is the addition step on the chain state: the fresh draw t = q mod N_j
+// decides, and the quotient is what remains for later operations. It is
+// written to stay inside the compiler's inlining budget (the remainder by
+// hand rather than through divmod): walk and LocateBatch call it per block
+// per operation.
+func (op *compiledOp) add(q, d uint64) (q2, d2 uint64) {
+	q2 = op.dAfter.div(q)
+	if t := q - q2*op.dAfter.d; t >= op.nBefore {
+		d = t
 	}
-	if op.survivor != nil {
-		if nr := op.survivor[r]; nr >= 0 {
-			return q*op.nAfter + uint64(nr), false
-		}
-		return q, true
-	}
-	nr, gone := survivorSearch(r, op.removed)
-	if gone {
-		return q, true
-	}
-	return q*op.nAfter + nr, false
+	return q2, d
 }
 
-// applyOps remaps x through every compiled operation. The per-op arithmetic
-// is written out inline (mirroring compiledOp.step, which stays as the
-// single-step form Moved needs) because the chain walk is the hottest loop
-// in the system: step is beyond the compiler's inlining budget, and a call
-// per operation roughly doubles the cost of a lookup.
-func (c *CompiledChain) applyOps(x uint64) uint64 {
-	for i := range c.ops {
-		op := &c.ops[i]
-		if op.fused {
-			// Both outcomes are computed and the winner selected, so the
-			// data-dependent stay/move decision compiles to a conditional
-			// move instead of an unpredictable branch.
-			q := op.dBefore.div(x)
-			qab := op.dBoth.div(x)
-			stay := op.nAfter*qab + (x - q*op.nBefore)
-			if q-op.nAfter*qab < op.nBefore {
-				x = stay
-			} else {
-				x = q
-			}
-			continue
+// remove is the removal step: a block on a surviving disk keeps its
+// quotient and takes the disk's compacted index; a block on a removed disk
+// spends a fresh draw on a uniform choice among the survivors.
+func (op *compiledOp) remove(q, d uint64) (q2, d2 uint64, moved bool) {
+	if op.survivor != nil {
+		if nr := op.survivor[d]; nr >= 0 {
+			return q, uint64(nr), false
 		}
-		q, r := op.dBefore.divmod(x)
-		switch {
-		case op.kind == OpAdd:
-			stay := q - op.dAfter.mod(q) + r
-			if op.dAfter.mod(q) < op.nBefore {
-				x = stay
-			} else {
-				x = q
-			}
-		case op.survivor != nil:
-			nr := op.survivor[r]
-			stay := q*op.nAfter + uint64(uint32(nr))
-			if nr >= 0 {
-				x = stay
-			} else {
-				x = q
-			}
-		default:
-			if nr, gone := survivorSearch(r, op.removed); !gone {
-				x = q*op.nAfter + nr
-			} else {
-				x = q
-			}
+	} else if nr, gone := survivorSearch(d, op.removed); !gone {
+		return q, nr, false
+	}
+	q2, d2 = op.dAfter.divmod(q)
+	return q2, d2, true
+}
+
+// step applies one compiled operation to the chain state (q, d).
+func (op *compiledOp) step(q, d uint64) (q2, d2 uint64, moved bool) {
+	if op.kind == OpAdd {
+		q2, d2 = op.add(q, d)
+		return q2, d2, d2 >= op.nBefore
+	}
+	return op.remove(q, d)
+}
+
+// walk remaps x0 through the first len(ops) operations.
+func (c *CompiledChain) walk(x0 uint64, ops []compiledOp) (q, d uint64) {
+	q, d = c.d0.divmod(x0)
+	for i := range ops {
+		if op := &ops[i]; op.kind == OpAdd {
+			q, d = op.add(q, d)
+		} else {
+			q, d, _ = op.remove(q, d)
 		}
 	}
-	return x
+	return q, d
 }
 
 // Locate is the compiled access function AF(): the block's current logical
 // disk, allocation-free in O(j) multiply-shift operations.
 func (c *CompiledChain) Locate(x0 uint64) int {
-	return int(c.dN.mod(c.applyOps(x0)))
+	_, d := c.walk(x0, c.ops)
+	return int(d)
 }
 
 // Final returns the fully remapped random value X_j and the block's current
 // logical disk.
 func (c *CompiledChain) Final(x0 uint64) (xj uint64, disk int) {
-	x := c.applyOps(x0)
-	return x, int(c.dN.mod(x))
+	q, d := c.walk(x0, c.ops)
+	return q*c.n + d, int(d)
 }
 
 // Moved reports whether the most recent operation moved the block, and its
 // disks before and after that operation — the compiled form of
 // History.Moved, the predicate RF() builds move plans with.
 func (c *CompiledChain) Moved(x0 uint64) (moved bool, before, after int) {
-	x := x0
 	if len(c.ops) == 0 {
-		d := int(c.dN.mod(x))
-		return false, d, d
+		_, d := c.walk(x0, nil)
+		return false, int(d), int(d)
 	}
-	for i := 0; i < len(c.ops)-1; i++ {
-		x, _ = c.ops[i].step(x)
-	}
-	before = int(c.dNPrev.mod(x))
-	xj, movedStep := c.ops[len(c.ops)-1].step(x)
-	return movedStep, before, int(c.dN.mod(xj))
+	last := len(c.ops) - 1
+	q, d := c.walk(x0, c.ops[:last])
+	_, after64, moved := c.ops[last].step(q, d)
+	return moved, int(d), int(after64)
 }
 
 // batchChunk is the block count LocateBatch processes per pass. Chunks keep
 // the working set inside L1 while letting each operation's inner loop run
-// branch-uniform over many blocks (the kind dispatch is hoisted out of the
-// per-block loop).
+// branch-uniform over many blocks.
 const batchChunk = 256
 
 // LocateBatch locates len(x0s) blocks into out, allocation-free:
@@ -297,67 +262,41 @@ func (c *CompiledChain) LocateBatch(x0s []uint64, out []int) {
 	if len(out) < len(x0s) {
 		panic("scaddar: LocateBatch output shorter than input")
 	}
-	var buf [batchChunk]uint64
+	var qs, ds [batchChunk]uint64
 	for base := 0; base < len(x0s); base += batchChunk {
 		n := len(x0s) - base
 		if n > batchChunk {
 			n = batchChunk
 		}
-		copy(buf[:n], x0s[base:base+n])
+		for i, x0 := range x0s[base : base+n] {
+			qs[i], ds[i] = c.d0.divmod(x0)
+		}
 		for oi := range c.ops {
-			op := &c.ops[oi]
+			// The kind dispatch is hoisted out of the per-block loop, and
+			// the table arm of remove written out: a call per block per
+			// operation would double the sweep's cost.
+			op := c.ops[oi]
 			switch {
-			case op.fused:
-				for i := 0; i < n; i++ {
-					x := buf[i]
-					q := op.dBefore.div(x)
-					qab := op.dBoth.div(x)
-					if q-op.nAfter*qab < op.nBefore {
-						buf[i] = op.nAfter*qab + (x - q*op.nBefore)
-					} else {
-						buf[i] = q
-					}
-				}
 			case op.kind == OpAdd:
 				for i := 0; i < n; i++ {
-					x := buf[i]
-					q, r := op.dBefore.divmod(x)
-					if t := op.dAfter.mod(q); t < op.nBefore {
-						buf[i] = q - t + r
-					} else {
-						buf[i] = q
-					}
+					qs[i], ds[i] = op.add(qs[i], ds[i])
 				}
 			case op.survivor != nil:
 				for i := 0; i < n; i++ {
-					q, r := op.dBefore.divmod(buf[i])
-					if nr := op.survivor[r]; nr >= 0 {
-						buf[i] = q*op.nAfter + uint64(nr)
+					if nr := op.survivor[ds[i]]; nr >= 0 {
+						ds[i] = uint64(nr)
 					} else {
-						buf[i] = q
+						qs[i], ds[i] = op.dAfter.divmod(qs[i])
 					}
 				}
 			default:
 				for i := 0; i < n; i++ {
-					q, r := op.dBefore.divmod(buf[i])
-					if nr, gone := survivorSearch(r, op.removed); !gone {
-						buf[i] = q*op.nAfter + nr
-					} else {
-						buf[i] = q
-					}
+					qs[i], ds[i], _ = op.remove(qs[i], ds[i])
 				}
 			}
 		}
 		for i := 0; i < n; i++ {
-			out[base+i] = int(c.dN.mod(buf[i]))
+			out[base+i] = int(ds[i])
 		}
 	}
-}
-
-// maxInt is a tiny pre-generics helper.
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,6 +2,7 @@ package scaddar
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
 	"scaddar/internal/prng"
@@ -95,6 +96,95 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 			if gm != wm || gb != wb || ga != wa {
 				t.Fatalf("history %d %v: Moved(%d) = (%v,%d,%d), interpreted (%v,%d,%d)",
 					hi, h, x0, gm, gb, ga, wm, wb, wa)
+			}
+		}
+	}
+}
+
+// checkChainState asserts the invariant the (Q, d) formulation rests on, at
+// every prefix k of the history: the pair the compiled chain carries after k
+// operations is the interpreted X_k split by N_k — Q·N_k + d == X_k with
+// d < N_k — so d is the block's disk after k operations and Final and Moved
+// fall out of it.
+func checkChainState(t testing.TB, h *History, chain *CompiledChain, x0 uint64) {
+	t.Helper()
+	trace := h.Trace(x0)
+	for k := 0; k <= h.Ops(); k++ {
+		q, d := chain.walk(x0, chain.ops[:k])
+		if nk := uint64(h.NAt(k)); d >= nk || q*nk+d != trace[k] {
+			t.Fatalf("%v: x0=%d after %d ops: (Q,d) = (%d,%d) over N=%d, interpreted X_%d = %d",
+				h, x0, k, q, d, nk, k, trace[k])
+		}
+	}
+}
+
+// mustOps applies a schedule to a fresh history: a positive entry adds that
+// many disks, a negative entry -k removes k disks spread over the array.
+func mustOps(t testing.TB, n0 int, schedule ...int) *History {
+	t.Helper()
+	h := MustNewHistory(n0)
+	for _, op := range schedule {
+		var err error
+		if op > 0 {
+			_, err = h.Add(op)
+		} else {
+			idx := make([]int, -op)
+			for i := range idx {
+				idx[i] = i * h.N() / -op
+			}
+			_, err = h.Remove(idx...)
+		}
+		if err != nil {
+			t.Fatalf("schedule %v over N0=%d: %v", schedule, n0, err)
+		}
+	}
+	return h
+}
+
+func TestChainStateMatchesTraceAtEveryPrefix(t *testing.T) {
+	for _, d := range []uint64{7, 14, 23} {
+		if newMagicDiv(d).alg != algUp {
+			t.Fatalf("divisor %d no longer compiles to the round-up magic; pick another for the algUp shape", d)
+		}
+	}
+	wide := mustOps(t, 3, survivorTableBudget+100, -4, 5, -3, 1)
+	if wide.Compile().ops[1].survivor != nil {
+		t.Fatal("over-budget removal materialized a survivor table; the binary-search arm is not covered")
+	}
+	shapes := map[string]*History{
+		"no ops":          mustOps(t, 5),
+		"through N=1":     mustOps(t, 1, 1, -1, 3, -3, 1, 1, -2),
+		"powers of two":   mustOps(t, 8, 8, -8, 24, -16, 16, 32, -32),
+		"round-up magics": mustOps(t, 7, 7, -7, 16, -9, 9, -9, 2, 5),
+		"wide removal":    wide,
+		"random mix":      randomHistory(t, 0xD1CE, 9, 12),
+	}
+	src := prng.NewSplitMix64(0xFACADE)
+	for name, h := range shapes {
+		chain := h.Compile()
+		xs := []uint64{0, 1, 1 << 32, math.MaxUint64, math.MaxUint64 - 1, 1<<32 - 1}
+		for i := 0; i < 300; i++ {
+			xs = append(xs, src.Next())
+		}
+		for _, x0 := range xs {
+			checkChainState(t, h, chain, x0)
+			if got, want := chain.Locate(x0), interpLocate(h, x0); got != want {
+				t.Fatalf("%s: Locate(%d) = %d, interpreted %d", name, x0, got, want)
+			}
+			gx, gd := chain.Final(x0)
+			if wx, wd := interpFinal(h, x0); gx != wx || gd != wd {
+				t.Fatalf("%s: Final(%d) = (%d,%d), interpreted (%d,%d)", name, x0, gx, gd, wx, wd)
+			}
+			gm, gb, ga := chain.Moved(x0)
+			if wm, wb, wa := interpMoved(h, x0); gm != wm || gb != wb || ga != wa {
+				t.Fatalf("%s: Moved(%d) = (%v,%d,%d), interpreted (%v,%d,%d)", name, x0, gm, gb, ga, wm, wb, wa)
+			}
+		}
+		out := make([]int, len(xs))
+		chain.LocateBatch(xs, out)
+		for i, x0 := range xs {
+			if want := interpLocate(h, x0); out[i] != want {
+				t.Fatalf("%s: batch[%d] = %d, interpreted %d", name, i, out[i], want)
 			}
 		}
 	}

@@ -48,11 +48,6 @@ func NewSafeLocator(hist *History, factory SourceFactory) (*SafeLocator, error) 
 // History returns the underlying operation log.
 func (l *SafeLocator) History() *History { return l.hist }
 
-// Chain returns the history's compiled REMAP chain. Read paths that resolve
-// many blocks (the cm snapshot, the gateway) hold on to it so each lookup
-// skips even the cached-compile version check.
-func (l *SafeLocator) Chain() *CompiledChain { return l.hist.Compile() }
-
 // sequence returns (creating once) the concurrent-safe indexed sequence for
 // a seed.
 func (l *SafeLocator) sequence(seed uint64) (prng.Indexed, error) {

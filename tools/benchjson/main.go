@@ -9,11 +9,19 @@
 // (BenchmarkLocate/ops=16-8 → BenchmarkLocate/ops=16) so captures taken on
 // machines with different core counts diff cleanly. Keys are emitted sorted
 // so the output is byte-stable for a given input.
+//
+// With -allocs-against FILE it is a gate instead of a converter: every
+// benchmark on stdin that reports allocs/op is looked up in FILE (a capture
+// this tool wrote) and the command fails when one allocates more per
+// operation than the capture says, or is missing from it. Allocation counts,
+// unlike timings, repeat exactly, so the comparison needs no tolerance and a
+// few hundred iterations are enough (CI runs -benchtime 200x).
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"regexp"
@@ -36,6 +44,8 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+(.*)$`)
 var procSuffix = regexp.MustCompile(`-\d+$`)
 
 func main() {
+	against := flag.String("allocs-against", "", "compare allocs/op on stdin with this committed capture instead of printing JSON; exit 1 when any is higher")
+	flag.Parse()
 	results, err := parse(bufio.NewScanner(os.Stdin))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -45,11 +55,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark results on stdin")
 		os.Exit(1)
 	}
-	names := make([]string, 0, len(results))
-	for name := range results {
-		names = append(names, name)
+	if *against != "" {
+		os.Exit(checkAllocs(results, *against))
 	}
-	sort.Strings(names)
+	names := sortedNames(results)
 	// Emit in sorted key order by building an ordered document by hand;
 	// encoding/json would serialize map keys sorted too, but doing it
 	// explicitly keeps the two-space indentation stable as well.
@@ -69,6 +78,55 @@ func main() {
 	}
 	b.WriteString("}\n")
 	os.Stdout.WriteString(b.String())
+}
+
+// sortedNames returns the benchmark names in the order both modes report them.
+func sortedNames(results map[string]result) []string {
+	names := make([]string, 0, len(results))
+	for name := range results {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// checkAllocs is the -allocs-against gate: it returns the exit status.
+func checkAllocs(results map[string]result, captureFile string) int {
+	data, err := os.ReadFile(captureFile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		return 1
+	}
+	var capture map[string]result
+	if err := json.Unmarshal(data, &capture); err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", captureFile, err)
+		return 1
+	}
+	checked, failed := 0, 0
+	for _, name := range sortedNames(results) {
+		got := results[name].AllocsOp
+		if got == nil {
+			continue // run without -benchmem, or a benchmark that reports none
+		}
+		checked++
+		switch want, ok := capture[name]; {
+		case !ok || want.AllocsOp == nil:
+			fmt.Fprintf(os.Stderr, "benchjson: %s: %v allocs/op, not in %s (refresh the capture: make bench PR=<n>)\n", name, *got, captureFile)
+			failed++
+		case *got > *want.AllocsOp:
+			fmt.Fprintf(os.Stderr, "benchjson: %s: %v allocs/op, %s has %v\n", name, *got, captureFile, *want.AllocsOp)
+			failed++
+		}
+	}
+	if checked == 0 {
+		fmt.Fprintln(os.Stderr, "benchjson: no allocs/op on stdin (run the benchmarks with -benchmem)")
+		return 1
+	}
+	if failed > 0 {
+		return 1
+	}
+	fmt.Printf("benchjson: allocs/op of %d benchmarks at or under %s\n", checked, captureFile)
+	return 0
 }
 
 // parse reads benchmark lines from the scanner. A repeated name (the same
