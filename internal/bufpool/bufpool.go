@@ -35,11 +35,17 @@ const (
 // pools holds one sync.Pool per power-of-two size class.
 var pools [numClasses]sync.Pool
 
-// inUse counts pooled buffers currently held by at least one reference.
-// The buffer-lifecycle leak tests snapshot it before a scenario and assert
-// it returns to the snapshot after every session path (miss, eviction,
-// paused-open, disconnect) has run.
+// inUse holds both leak gauges in one word, so the hot path pays one atomic
+// add for the pair: above bit byteBits the number of buffers currently held
+// by at least one reference, below it their backing capacity in bytes. A
+// release subtracts exactly what its Get added, so the low field never
+// borrows from the high one; 4 TiB and two million buffers in flight are
+// beyond any host this runs on. The buffer-lifecycle leak tests snapshot
+// InUse before a scenario and assert it returns to the snapshot after every
+// session path (miss, eviction, paused-open, disconnect) has run.
 var inUse atomic.Int64
+
+const byteBits = 42
 
 // Buf is a pooled, reference-counted byte buffer. The backing array's
 // capacity is its size class; Data() views the first n bytes requested
@@ -78,17 +84,23 @@ func Get(n int) *Buf {
 	c := classFor(n)
 	if c < 0 {
 		b := &Buf{data: make([]byte, n), n: n, class: -1}
-		b.refs.Store(1)
-		inUse.Add(1)
-		return b
+		return b.acquire()
 	}
 	b, _ := pools[c].Get().(*Buf)
 	if b == nil {
 		b = &Buf{data: make([]byte, 1<<(minClassBits+c)), class: int32(c)}
 	}
 	b.n = n
+	return b.acquire()
+}
+
+// gauge is b's entry in inUse: one buffer, cap(b.data) bytes.
+func (b *Buf) gauge() int64 { return 1<<byteBits + int64(cap(b.data)) }
+
+// acquire hands out b's initial reference and enters it in the gauges.
+func (b *Buf) acquire() *Buf {
 	b.refs.Store(1)
-	inUse.Add(1)
+	inUse.Add(b.gauge())
 	return b
 }
 
@@ -110,7 +122,7 @@ func (b *Buf) Retain() {
 func (b *Buf) Release() {
 	switch r := b.refs.Add(-1); {
 	case r == 0:
-		inUse.Add(-1)
+		inUse.Add(-b.gauge())
 		if b.class >= 0 {
 			pools[b.class].Put(b)
 		}
@@ -122,7 +134,12 @@ func (b *Buf) Release() {
 // InUse reports the number of pooled buffers currently referenced. It is a
 // global gauge intended for leak tests: quiesce the system, then assert
 // InUse returned to its starting value.
-func InUse() int64 { return inUse.Load() }
+func InUse() int64 { return inUse.Load() >> byteBits }
+
+// InUseBytes reports the backing capacity of the buffers InUse counts — the
+// memory the pipeline's in-flight payloads pin (a coalesced span counts
+// once, at its size class, however many payloads view it).
+func InUseBytes() int64 { return inUse.Load() & (1<<byteBits - 1) }
 
 // Payload is the unit that flows through the delivery pipeline: a byte
 // view plus the pooled buffer backing it (nil for unpooled bytes such as

@@ -90,6 +90,25 @@ func TestOversizedRequestUnpooled(t *testing.T) {
 	}
 }
 
+// TestInUseBytes pins the bytes gauge: a buffer enters at its backing
+// capacity (its size class, or its exact size off-pool), not its viewed
+// length, and once, whatever its reference count.
+func TestInUseBytes(t *testing.T) {
+	n0, b0 := InUse(), InUseBytes()
+	held := []*Buf{Get(100), Get(64<<10 + 20), Get(1<<24 + 1)}
+	held[1].Retain()
+	if n, b := InUse()-n0, InUseBytes()-b0; n != 3 || b != 512+(128<<10)+(1<<24+1) {
+		t.Fatalf("3 buffers held: gauges moved by %d buffers, %d bytes", n, b)
+	}
+	held[1].Release()
+	for _, b := range held {
+		b.Release()
+	}
+	if InUse() != n0 || InUseBytes() != b0 {
+		t.Fatalf("after release: %d buffers, %d bytes in use, want %d, %d", InUse(), InUseBytes(), n0, b0)
+	}
+}
+
 func TestUnpooledPayloadReleaseNoop(t *testing.T) {
 	p := Unpooled([]byte("hello"))
 	p.Retain()
@@ -150,5 +169,16 @@ func TestConcurrentRetainRelease(t *testing.T) {
 	b.Release()
 	if InUse() != base {
 		t.Fatalf("InUse = %d, want %d", InUse(), base)
+	}
+}
+
+// BenchmarkGetRelease is the pool's steady-state cycle at the streaming
+// block size: what every pooled read pays on top of its I/O, gauges
+// included.
+func BenchmarkGetRelease(b *testing.B) {
+	Get(64 << 10).Release()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Get(64 << 10).Release()
 	}
 }

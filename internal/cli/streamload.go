@@ -77,7 +77,7 @@ func (l *load) streamLoad() error {
 	// The server's own data-plane counters close the loop: its deadline
 	// misses (hiccups) and evictions should explain any client-side gaps,
 	// and the flush count shows how hard the coalesced drain worked — an
-	// awake session pays one Write+flush per round regardless of how many
+	// awake session pays one flush per round regardless of how many
 	// chunks it gathered, so flushes/round ≈ concurrently-drained sessions.
 	if st, err := fetchStatus(l.hc, opts.addr); err == nil {
 		g := st.Gateway

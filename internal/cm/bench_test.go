@@ -36,6 +36,42 @@ type unbatchedStore struct {
 	disk.PayloadStore
 }
 
+// benchPayloadServer builds a server over a SCADDAR array of the given size
+// with a segment store under every disk — wrapped in unbatchedStore when
+// unbatched — closed when the benchmark ends.
+func benchPayloadServer(b *testing.B, disks int, cfg Config, unbatched bool) *Server {
+	b.Helper()
+	x0 := placement.NewX0Func(func(seed uint64) prng.Source { return prng.NewSplitMix64(seed) })
+	strat, err := placement.NewScaddar(disks, x0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := NewServer(cfg, strat)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mgr, err := dataplane.NewManager(b.TempDir(), dataplane.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { mgr.Close() })
+	factory := mgr.Factory()
+	if unbatched {
+		inner := factory
+		factory = func(id int) (disk.PayloadStore, error) {
+			ps, err := inner(id)
+			if err != nil {
+				return nil, err
+			}
+			return unbatchedStore{ps}, nil
+		}
+	}
+	if err := srv.AttachPayloads(factory, dataplane.SeededContent); err != nil {
+		b.Fatal(err)
+	}
+	return srv
+}
+
 // BenchmarkRoundDelivery measures one full scheduling round of the payload
 // path: every playing stream plans its block read, the reads are grouped by
 // disk, coalesced, and executed as per-disk batches running in parallel
@@ -75,34 +111,7 @@ func BenchmarkRoundDelivery(b *testing.B) {
 			cfg.BlockBytes = blockBytes
 			cfg.Round = 2 * time.Second
 			cfg.Utilization = 1
-			x0 := placement.NewX0Func(func(seed uint64) prng.Source { return prng.NewSplitMix64(seed) })
-			strat, err := placement.NewScaddar(disks, x0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			srv, err := NewServer(cfg, strat)
-			if err != nil {
-				b.Fatal(err)
-			}
-			mgr, err := dataplane.NewManager(b.TempDir(), dataplane.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer mgr.Close()
-			factory := mgr.Factory()
-			if !v.batched {
-				inner := factory
-				factory = func(id int) (disk.PayloadStore, error) {
-					ps, err := inner(id)
-					if err != nil {
-						return nil, err
-					}
-					return unbatchedStore{ps}, nil
-				}
-			}
-			if err := srv.AttachPayloads(factory, dataplane.SeededContent); err != nil {
-				b.Fatal(err)
-			}
+			srv := benchPayloadServer(b, disks, cfg, !v.batched)
 			for o := 0; o < objects; o++ {
 				obj := workload.Object{ID: o + 1, Seed: uint64(o)*77 + 5, Blocks: blocks, BlockBytes: blockBytes}
 				if err := srv.AddObject(obj); err != nil {
@@ -146,5 +155,45 @@ func BenchmarkRoundDelivery(b *testing.B) {
 				b.Fatalf("sink received %d bytes, want %d", sink.bytes, want)
 			}
 		})
+	}
+}
+
+// BenchmarkMovePayload measures what a reorganization pays per migrated
+// block on the byte side: one 64 KiB block read from its source segment
+// store, written to the destination, deleted at the source — the executor's
+// payload mover, back and forth between two disks. The read is the pooled
+// one playback uses, so a move allocates nothing the size of a block.
+func BenchmarkMovePayload(b *testing.B) {
+	const blockBytes = 64 << 10
+	cfg := DefaultConfig()
+	cfg.BlockBytes = blockBytes
+	srv := benchPayloadServer(b, 2, cfg, false)
+	if err := srv.AddObject(workload.Object{ID: 1, Seed: 5, Blocks: 1, BlockBytes: blockBytes}); err != nil {
+		b.Fatal(err)
+	}
+	bid := blockID(1, 0)
+	var ends [2]*disk.Disk
+	for i := range ends {
+		var err error
+		if ends[i], err = srv.array.Disk(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if !ends[0].Has(bid) {
+		ends[0], ends[1] = ends[1], ends[0]
+	}
+	move := func(i int) {
+		if err := srv.movePayload(placement.BlockRef{Seed: 5}, bid, ends[i%2], ends[(i+1)%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// There and back once untimed: both stores grow their append scratch.
+	move(0)
+	move(1)
+	b.SetBytes(blockBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		move(i)
 	}
 }

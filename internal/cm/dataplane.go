@@ -187,9 +187,10 @@ func (s *Server) deletePayload(d *disk.Disk, bid disk.BlockID) error {
 }
 
 // movePayload relocates one block's bytes for the reorganization executor:
-// read the real bytes from the source store (falling back to the oracle when
-// the read faults — a migration does not abort on a transient error), write
-// them to the destination, then drop the source copy. Metadata has already
+// read the real bytes from the source store through the pooled path playback
+// uses (falling back to the oracle when the read faults — a migration does
+// not abort on a transient error), hand them to the destination by
+// reference, release them, then drop the source copy. Metadata has already
 // moved when this runs, so a crash between the two stores leaves at worst a
 // duplicate or missing payload that AttachPayloads reconciles on reopen.
 func (s *Server) movePayload(b placement.BlockRef, bid disk.BlockID, src, dst *disk.Disk) error {
@@ -197,12 +198,15 @@ func (s *Server) movePayload(b placement.BlockRef, bid disk.BlockID, src, dst *d
 	if sps == nil && dps == nil {
 		return nil
 	}
-	var data []byte
+	var p bufpool.Payload
 	if sps != nil {
-		if got, err := sps.Get(bid); err == nil {
-			data = got
-		}
+		s.moveRead[0] = disk.BlockRead{Block: bid}
+		disk.ReadBlocksFrom(sps, s.moveRead[:])
+		// A faulted slot carries no payload (disk.BlockRead).
+		p, s.moveRead[0] = s.moveRead[0].Payload, disk.BlockRead{}
 	}
+	defer p.Release()
+	data := p.Data
 	if data == nil {
 		if data = s.contentFor(bid); data == nil {
 			return fmt.Errorf("cm: migrate block %d: no source payload and no oracle", bid)

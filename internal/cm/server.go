@@ -275,6 +275,9 @@ type Server struct {
 	batchStarts []int
 	batchStores []disk.PayloadStore
 	batchGroups []readGroup
+	// moveRead is movePayload's one-slot read request (dataplane.go), kept
+	// here so a migrated block allocates nothing for it.
+	moveRead [1]disk.BlockRead
 	// inBatchRead suppresses the store-level injected-fault hook while the
 	// parallel batch executes: batched reads pre-roll their faults at plan
 	// time on the owner goroutine (serveRead), keeping the injector's draw

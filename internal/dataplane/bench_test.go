@@ -2,85 +2,122 @@ package dataplane
 
 import (
 	"bufio"
-	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"io"
 	"sync"
 	"testing"
 
 	"scaddar/internal/bufpool"
 )
 
+// wireTap is the chunk cycle's socket: it keeps every Write by reference
+// and serves the parts back to the decoder. Keeping p breaks io.Writer's
+// rule on purpose — it is safe only because the cycle decodes before its
+// next pooled Get, the only thing that could reuse a released buffer — so
+// that the cycle makes exactly the copies the server makes, none, where a
+// bytes.Buffer would put back the one the by-reference emitter removed.
+type wireTap struct {
+	parts [][]byte
+	next  int // part Read serves from
+}
+
+func (w *wireTap) Write(p []byte) (int, error) {
+	w.parts = append(w.parts, p)
+	return len(p), nil
+}
+
+func (w *wireTap) Read(p []byte) (int, error) {
+	if w.next == len(w.parts) {
+		return 0, io.EOF
+	}
+	n := copy(p, w.parts[w.next])
+	if w.parts[w.next] = w.parts[w.next][n:]; len(w.parts[w.next]) == 0 {
+		w.next++
+	}
+	return n, nil
+}
+
+// chunkCycle is what one session does once per round, end to end in
+// memory, through the same emitter the gateway's handler calls
+// (Session.WriteBuffered). BenchmarkStreamChunk times it and
+// TestStreamChunkZeroAlloc pins it, so neither models the drain privately.
+type chunkCycle struct {
+	s       *Session
+	wire    wireTap
+	br      *bufio.Reader
+	scratch []byte
+}
+
+func newChunkCycle(blockBytes int) *chunkCycle {
+	c := &chunkCycle{
+		s:       NewSession(1, 0, int64(blockBytes), SessionBufferConfig{Buffer: 4}),
+		scratch: make([]byte, blockBytes+64),
+	}
+	c.br = bufio.NewReaderSize(&c.wire, blockBytes+64)
+	// Warm the size class so the measured runs hit the pool.
+	bufpool.Get(blockBytes).Release()
+	return c
+}
+
+// step runs chunk i through the cycle: acquire a pooled payload buffer (as
+// the batched segment reader does), offer it into the session buffer,
+// receive it as the handler does, emit it by reference — header, the
+// payload itself, release — and decode+verify the frame as a client does.
+func (c *chunkCycle) step(i int) error {
+	size := int(c.s.BlockBytes())
+	buf := bufpool.Get(size)
+	p := bufpool.Payload{Data: buf.Data(), Buf: buf}
+	if delivered, _ := c.s.Offer(Chunk{Index: i, Payload: p}); !delivered {
+		return errors.New("chunk not delivered")
+	}
+	ch, open := <-c.s.Chunks()
+	c.wire.parts, c.wire.next = c.wire.parts[:0], 0
+	if _, _, err := c.s.WriteBuffered(&c.wire, ch, open); err != nil {
+		return err
+	}
+	c.br.Reset(&c.wire)
+	f, err := ReadFrameInto(c.br, c.scratch)
+	if err != nil {
+		return err
+	}
+	if f.Index != i || len(f.Data) != size {
+		return fmt.Errorf("decoded as index %d, %d bytes", f.Index, len(f.Data))
+	}
+	return nil
+}
+
 // BenchmarkStreamChunk measures the per-chunk cost of the streaming hot
-// path: acquire a pooled payload buffer (as the batched segment reader
-// does), offer it into the session buffer, drain it as the handler does,
-// frame it for the wire, release the buffer back to the pool, and
-// decode+verify the frame as a client does. This is the work one session
-// does once per round; at 10k sessions it runs 10k times per round on the
-// delivery path. Steady state is zero allocations per chunk — guarded by
-// TestStreamChunkZeroAlloc.
+// path (chunkCycle.step) at 4 KiB and at the 64 KiB blocks stream_scaleup
+// plays. This is the work one session does once per round; at 10k sessions
+// it runs 10k times per round on the delivery path. Steady state is zero
+// allocations per chunk — guarded by TestStreamChunkZeroAlloc.
 func BenchmarkStreamChunk(b *testing.B) {
-	const blockBytes = 4096
-	s := NewSession(1, 0, blockBytes, SessionBufferConfig{Buffer: 4})
-	seed := SeededContent(42, 0, blockBytes)
-	wb := make([]byte, 0, blockBytes+64)
-	scratch := make([]byte, blockBytes+64)
-	var r bytes.Reader
-	br := bufio.NewReaderSize(&r, blockBytes+64)
-	b.SetBytes(blockBytes)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf := bufpool.Get(blockBytes)
-		copy(buf.Data(), seed)
-		p := bufpool.Payload{Data: buf.Data(), Buf: buf}
-		if delivered, _ := s.Offer(Chunk{Index: i, Payload: p}); !delivered {
-			b.Fatal("chunk not delivered")
-		}
-		c := <-s.Chunks()
-		wb = AppendDataFrame(wb[:0], c.Index, c.Payload.Data)
-		c.Payload.Release()
-		r.Reset(wb)
-		br.Reset(&r)
-		f, err := ReadFrameInto(br, scratch)
-		if err != nil {
-			b.Fatalf("frame %d: %v", i, err)
-		}
-		if f.Index != i || len(f.Data) != blockBytes {
-			b.Fatalf("frame %d decoded as index %d, %d bytes", i, f.Index, len(f.Data))
-		}
+	for _, blockBytes := range []int{4 << 10, 64 << 10} {
+		b.Run(fmt.Sprintf("%dKiB", blockBytes>>10), func(b *testing.B) {
+			c := newChunkCycle(blockBytes)
+			b.SetBytes(int64(blockBytes))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.step(i); err != nil {
+					b.Fatalf("chunk %d: %v", i, err)
+				}
+			}
+		})
 	}
 }
 
 // TestStreamChunkZeroAlloc pins the streaming hot path at zero allocations
-// per chunk: pooled buffer acquisition, session offer/drain, wire framing,
-// release, and scratch-reuse decode must all run without touching the heap
-// once the pools are warm.
+// per chunk: pooled buffer acquisition, session offer/drain, by-reference
+// emission, release, and scratch-reuse decode must all run without touching
+// the heap once the pools are warm.
 func TestStreamChunkZeroAlloc(t *testing.T) {
-	const blockBytes = 4096
-	s := NewSession(1, 0, blockBytes, SessionBufferConfig{Buffer: 4})
-	wb := make([]byte, 0, blockBytes+64)
-	scratch := make([]byte, blockBytes+64)
-	var r bytes.Reader
-	br := bufio.NewReaderSize(&r, blockBytes+64)
-	// Warm the size class so the measured runs hit the pool.
-	bufpool.Get(blockBytes).Release()
+	c := newChunkCycle(4096)
 	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		buf := bufpool.Get(blockBytes)
-		p := bufpool.Payload{Data: buf.Data(), Buf: buf}
-		if delivered, _ := s.Offer(Chunk{Index: i, Payload: p}); !delivered {
-			t.Fatal("chunk not delivered")
-		}
-		c := <-s.Chunks()
-		wb = AppendDataFrame(wb[:0], c.Index, c.Payload.Data)
-		c.Payload.Release()
-		r.Reset(wb)
-		br.Reset(&r)
-		f, err := ReadFrameInto(br, scratch)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if f.Index != i || len(f.Data) != blockBytes {
-			t.Fatalf("frame %d decoded as index %d, %d bytes", i, f.Index, len(f.Data))
+		if err := c.step(i); err != nil {
+			t.Fatalf("chunk %d: %v", i, err)
 		}
 		i++
 	})

@@ -54,13 +54,25 @@ func (r CloseReason) String() string {
 // stopped it, if any, is wrapped alongside.
 var ErrFrameCorrupt = errors.New("dataplane: corrupt stream frame")
 
-// AppendDataFrame appends one chunk frame (block index + payload) to dst
-// and returns the extended slice.
-func AppendDataFrame(dst []byte, index int, data []byte) []byte {
+// DataHeaderMax bounds what AppendDataHeader appends: the envelope header,
+// the tag and the uvarint block index.
+const DataHeaderMax = frame.HeaderLen + 1 + binary.MaxVarintLen64
+
+// AppendDataHeader appends everything of a chunk frame that precedes the
+// block bytes, sealed over data without copying it: the header followed by
+// data itself is the frame AppendDataFrame builds. It is how a session
+// streams a pooled payload by reference (Session.WriteBuffered).
+func AppendDataHeader(dst []byte, index int, data []byte) []byte {
 	start := len(dst)
 	dst = append(frame.Begin(dst), frameData)
 	dst = binary.AppendUvarint(dst, uint64(index))
-	return frame.Finish(append(dst, data...), start)
+	return frame.FinishSplit(dst, start, data)
+}
+
+// AppendDataFrame appends one chunk frame (block index + payload) to dst
+// and returns the extended slice.
+func AppendDataFrame(dst []byte, index int, data []byte) []byte {
+	return append(AppendDataHeader(dst, index, data), data...)
 }
 
 // AppendEndFrame appends the terminal frame carrying the close reason.

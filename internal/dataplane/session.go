@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"io"
 	"sync/atomic"
 
 	"scaddar/internal/bufpool"
@@ -62,6 +63,8 @@ type Session struct {
 	consecMisses int // owner-only
 	misses       atomic.Uint64
 	delivered    atomic.Uint64
+
+	hdr [DataHeaderMax]byte // consumer-only: WriteBuffered's header scratch
 }
 
 // NewSession creates the buffer for one streaming session.
@@ -128,6 +131,40 @@ func (s *Session) Reason() CloseReason { return CloseReason(s.reason.Load()) }
 
 // Buffered returns the number of chunks waiting in the buffer.
 func (s *Session) Buffered() int { return len(s.ch) }
+
+// WriteBuffered is the consumer's emitter: given one receive from Chunks —
+// c, and open false once the channel has closed — it writes c and every
+// chunk already buffered behind it to w as data frames, then the end frame
+// if the channel closed behind them, and returns the bytes written and
+// whether the end frame was among them. Payloads go out by reference: a
+// frame is its header, built in the session's own small scratch, and then
+// the pooled block bytes themselves, released as soon as that Write returns
+// (an io.Writer may not retain them), written or not. It stops at the first
+// write error with nothing in hand; what is still in the channel is
+// ReleaseBuffered's. The caller flushes once per call. Consumer goroutine
+// only.
+func (s *Session) WriteBuffered(w io.Writer, c Chunk, open bool) (n int, end bool, err error) {
+	var k int
+	for open {
+		k, err = w.Write(AppendDataHeader(s.hdr[:0], c.Index, c.Payload.Data))
+		n += k
+		if err == nil {
+			k, err = w.Write(c.Payload.Data)
+			n += k
+		}
+		c.Payload.Release()
+		if err != nil {
+			return n, false, err
+		}
+		select {
+		case c, open = <-s.ch:
+		default:
+			return n, false, nil
+		}
+	}
+	k, err = w.Write(AppendEndFrame(s.hdr[:0], s.Reason()))
+	return n + k, err == nil, err
+}
 
 // ReleaseBuffered drains and releases every chunk still sitting in the
 // buffer without delivering it. The consumer calls it after detaching (so

@@ -47,10 +47,18 @@ func Begin(dst []byte) []byte { return append(dst, 0, 0, 0, 0, 0, 0, 0, 0) }
 
 // Finish seals the frame begun at offset start — len(dst) before Begin —
 // with the length and checksum of everything appended since; returns dst.
-func Finish(dst []byte, start int) []byte {
-	payload := dst[start+HeaderLen:]
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+4:], Checksum(payload))
+func Finish(dst []byte, start int) []byte { return FinishSplit(dst, start, nil) }
+
+// FinishSplit seals a frame whose payload is given in two parts: head,
+// everything appended to dst since Begin at offset start, and body, which
+// stays where it is. The length and checksum cover head ‖ body without
+// joining them, so dst ‖ body is byte for byte the frame Finish would have
+// sealed over the joined payload — the caller writes body after dst itself,
+// however large it is, without copying it. Returns dst.
+func FinishSplit(dst []byte, start int, body []byte) []byte {
+	head := dst[start+HeaderLen:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(head)+len(body)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Update(Checksum(head), castagnoli, body))
 	return dst
 }
 

@@ -120,6 +120,23 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFinishSplit: a frame sealed over head ‖ body without joining them is,
+// once body follows it, the frame Finish seals over the joined payload — at
+// every split point, behind an earlier frame in the same buffer.
+func TestFinishSplit(t *testing.T) {
+	payload := bytes.Repeat([]byte{0xAB, 7, 0, 0xFF}, 1250)
+	earlier := seal([]byte("earlier frame"))
+	want := append(append([]byte(nil), earlier...), seal(payload)...)
+	for _, k := range []int{0, 1, 11, len(payload) - 1, len(payload)} {
+		head, body := payload[:k], payload[k:]
+		got := append([]byte(nil), earlier...)
+		got = FinishSplit(append(Begin(got), head...), len(earlier), body)
+		if got = append(got, body...); !bytes.Equal(got, want) {
+			t.Fatalf("split at %d of %d: frame differs from the joined one", k, len(payload))
+		}
+	}
+}
+
 // TestVerdicts is the rule, case by case, on all three readers at once.
 func TestVerdicts(t *testing.T) {
 	const max = 64
@@ -282,7 +299,8 @@ func TestGoldenFramesDecode(t *testing.T) {
 
 // FuzzFrame: on arbitrary bytes and an arbitrary bound the three readers
 // agree (readAll), none panics or over-allocates, and whatever the bytes
-// are, framing them as a payload reads back from every reader.
+// are, framing them as a payload reads back from every reader and sealing
+// them in two parts (FinishSplit) gives the same frame.
 func FuzzFrame(f *testing.F) {
 	const max = 1 << 16
 	for _, b := range goldenFrames(f) {
@@ -306,9 +324,15 @@ func FuzzFrame(f *testing.F) {
 		if len(data) == 0 || len(data) > max {
 			return
 		}
-		v := readAll(t, seal(data), max)
+		sealed := seal(data)
+		v := readAll(t, sealed, max)
 		if v.class != nil || !bytes.Equal(v.payload, data) {
 			t.Fatalf("framed payload % x read back as %v", data, v)
+		}
+		k := int(bound) % (len(data) + 1)
+		split := FinishSplit(append(Begin(nil), data[:k]...), 0, data[k:])
+		if split = append(split, data[k:]...); !bytes.Equal(split, sealed) {
+			t.Fatalf("payload % x sealed in parts at %d differs from the joined frame", data, k)
 		}
 	})
 }

@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"scaddar/internal/bufpool"
 	"scaddar/internal/cm"
 	"scaddar/internal/dataplane"
 	"scaddar/internal/obs"
@@ -146,10 +147,11 @@ type Counters struct {
 	TickErrors int64 `json:"tickErrors"`
 	// StreamChunks counts chunks delivered into session buffers.
 	StreamChunks int64 `json:"streamChunks"`
-	// StreamBytes counts payload bytes written to streaming responses.
+	// StreamBytes counts bytes written to streaming response bodies: chunk
+	// frames and end frames, headers included.
 	StreamBytes int64 `json:"streamBytes"`
-	// StreamFlushes counts Write+flush syscall pairs issued by streaming
-	// responses; chunks/flushes is the coalescing factor of the drain loop.
+	// StreamFlushes counts flushes issued by streaming responses, one per
+	// gather; chunks/flushes is the coalescing factor of the drain loop.
 	StreamFlushes int64 `json:"streamFlushes"`
 	// StreamMisses counts round-deadline misses (dropped chunks).
 	StreamMisses int64 `json:"streamMisses"`
@@ -364,6 +366,8 @@ func (g *Gateway) tick() {
 	g.dp.flush()
 	g.syncStore()
 	g.publishStatus()
+	g.m.poolBuffers.SetInt(int(bufpool.InUse()))
+	g.m.poolBytes.SetInt(int(bufpool.InUseBytes()))
 }
 
 // syncStore is the journal's group-commit point: every event this round

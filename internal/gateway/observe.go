@@ -33,6 +33,11 @@ type gwMetrics struct {
 
 	tickTime *obs.Histogram
 
+	// The payload pool's gauges as of the end of the last round: what the
+	// chunks in flight through this process's sessions pin (internal/bufpool).
+	poolBuffers *obs.Gauge
+	poolBytes   *obs.Gauge
+
 	readTotal     *obs.Histogram
 	readAdmission *obs.Histogram
 	readLocate    *obs.Histogram
@@ -54,8 +59,8 @@ func newGwMetrics(reg *obs.Registry) *gwMetrics {
 
 		streamsAttached: reg.NewCounter("gateway_streams_attached_total", "Streaming consumers attached to sessions."),
 		streamChunks:    reg.NewCounter("gateway_stream_chunks_total", "Chunks delivered into session buffers by the round driver."),
-		streamBytes:     reg.NewCounter("gateway_stream_bytes_total", "Payload bytes written to streaming responses."),
-		streamFlushes:   reg.NewCounter("gateway_stream_flushes_total", "Write+flush syscall pairs issued by streaming responses (a coalesced drain covers many chunks per flush)."),
+		streamBytes:     reg.NewCounter("gateway_stream_bytes_total", "Bytes written to streaming response bodies: chunk frames and end frames, headers included."),
+		streamFlushes:   reg.NewCounter("gateway_stream_flushes_total", "Flushes issued by streaming responses (one per gather: a coalesced drain covers many chunks per flush)."),
 		streamMisses:    reg.NewCounter("gateway_stream_misses_total", "Round-deadline misses (chunks dropped because a session buffer was full)."),
 		streamEvictions: reg.NewCounter("gateway_stream_evictions_total", "Sessions evicted after too many consecutive deadline misses."),
 		deltasPublished: reg.NewCounter("gateway_locator_deltas_total", "Deltas published to the locator feed."),
@@ -64,6 +69,9 @@ func newGwMetrics(reg *obs.Registry) *gwMetrics {
 
 		tickTime: reg.NewHistogram("gateway_tick_seconds",
 			"Wall-clock time the owner goroutine spent executing one round.", obs.LatencyBuckets()),
+
+		poolBuffers: reg.NewGauge("bufpool_in_use_buffers", "Pooled payload buffers referenced at the end of the last round."),
+		poolBytes:   reg.NewGauge("bufpool_in_use_bytes", "Backing capacity of the pooled payload buffers referenced at the end of the last round."),
 
 		readTotal: reg.NewHistogram("gateway_read_seconds",
 			"End-to-end read-path latency (all phases).", obs.LatencyBuckets()),

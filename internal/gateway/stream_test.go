@@ -17,10 +17,16 @@ import (
 )
 
 // newStreamGateway builds a gateway whose server has real payload stores
-// attached, plus a live httptest server over its handler.
+// of 4 KiB blocks attached, plus a live httptest server over its handler.
 func newStreamGateway(t testing.TB, n0, objects, blocks int, gmutate func(*Config)) (*Gateway, *httptest.Server) {
 	t.Helper()
-	srv := newTestServer(t, n0, objects, blocks, func(c *cm.Config) { c.BlockBytes = 4 << 10 })
+	return newStreamGatewayOf(t, n0, objects, blocks, 4<<10, gmutate)
+}
+
+// newStreamGatewayOf is newStreamGateway at a given block size.
+func newStreamGatewayOf(t testing.TB, n0, objects, blocks int, blockBytes int64, gmutate func(*Config)) (*Gateway, *httptest.Server) {
+	t.Helper()
+	srv := newTestServer(t, n0, objects, blocks, func(c *cm.Config) { c.BlockBytes = blockBytes })
 	mgr, err := dataplane.NewManager(t.TempDir(), dataplane.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -46,8 +52,20 @@ func newStreamGateway(t testing.TB, n0, objects, blocks int, gmutate func(*Confi
 // openSession opens a streaming session for an object and returns its ID.
 func openSession(t testing.TB, base string, object int) int {
 	t.Helper()
-	body := strings.NewReader(fmt.Sprintf(`{"object":%d}`, object))
-	resp, err := http.Post(base+"/v1/sessions", "application/json", body)
+	return postSession(t, base, fmt.Sprintf(`{"object":%d}`, object))
+}
+
+// openPausedSession opens a session that starts playing, from block 0, only
+// when its stream is attached.
+func openPausedSession(t testing.TB, base string, object int) int {
+	t.Helper()
+	return postSession(t, base, fmt.Sprintf(`{"object":%d, "paused": true}`, object))
+}
+
+// postSession posts a session request and returns the admitted session's ID.
+func postSession(t testing.TB, base, request string) int {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/sessions", "application/json", strings.NewReader(request))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"time"
 
-	"scaddar/internal/bufpool"
 	"scaddar/internal/cm"
 	"scaddar/internal/dataplane"
 )
@@ -108,48 +107,27 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	// The write scratch is pooled (binproto's per-conn reuse idiom) and
-	// sized for a full drain burst: every buffered chunk plus an end frame,
-	// each with its frame header. Drains gather all currently buffered
-	// chunks into one Write+Flush pair instead of paying a syscall pair per
-	// chunk — at E19 scale that turns 10k flushes per round into one per
-	// awake session.
-	frameCap := int(sess.BlockBytes()) + 64
-	wb := bufpool.Get((cap(sess.Chunks()) + 1) * frameCap)
-	defer wb.Release()
+	// Each receive is one gather, by reference (Session.WriteBuffered): the
+	// received chunk and everything else already buffered, then the end
+	// frame if the channel closed behind them, under one flush instead of a
+	// flush per chunk — at E19 scale that turns 10k flushes per round into
+	// one per awake session.
 	for {
 		select {
 		case c, open := <-sess.Chunks():
-			buf := wb.Data()[:0]
-			// Gather: the received chunk, then everything else already
-			// buffered, then the end frame if the channel closed behind them.
-			for {
-				if !open {
-					buf = dataplane.AppendEndFrame(buf, sess.Reason())
-					if _, werr := w.Write(buf); werr == nil {
-						g.m.streamFlushes.Inc()
-						flusher.Flush()
-					}
-					return
-				}
-				buf = dataplane.AppendDataFrame(buf, c.Index, c.Payload.Data)
-				c.Payload.Release()
-				select {
-				case c, open = <-sess.Chunks():
-					continue
-				default:
-				}
-				break
-			}
-			if _, werr := w.Write(buf); werr != nil {
+			n, end, werr := sess.WriteBuffered(w, c, open)
+			g.m.streamBytes.Add(uint64(n))
+			if werr != nil {
 				// The connection is gone; stop the server-side stream so it
 				// does not play on (and burn round bandwidth) for nobody.
 				g.stopAbandonedStream(id, sess)
 				return
 			}
-			g.m.streamBytes.Add(uint64(len(buf)))
 			g.m.streamFlushes.Inc()
 			flusher.Flush()
+			if end {
+				return
+			}
 		case <-r.Context().Done():
 			g.stopAbandonedStream(id, sess)
 			return
