@@ -16,13 +16,18 @@ test: build
 # stating its contract — the wire-spec sync check: every exported opcode,
 # error code, and flag constant in internal/binproto must be mentioned in
 # docs/PROTOCOL.md, so the spec cannot silently fall behind the code — and
-# the one-envelope gate: outside internal/frame (and bench/, whose oracle
-# is independent on purpose) no non-test Go file imports hash/crc32.
+# the one-envelope and one-cursor gates: outside internal/frame (and bench/,
+# whose oracle is independent on purpose) no non-test Go file imports
+# hash/crc32 or calls one of encoding/binary's varint readers — what is
+# inside a payload is read through frame.Cursor, under its one forged-length
+# rule and its one "fits an int" bound — and gofmt: no file it would change.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./tools/missingdoc
 	$(GO) run ./tools/speclink
 	@! grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=frame '"hash/crc32"' . || { echo 'lint: hash/crc32 imported outside internal/frame (see ARCHITECTURE.md "Framing")'; exit 1; }
+	@! grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=frame 'binary\.(Read)?(Uv|V)arint\(' . || { echo 'lint: varint read outside internal/frame: use frame.Cursor (see ARCHITECTURE.md "Framing")'; exit 1; }
+	@test -z "$$(gofmt -l .)" || { echo 'lint: gofmt would change:'; gofmt -l .; exit 1; }
 
 # Tier-1+ gate: lint plus the full suite under the race detector — which
 # includes the replication chaos harness (internal/repl TestChaosConvergence:
@@ -81,22 +86,32 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./... | $(GO) run ./tools/benchjson > BENCH_$(PR).json
 	@echo "regenerated BENCH_$(PR).json"
 
-# Short fuzz passes over the History codecs (seed corpora under
-# internal/scaddar/testdata/fuzz/), the compiled-chain differential
-# fuzzer (compiled vs interpreted lookups), the write-ahead-journal
-# reader, the binary-protocol frame handler (hostile frames against a
-# live server; the connection must survive or die per spec, never panic),
-# the router's shard-reply reader (arbitrary shard bytes: no panic, no
-# body over the 8 MiB cap or under a HEAD, no kept connection after an error),
-# and the shared envelope (internal/frame: its three readers agree on every
-# input, none over-allocates for a forged length).
+# Short fuzz passes over every decoder that reads bytes from a disk or a
+# socket, 20 s each (the same for all, so none is shortened or skipped
+# alone): the History codecs (seed corpora under
+# internal/scaddar/testdata/fuzz/), the compiled-chain differential fuzzer
+# (compiled vs interpreted lookups), the write-ahead-journal reader and the
+# checkpoint / metadata decoder under it, the binary-protocol frame handler
+# (hostile frames against a live server; the connection must survive or die
+# per spec, never panic), the four replication payloads, the chunk stream
+# reader, the segment record and index.idx loader, the router's shard-reply
+# reader (arbitrary shard bytes: no panic, no body over the 8 MiB cap or
+# under a HEAD, no kept connection after an error), the shared envelope
+# (internal/frame: its three readers agree on every input, none
+# over-allocates for a forged length) and the payload cursor every decoder
+# above is written on (random read sequences against encoding/binary).
 fuzz:
-	$(GO) test ./internal/scaddar/ -fuzz FuzzCodec -fuzztime 30s
-	$(GO) test ./internal/scaddar/ -fuzz FuzzCompiledChain -fuzztime 30s
-	$(GO) test ./internal/store/ -fuzz FuzzJournal -fuzztime 30s
-	$(GO) test ./internal/binproto/ -fuzz FuzzBinProto -fuzztime 30s
-	$(GO) test ./internal/cluster/ -fuzz FuzzShardResponse -fuzztime 30s
-	$(GO) test ./internal/frame/ -fuzz FuzzFrame -fuzztime 30s
+	$(GO) test ./internal/scaddar/ -fuzz FuzzCodec -fuzztime 20s
+	$(GO) test ./internal/scaddar/ -fuzz FuzzCompiledChain -fuzztime 20s
+	$(GO) test ./internal/store/ -fuzz FuzzJournal -fuzztime 20s
+	$(GO) test ./internal/store/ -fuzz FuzzCheckpoint -fuzztime 20s
+	$(GO) test ./internal/binproto/ -fuzz FuzzBinProto -fuzztime 20s
+	$(GO) test ./internal/repl/ -fuzz FuzzReplPayload -fuzztime 20s
+	$(GO) test ./internal/dataplane/ -fuzz FuzzChunkFrame -fuzztime 20s
+	$(GO) test ./internal/dataplane/ -fuzz FuzzSegmentRecord -fuzztime 20s
+	$(GO) test ./internal/cluster/ -fuzz FuzzShardResponse -fuzztime 20s
+	$(GO) test ./internal/frame/ -fuzz FuzzFrame -fuzztime 20s
+	$(GO) test ./internal/frame/ -fuzz FuzzCursor -fuzztime 20s
 
 clean:
 	$(GO) clean ./...

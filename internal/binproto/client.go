@@ -2,6 +2,7 @@ package binproto
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -155,10 +156,9 @@ func (c *Client) readLoop() {
 			c.fail(fmt.Errorf("binproto: connection lost: %w", err))
 			return
 		}
-		cur := wireCursor{buf: payload}
-		op := cur.u8()
-		corr := cur.u32()
-		if cur.bad {
+		cur := frame.Cursor{Buf: payload}
+		op, corr := cur.U8("opcode"), cur.U32("correlation ID")
+		if !cur.OK() {
 			c.fail(fmt.Errorf("%w: response shorter than header", errMalformed))
 			return
 		}
@@ -176,14 +176,12 @@ func (c *Client) readLoop() {
 }
 
 // decodeInto fills a call slot from a response cursor.
-func decodeInto(ca *call, op uint8, cur *wireCursor) {
+func decodeInto(ca *call, op uint8, cur *frame.Cursor) {
 	if op == OpError {
-		ca.errc = cur.u8()
-		cur.u8() // original opcode, informational
-		ca.msg = string(cur.rest())
-		if ca.errc == 0 || !cur.done() {
-			ca.bad = true
-		}
+		ca.errc = cur.U8("error code")
+		cur.U8("original opcode") // informational
+		ca.msg = string(cur.Rest())
+		ca.bad = ca.errc == 0 || !cur.OK()
 		return
 	}
 	if op != ca.op|RespFlag {
@@ -192,9 +190,9 @@ func decodeInto(ca *call, op uint8, cur *wireCursor) {
 	}
 	switch ca.op {
 	case OpLocate:
-		ca.ep.Epoch = cur.u64()
-		ca.disk = int(int32(cur.u32()))
-		flags := cur.u8()
+		ca.ep.Epoch = cur.U64("epoch")
+		ca.disk = int(int32(cur.U32("disk")))
+		flags := cur.U8("flags")
 		ca.ep.Reorganizing = flags&FlagReorganizing != 0
 		ca.ep.Degraded = flags&FlagDegraded != 0
 		if flags&FlagUnhealthyDisk == 0 {
@@ -202,20 +200,20 @@ func decodeInto(ca *call, op uint8, cur *wireCursor) {
 		} else {
 			ca.n = 0
 		}
-		ca.bad = !cur.done()
+		ca.bad = cur.Done("locate response") != nil
 	case OpLocateBatch:
-		ca.ep.Epoch = cur.u64()
-		flags := cur.u8()
+		ca.ep.Epoch = cur.U64("epoch")
+		flags := cur.U8("flags")
 		ca.ep.Reorganizing = flags&FlagReorganizing != 0
 		ca.ep.Degraded = flags&FlagDegraded != 0
-		n := int(cur.u32())
-		if cur.bad || n > len(ca.out) {
+		n := int(cur.U32("entry count"))
+		if n > len(ca.out) {
 			ca.bad = true
 			return
 		}
 		for i := 0; i < n; i++ {
-			d := int(int32(cur.u32()))
-			st := cur.u8()
+			d := int(int32(cur.U32("entry disk")))
+			st := cur.U8("entry status")
 			ca.out[i] = Result{
 				Disk:    d,
 				Healthy: st&EntryUnhealthy == 0 && st&^EntryUnhealthy == 0,
@@ -223,17 +221,16 @@ func decodeInto(ca *call, op uint8, cur *wireCursor) {
 			}
 		}
 		ca.n = n
-		ca.bad = !cur.done()
+		ca.bad = cur.Done("batch response") != nil
 	case OpEpoch:
-		ca.ep.Epoch = cur.u64()
-		flags := cur.u8()
+		ca.ep.Epoch = cur.U64("epoch")
+		flags := cur.U8("flags")
 		ca.ep.Reorganizing = flags&FlagReorganizing != 0
 		ca.ep.Degraded = flags&FlagDegraded != 0
-		ca.ep.Disks = int(cur.u32())
-		ca.ep.Objects = int(cur.u32())
-		ca.bad = !cur.done()
-	case OpPing, OpDrain:
-		cur.rest()
+		ca.ep.Disks = int(cur.U32("disks"))
+		ca.ep.Objects = int(cur.U32("objects"))
+		ca.bad = cur.Done("epoch response") != nil
+	case OpPing, OpDrain: // the body is the echo, or empty
 	}
 }
 
@@ -274,7 +271,7 @@ func (c *Client) roundTrip(ca *call, encode func(dst []byte) []byte) error {
 	buf := appendHeader(c.wbuf[:0], ca.op, corr)
 	buf = encode(buf)
 	c.wbuf = buf[:0]
-	err := frame.Write(c.bw, buf)
+	err := frame.Write(c.bw, buf, MaxFrameLen)
 	if err == nil {
 		err = c.bw.Flush()
 	}
@@ -337,8 +334,8 @@ func (c *Client) Locate(object, index int) (disk int, epoch uint64, healthy bool
 	ca := c.newCall(OpLocate)
 	defer c.pool.Put(ca)
 	err = c.roundTrip(ca, func(dst []byte) []byte {
-		dst = appendU32(dst, uint32(object))
-		return appendU32(dst, uint32(index))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(object))
+		return binary.LittleEndian.AppendUint32(dst, uint32(index))
 	})
 	if err != nil {
 		return 0, 0, false, err
@@ -362,10 +359,10 @@ func (c *Client) LocateBatch(addrs []cm.BlockAddr, out []Result) (epoch uint64, 
 	ca.out = out
 	defer c.pool.Put(ca)
 	err = c.roundTrip(ca, func(dst []byte) []byte {
-		dst = appendU32(dst, uint32(len(addrs)))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(addrs)))
 		for _, a := range addrs {
-			dst = appendU32(dst, uint32(a.Object))
-			dst = appendU32(dst, uint32(a.Index))
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(a.Object))
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(a.Index))
 		}
 		return dst
 	})

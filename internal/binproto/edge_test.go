@@ -36,7 +36,7 @@ func rawConn(t *testing.T, addr string) net.Conn {
 func sendRaw(t *testing.T, nc net.Conn, payload []byte) {
 	t.Helper()
 	bw := bufio.NewWriter(nc)
-	if err := frame.Write(bw, payload); err != nil {
+	if err := frame.Write(bw, payload, MaxFrameLen); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
@@ -70,11 +70,11 @@ func TestUnknownOpcodeKeepsConnection(t *testing.T) {
 	nc := rawConn(t, startServer(t, b, nil))
 	sendRaw(t, nc, appendHeader(nil, 0x6F, 42))
 	resp := readRaw(t, nc)
-	cur := wireCursor{buf: resp}
-	if op, corr := cur.u8(), cur.u32(); op != OpError || corr != 42 {
+	cur := frame.Cursor{Buf: resp}
+	if op, corr := cur.U8("opcode"), cur.U32("correlation ID"); op != OpError || corr != 42 {
 		t.Fatalf("got op 0x%02x corr %d, want OpError corr 42", op, corr)
 	}
-	if code, orig := cur.u8(), cur.u8(); code != ErrCodeUnknownOpcode || orig != 0x6F {
+	if code, orig := cur.U8("error code"), cur.U8("original opcode"); code != ErrCodeUnknownOpcode || orig != 0x6F {
 		t.Fatalf("got code %d orig 0x%02x, want ErrCodeUnknownOpcode 0x6f", code, orig)
 	}
 	// The same connection still answers real requests.
@@ -89,17 +89,17 @@ func TestMalformedBodyKeepsConnection(t *testing.T) {
 	b := newTestBackend(t, 4, 1, 10)
 	nc := rawConn(t, startServer(t, b, nil))
 	// OpLocate with a truncated body (one u32 instead of two).
-	sendRaw(t, nc, appendU32(appendHeader(nil, OpLocate, 7), 0))
+	sendRaw(t, nc, le.AppendUint32(appendHeader(nil, OpLocate, 7), 0))
 	resp := readRaw(t, nc)
-	cur := wireCursor{buf: resp}
-	if op, corr := cur.u8(), cur.u32(); op != OpError || corr != 7 {
+	cur := frame.Cursor{Buf: resp}
+	if op, corr := cur.U8("opcode"), cur.U32("correlation ID"); op != OpError || corr != 7 {
 		t.Fatalf("got op 0x%02x corr %d", op, corr)
 	}
-	if code := cur.u8(); code != ErrCodeMalformed {
+	if code := cur.U8("error code"); code != ErrCodeMalformed {
 		t.Fatalf("got code %d, want ErrCodeMalformed", code)
 	}
 	// Trailing garbage after a valid body is malformed too.
-	p := appendU32(appendU32(appendHeader(nil, OpLocate, 8), 0), 0)
+	p := le.AppendUint32(le.AppendUint32(appendHeader(nil, OpLocate, 8), 0), 0)
 	sendRaw(t, nc, append(p, 0xEE))
 	resp = readRaw(t, nc)
 	if resp[0] != OpError || resp[5] != ErrCodeMalformed {
@@ -117,8 +117,8 @@ func TestMalformedBodyKeepsConnection(t *testing.T) {
 func TestMalformedBatchBodies(t *testing.T) {
 	b := newTestBackend(t, 4, 1, 10)
 	nc := rawConn(t, startServer(t, b, nil))
-	pair := func(p []byte) []byte { return appendU32(appendU32(p, 0), 3) }
-	head := func(corr, count uint32) []byte { return appendU32(appendHeader(nil, OpLocateBatch, corr), count) }
+	pair := func(p []byte) []byte { return le.AppendUint32(le.AppendUint32(p, 0), 3) }
+	head := func(corr, count uint32) []byte { return le.AppendUint32(appendHeader(nil, OpLocateBatch, corr), count) }
 	for name, req := range map[string][]byte{
 		"no count":        appendHeader(nil, OpLocateBatch, 1),
 		"half a count":    append(appendHeader(nil, OpLocateBatch, 2), 1, 0),
@@ -204,15 +204,15 @@ func TestSlowReaderEviction(t *testing.T) {
 	// Pipeline large batches without ever reading a reply. Replies overrun
 	// the 4 KiB bounded buffer, the flush to our stalled socket hits the
 	// write deadline, and the server evicts us.
-	payload := appendU32(appendHeader(nil, OpLocateBatch, 1), 512)
+	payload := le.AppendUint32(appendHeader(nil, OpLocateBatch, 1), 512)
 	for i := 0; i < 512; i++ {
-		payload = appendU32(payload, uint32(i%2))
-		payload = appendU32(payload, uint32(i%200))
+		payload = le.AppendUint32(payload, uint32(i%2))
+		payload = le.AppendUint32(payload, uint32(i%200))
 	}
 	bw := bufio.NewWriter(nc)
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if err := frame.Write(bw, payload); err != nil {
+		if err := frame.Write(bw, payload, MaxFrameLen); err != nil {
 			break // server hung up on us mid-write: eviction worked
 		}
 		if err := bw.Flush(); err != nil {

@@ -17,11 +17,11 @@ import (
 // with a valid CRC and replayed, so the fuzzer reaches the per-opcode
 // decoders instead of dying at the checksum.
 func FuzzBinProto(f *testing.F) {
-	f.Add(appendU32(appendU32(appendHeader(nil, OpLocate, 1), 0), 0))
-	f.Add(appendU32(appendHeader(nil, OpLocateBatch, 2), 0))
-	batch := appendU32(appendHeader(nil, OpLocateBatch, 3), 2)
-	batch = appendU32(appendU32(batch, 0), 0)
-	batch = appendU32(appendU32(batch, 1), 5)
+	f.Add(le.AppendUint32(le.AppendUint32(appendHeader(nil, OpLocate, 1), 0), 0))
+	f.Add(le.AppendUint32(appendHeader(nil, OpLocateBatch, 2), 0))
+	batch := le.AppendUint32(appendHeader(nil, OpLocateBatch, 3), 2)
+	batch = le.AppendUint32(le.AppendUint32(batch, 0), 0)
+	batch = le.AppendUint32(le.AppendUint32(batch, 1), 5)
 	f.Add(batch)
 	f.Add(appendHeader(nil, OpEpoch, 4))
 	f.Add(appendHeader(nil, OpPing, 5))
@@ -77,10 +77,10 @@ func FuzzBinProto(f *testing.F) {
 					if err != nil {
 						return
 					}
-					cur := wireCursor{buf: payload}
-					cur.u8()
-					cur.u32()
-					if cur.bad {
+					cur := frame.Cursor{Buf: payload}
+					cur.U8("opcode")
+					cur.U32("correlation ID")
+					if !cur.OK() {
 						panic("server wrote a frame shorter than opcode+corr")
 					}
 				}

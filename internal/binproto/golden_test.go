@@ -25,7 +25,7 @@ func goldenFrames(t *testing.T) map[string][]byte {
 	framed := func(payload []byte) []byte {
 		var buf bytes.Buffer
 		bw := bufio.NewWriter(&buf)
-		if err := frame.Write(bw, payload); err != nil {
+		if err := frame.Write(bw, payload, MaxFrameLen); err != nil {
 			t.Fatal(err)
 		}
 		if err := bw.Flush(); err != nil {
@@ -41,20 +41,20 @@ func goldenFrames(t *testing.T) map[string][]byte {
 
 	// Request: corr 7, lookups (1,0) (1,7) (9,4).
 	req := appendHeader(nil, OpLocateBatch, 7)
-	req = appendU32(req, 3)
+	req = le.AppendUint32(req, 3)
 	for _, e := range [][2]uint32{{1, 0}, {1, 7}, {9, 4}} {
-		req = appendU32(appendU32(req, e[0]), e[1])
+		req = le.AppendUint32(le.AppendUint32(req, e[0]), e[1])
 	}
 
 	// Response: epoch 5, FlagDegraded, disks 3/6/0 with statuses
 	// OK / OK|EntryUnhealthy / ErrCodeUnknownObject.
 	resp := appendHeader(nil, OpLocateBatch|RespFlag, 7)
-	resp = appendU64(resp, 5)
+	resp = le.AppendUint64(resp, 5)
 	resp = append(resp, FlagDegraded)
-	resp = appendU32(resp, 3)
-	resp = append(appendU32(resp, 3), 0)
-	resp = append(appendU32(resp, 6), EntryUnhealthy)
-	resp = append(appendU32(resp, 0), ErrCodeUnknownObject)
+	resp = le.AppendUint32(resp, 3)
+	resp = append(le.AppendUint32(resp, 3), 0)
+	resp = append(le.AppendUint32(resp, 6), EntryUnhealthy)
+	resp = append(le.AppendUint32(resp, 0), ErrCodeUnknownObject)
 
 	return map[string][]byte{
 		"handshake":            hs.Bytes(),
@@ -154,47 +154,47 @@ func TestGoldenFramesDecode(t *testing.T) {
 		t.Errorf("handshake: version %d err %v, want %d", v, err, Version)
 	}
 
-	cur := wireCursor{buf: decode(readGolden("batch3-request"))}
-	if op, corr, n := cur.u8(), cur.u32(), cur.u32(); op != OpLocateBatch || corr != 7 || n != 3 {
+	cur := frame.Cursor{Buf: decode(readGolden("batch3-request"))}
+	if op, corr, n := cur.U8("opcode"), cur.U32("correlation ID"), cur.U32("count"); op != OpLocateBatch || corr != 7 || n != 3 {
 		t.Errorf("request: op 0x%02x corr %d count %d", op, corr, n)
 	}
 	for i, want := range [][2]uint32{{1, 0}, {1, 7}, {9, 4}} {
-		if o, blk := cur.u32(), cur.u32(); o != want[0] || blk != want[1] {
+		if o, blk := cur.U32("object"), cur.U32("block"); o != want[0] || blk != want[1] {
 			t.Errorf("request entry %d: (%d,%d), want (%d,%d)", i, o, blk, want[0], want[1])
 		}
 	}
-	if !cur.done() {
-		t.Error("request: trailing bytes")
+	if err := cur.Done("request"); err != nil {
+		t.Error(err)
 	}
 
-	cur = wireCursor{buf: decode(readGolden("batch3-response"))}
-	if op, corr := cur.u8(), cur.u32(); op != OpLocateBatch|RespFlag || corr != 7 {
+	cur = frame.Cursor{Buf: decode(readGolden("batch3-response"))}
+	if op, corr := cur.U8("opcode"), cur.U32("correlation ID"); op != OpLocateBatch|RespFlag || corr != 7 {
 		t.Errorf("response: op 0x%02x corr %d", op, corr)
 	}
-	if e, fl, n := cur.u64(), cur.u8(), cur.u32(); e != 5 || fl != FlagDegraded || n != 3 {
+	if e, fl, n := cur.U64("epoch"), cur.U8("flags"), cur.U32("count"); e != 5 || fl != FlagDegraded || n != 3 {
 		t.Errorf("response: epoch %d flags 0x%02x count %d", e, fl, n)
 	}
 	for i, want := range []struct {
 		disk   uint32
 		status uint8
 	}{{3, 0}, {6, EntryUnhealthy}, {0, ErrCodeUnknownObject}} {
-		if d, st := cur.u32(), cur.u8(); d != want.disk || st != want.status {
+		if d, st := cur.U32("disk"), cur.U8("status"); d != want.disk || st != want.status {
 			t.Errorf("response entry %d: disk %d status 0x%02x, want %d 0x%02x",
 				i, d, st, want.disk, want.status)
 		}
 	}
-	if !cur.done() {
-		t.Error("response: trailing bytes")
+	if err := cur.Done("response"); err != nil {
+		t.Error(err)
 	}
 
-	cur = wireCursor{buf: decode(readGolden("error-unknown-opcode"))}
-	if op, corr := cur.u8(), cur.u32(); op != OpError || corr != 9 {
+	cur = frame.Cursor{Buf: decode(readGolden("error-unknown-opcode"))}
+	if op, corr := cur.U8("opcode"), cur.U32("correlation ID"); op != OpError || corr != 9 {
 		t.Errorf("error: op 0x%02x corr %d", op, corr)
 	}
-	if code, orig := cur.u8(), cur.u8(); code != ErrCodeUnknownOpcode || orig != 0x6F {
+	if code, orig := cur.U8("error code"), cur.U8("original opcode"); code != ErrCodeUnknownOpcode || orig != 0x6F {
 		t.Errorf("error: code %d orig 0x%02x", code, orig)
 	}
-	if msg := string(cur.rest()); msg != "unknown opcode 0x6f" {
+	if msg := string(cur.Rest()); msg != "unknown opcode 0x6f" {
 		t.Errorf("error message %q", msg)
 	}
 }

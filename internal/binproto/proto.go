@@ -225,51 +225,3 @@ func appendError(dst []byte, corr uint32, code, origOp uint8, msg string) []byte
 	dst = append(dst, code, origOp)
 	return append(dst, msg...)
 }
-
-// wireCursor walks a frame payload's fixed-width little-endian fields with
-// uniform error handling, the fixed-width sibling of repl's uvarint
-// frameCursor. Decoding never allocates.
-type wireCursor struct {
-	buf []byte
-	off int
-	bad bool
-}
-
-func (c *wireCursor) u8() uint8 {
-	if c.bad || c.off+1 > len(c.buf) {
-		c.bad = true
-		return 0
-	}
-	v := c.buf[c.off]
-	c.off++
-	return v
-}
-
-func (c *wireCursor) u32() uint32 {
-	if c.bad || c.off+4 > len(c.buf) {
-		c.bad = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(c.buf[c.off:])
-	c.off += 4
-	return v
-}
-
-func (c *wireCursor) u64() uint64 {
-	if c.bad || c.off+8 > len(c.buf) {
-		c.bad = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(c.buf[c.off:])
-	c.off += 8
-	return v
-}
-
-func (c *wireCursor) rest() []byte {
-	b := c.buf[c.off:]
-	c.off = len(c.buf)
-	return b
-}
-
-// done reports whether the payload parsed cleanly with no trailing bytes.
-func (c *wireCursor) done() bool { return !c.bad && c.off == len(c.buf) }

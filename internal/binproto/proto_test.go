@@ -1,25 +1,16 @@
 package binproto
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 
 	"scaddar/internal/cm"
+	"scaddar/internal/frame"
 )
 
-func TestWireCursorTrailing(t *testing.T) {
-	c := wireCursor{buf: []byte{1, 2, 3, 4, 5}}
-	if c.u32(); !c.done() {
-		// u32 consumed 4 of 5 bytes: done must be false.
-	} else {
-		t.Fatal("done with a trailing byte")
-	}
-	c = wireCursor{buf: []byte{1, 2}}
-	c.u32()
-	if !c.bad {
-		t.Fatal("u32 over a 2-byte buffer did not mark the cursor bad")
-	}
-}
+// le shortens the stdlib appenders the encoders use.
+var le = binary.LittleEndian
 
 func TestErrorCodeMappingIsInverse(t *testing.T) {
 	for _, err := range []error{cm.ErrUnknownObject, cm.ErrBlockOutOfRange, cm.ErrBusy, cm.ErrEpochFenced} {
@@ -48,10 +39,10 @@ func TestEncodeDecodeZeroAlloc(t *testing.T) {
 	scratch := make([]byte, 0, 4096)
 	allocs := testing.AllocsPerRun(200, func() {
 		buf := appendHeader(scratch[:0], OpLocateBatch, 9)
-		buf = appendU32(buf, uint32(len(addrs)))
+		buf = le.AppendUint32(buf, uint32(len(addrs)))
 		for _, a := range addrs {
-			buf = appendU32(buf, uint32(a.Object))
-			buf = appendU32(buf, uint32(a.Index))
+			buf = le.AppendUint32(buf, uint32(a.Object))
+			buf = le.AppendUint32(buf, uint32(a.Index))
 		}
 		scratch = buf[:0]
 	})
@@ -61,19 +52,19 @@ func TestEncodeDecodeZeroAlloc(t *testing.T) {
 
 	// A synthetic batch response to decode into a fixed Result slice.
 	resp := appendHeader(scratch[:0], OpLocateBatch|RespFlag, 9)
-	resp = appendU64(resp, 42)
+	resp = le.AppendUint64(resp, 42)
 	resp = append(resp, 0)
-	resp = appendU32(resp, uint32(len(addrs)))
+	resp = le.AppendUint32(resp, uint32(len(addrs)))
 	for i := range addrs {
-		resp = appendU32(resp, uint32(i%8))
+		resp = le.AppendUint32(resp, uint32(i%8))
 		resp = append(resp, 0)
 	}
 	out := make([]Result, len(addrs))
 	ca := &call{op: OpLocateBatch, out: out}
 	allocs = testing.AllocsPerRun(200, func() {
-		cur := wireCursor{buf: resp}
-		op := cur.u8()
-		cur.u32()
+		cur := frame.Cursor{Buf: resp}
+		op := cur.U8("opcode")
+		cur.U32("correlation ID")
 		decodeInto(ca, op, &cur)
 		if ca.bad || ca.n != len(addrs) {
 			t.Fatal("decode failed")
@@ -90,10 +81,10 @@ func BenchmarkEncodeBatchRequest(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf := appendHeader(scratch[:0], OpLocateBatch, uint32(i))
-		buf = appendU32(buf, uint32(len(addrs)))
+		buf = le.AppendUint32(buf, uint32(len(addrs)))
 		for _, a := range addrs {
-			buf = appendU32(buf, uint32(a.Object))
-			buf = appendU32(buf, uint32(a.Index))
+			buf = le.AppendUint32(buf, uint32(a.Object))
+			buf = le.AppendUint32(buf, uint32(a.Index))
 		}
 		scratch = buf[:0]
 	}
@@ -102,19 +93,19 @@ func BenchmarkEncodeBatchRequest(b *testing.B) {
 func BenchmarkDecodeBatchResponse(b *testing.B) {
 	n := 64
 	resp := appendHeader(nil, OpLocateBatch|RespFlag, 9)
-	resp = appendU64(resp, 42)
+	resp = le.AppendUint64(resp, 42)
 	resp = append(resp, 0)
-	resp = appendU32(resp, uint32(n))
+	resp = le.AppendUint32(resp, uint32(n))
 	for i := 0; i < n; i++ {
-		resp = appendU32(resp, uint32(i%8))
+		resp = le.AppendUint32(resp, uint32(i%8))
 		resp = append(resp, 0)
 	}
 	ca := &call{op: OpLocateBatch, out: make([]Result, n)}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cur := wireCursor{buf: resp}
-		op := cur.u8()
-		cur.u32()
+		cur := frame.Cursor{Buf: resp}
+		op := cur.U8("opcode")
+		cur.U32("correlation ID")
 		decodeInto(ca, op, &cur)
 	}
 }

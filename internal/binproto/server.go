@@ -249,10 +249,9 @@ func (s *Server) handleConn(nc net.Conn) {
 func (s *Server) handleFrame(c *srvConn, payload []byte) (drain bool, err error) {
 	start := time.Now()
 	s.m.frames.Inc()
-	cur := wireCursor{buf: payload}
-	op := cur.u8()
-	corr := cur.u32()
-	if cur.bad {
+	cur := frame.Cursor{Buf: payload}
+	op, corr := cur.U8("opcode"), cur.U32("correlation ID")
+	if !cur.OK() {
 		// Too short to even carry a correlation ID; answer corr 0.
 		s.m.errorFrames.Inc()
 		return false, s.writeReply(c, appendError(c.out[:0], 0, ErrCodeMalformed, op, "frame shorter than header"))
@@ -265,8 +264,8 @@ func (s *Server) handleFrame(c *srvConn, payload []byte) (drain bool, err error)
 			s.m.errorFrames.Inc()
 			return false, s.writeReply(c, appendError(c.out[:0], corr, ErrCodeDraining, op, "server draining"))
 		}
-		object, index := cur.u32(), cur.u32()
-		if !cur.done() {
+		object, index := cur.U32("object"), cur.U32("block")
+		if cur.Done("locate request") != nil {
 			s.m.errorFrames.Inc()
 			return false, s.writeReply(c, appendError(c.out[:0], corr, ErrCodeMalformed, op, "locate body is object u32, block u32"))
 		}
@@ -279,8 +278,8 @@ func (s *Server) handleFrame(c *srvConn, payload []byte) (drain bool, err error)
 			return false, s.writeReply(c, appendError(c.out[:0], corr, CodeForError(lerr), op, lerr.Error()))
 		}
 		out := appendHeader(c.out[:0], op|RespFlag, corr)
-		out = appendU64(out, sn.Epoch())
-		out = appendU32(out, uint32(d))
+		out = binary.LittleEndian.AppendUint64(out, sn.Epoch())
+		out = binary.LittleEndian.AppendUint32(out, uint32(d))
 		out = append(out, snapFlags(sn)|diskFlag(sn, d))
 		err = s.writeReply(c, out)
 
@@ -291,7 +290,7 @@ func (s *Server) handleFrame(c *srvConn, payload []byte) (drain bool, err error)
 		}
 		// The one frame that carries a thousand fields is checked for size
 		// once and read in place, not field by field through the cursor.
-		body := cur.rest()
+		body := cur.Rest()
 		if len(body) < 4 {
 			s.m.errorFrames.Inc()
 			return false, s.writeReply(c, appendError(c.out[:0], corr, ErrCodeMalformed, op, "batch body lacks count"))
@@ -323,9 +322,9 @@ func (s *Server) handleFrame(c *srvConn, payload []byte) (drain bool, err error)
 			out = make([]byte, 0, head+entry*count)
 		}
 		out = appendHeader(out, op|RespFlag, corr)
-		out = appendU64(out, sn.Epoch())
+		out = binary.LittleEndian.AppendUint64(out, sn.Epoch())
 		out = append(out, snapFlags(sn))
-		out = appendU32(out, uint32(count))
+		out = binary.LittleEndian.AppendUint32(out, uint32(count))
 		out = out[:head+entry*count]
 		for i := 0; i < count; i++ {
 			st := entryStatusForLocate(c.status[i])
@@ -341,20 +340,20 @@ func (s *Server) handleFrame(c *srvConn, payload []byte) (drain bool, err error)
 		err = s.writeReply(c, out)
 
 	case OpEpoch:
-		if !cur.done() {
+		if cur.Done("epoch request") != nil {
 			s.m.errorFrames.Inc()
 			return false, s.writeReply(c, appendError(c.out[:0], corr, ErrCodeMalformed, op, "epoch request has no body"))
 		}
 		sn := s.cfg.Snapshot()
 		out := appendHeader(c.out[:0], op|RespFlag, corr)
-		out = appendU64(out, sn.Epoch())
+		out = binary.LittleEndian.AppendUint64(out, sn.Epoch())
 		out = append(out, snapFlags(sn))
-		out = appendU32(out, uint32(sn.N()))
-		out = appendU32(out, uint32(sn.ObjectCount()))
+		out = binary.LittleEndian.AppendUint32(out, uint32(sn.N()))
+		out = binary.LittleEndian.AppendUint32(out, uint32(sn.ObjectCount()))
 		err = s.writeReply(c, out)
 
 	case OpPing:
-		body := cur.rest()
+		body := cur.Rest()
 		if len(body) > maxPingBody {
 			s.m.errorFrames.Inc()
 			return false, s.writeReply(c, appendError(c.out[:0], corr, ErrCodeMalformed, op,
@@ -388,7 +387,7 @@ func (s *Server) handleFrame(c *srvConn, payload []byte) (drain bool, err error)
 func (s *Server) writeReply(c *srvConn, payload []byte) error {
 	c.out = payload[:0]
 	c.nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	return frame.Write(c.bw, payload)
+	return frame.Write(c.bw, payload, MaxFrameLen)
 }
 
 // flush pushes buffered replies to the socket under the write deadline.
@@ -428,15 +427,6 @@ func diskFlag(sn *cm.LocatorSnapshot, d int) uint8 {
 func isTimeout(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
-}
-
-func appendU32(dst []byte, v uint32) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }
 
 func growAddrs(s []cm.BlockAddr, n int) []cm.BlockAddr {

@@ -347,9 +347,9 @@ func TestServerFramesZeroAlloc(t *testing.T) {
 	c := &srvConn{nc: noDeadlineConn{}, bw: bufio.NewWriter(io.Discard)}
 
 	epoch := appendHeader(nil, OpEpoch, 7)
-	batch := appendU32(appendHeader(nil, OpLocateBatch, 8), 256)
+	batch := le.AppendUint32(appendHeader(nil, OpLocateBatch, 8), 256)
 	for i := 0; i < 256; i++ {
-		batch = appendU32(appendU32(batch, uint32(i%64)), uint32(i%50))
+		batch = le.AppendUint32(le.AppendUint32(batch, uint32(i%64)), uint32(i%50))
 	}
 	for name, req := range map[string][]byte{"Epoch": epoch, "LocateBatch": batch} {
 		if n := testing.AllocsPerRun(100, func() {

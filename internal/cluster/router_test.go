@@ -417,10 +417,10 @@ func TestShardOpEndpoint(t *testing.T) {
 		body map[string]any
 		want int
 	}{
-		{map[string]any{"op": "drain", "id": 9}, http.StatusBadRequest},  // unknown shard: not the tail
-		{map[string]any{"op": "drain", "id": 0}, http.StatusBadRequest},  // non-tail
-		{map[string]any{"op": "remove", "id": 0}, http.StatusBadRequest}, // still routing
-		{map[string]any{"op": "remove", "id": 9}, http.StatusNotFound},   // unknown shard
+		{map[string]any{"op": "drain", "id": 9}, http.StatusBadRequest},                  // unknown shard: not the tail
+		{map[string]any{"op": "drain", "id": 0}, http.StatusBadRequest},                  // non-tail
+		{map[string]any{"op": "remove", "id": 0}, http.StatusBadRequest},                 // still routing
+		{map[string]any{"op": "remove", "id": 9}, http.StatusNotFound},                   // unknown shard
 		{map[string]any{"op": "add", "url": c.shards[0].srv.URL}, http.StatusBadRequest}, // duplicate URL
 	} {
 		rec = c.do(t, http.MethodPost, "/v1/cluster/shards", tc.body)

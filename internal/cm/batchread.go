@@ -94,12 +94,12 @@ func (s *Server) executeBatchReads() {
 	groups := s.batchGroups
 	s.inBatchRead.Store(true)
 	if len(groups) == 1 {
-		disk.ReadBlocksFrom(groups[0].ps, reqs[groups[0].lo:groups[0].hi])
+		groups[0].ps.ReadBlocks(reqs[groups[0].lo:groups[0].hi])
 	} else {
 		par.RangesN(len(groups), par.Workers(), func(lo, hi int) {
 			for gi := lo; gi < hi; gi++ {
 				g := groups[gi]
-				disk.ReadBlocksFrom(g.ps, reqs[g.lo:g.hi])
+				g.ps.ReadBlocks(reqs[g.lo:g.hi])
 			}
 		})
 	}

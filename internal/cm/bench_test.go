@@ -29,11 +29,15 @@ func (s *benchSink) Deliver(stream, object, index int, p bufpool.Payload) bool {
 
 func (s *benchSink) StreamClosed(int, StreamState) {}
 
-// unbatchedStore hides a store's BatchReader so disk.ReadBlocksFrom takes
-// the sequential per-block Get fallback — the pre-batching read path, kept
-// as the benchmark baseline.
-type unbatchedStore struct {
-	disk.PayloadStore
+// unbatchedStore answers ReadBlocks the way stores did before batching —
+// one locked, unpooled Get per block — kept as the benchmark baseline.
+type unbatchedStore struct{ *dataplane.Store }
+
+func (u unbatchedStore) ReadBlocks(reqs []disk.BlockRead) {
+	for i := range reqs {
+		data, err := u.Get(reqs[i].Block)
+		reqs[i].Payload, reqs[i].Err = bufpool.Unpooled(data), err
+	}
 }
 
 // benchPayloadServer builds a server over a SCADDAR array of the given size
@@ -57,9 +61,8 @@ func benchPayloadServer(b *testing.B, disks int, cfg Config, unbatched bool) *Se
 	b.Cleanup(func() { mgr.Close() })
 	factory := mgr.Factory()
 	if unbatched {
-		inner := factory
 		factory = func(id int) (disk.PayloadStore, error) {
-			ps, err := inner(id)
+			ps, err := mgr.Open(id)
 			if err != nil {
 				return nil, err
 			}

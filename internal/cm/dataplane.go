@@ -201,7 +201,7 @@ func (s *Server) movePayload(b placement.BlockRef, bid disk.BlockID, src, dst *d
 	var p bufpool.Payload
 	if sps != nil {
 		s.moveRead[0] = disk.BlockRead{Block: bid}
-		disk.ReadBlocksFrom(sps, s.moveRead[:])
+		sps.ReadBlocks(s.moveRead[:])
 		// A faulted slot carries no payload (disk.BlockRead).
 		p, s.moveRead[0] = s.moveRead[0].Payload, disk.BlockRead{}
 	}

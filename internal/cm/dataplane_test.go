@@ -68,7 +68,7 @@ func verifyPayloadInventory(t *testing.T, srv *Server) {
 			if !stored[bid] {
 				t.Fatalf("disk %d: block %d has metadata but no payload", d.ID(), bid)
 			}
-			data, err := ps.Get(bid)
+			data, err := ps.(*dataplane.Store).Get(bid)
 			if err != nil {
 				t.Fatalf("disk %d: read payload %d: %v", d.ID(), bid, err)
 			}

@@ -1,12 +1,12 @@
 package cm
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
+	"slices"
 
+	"scaddar/internal/frame"
 	"scaddar/internal/placement"
 	"scaddar/internal/scaddar"
 	"scaddar/internal/workload"
@@ -72,11 +72,7 @@ func (s *Server) ExportMetadata() (*Metadata, error) {
 	for id := range s.objects {
 		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ {
-		for k := i; k > 0 && ids[k] < ids[k-1]; k-- {
-			ids[k], ids[k-1] = ids[k-1], ids[k]
-		}
-	}
+	slices.Sort(ids)
 	for _, id := range ids {
 		md.Objects = append(md.Objects, s.objects[id])
 	}
@@ -173,16 +169,38 @@ func EncodeMetadataBinary(md *Metadata) ([]byte, error) {
 	dst = append(dst, hist...)
 	dst = binary.AppendUvarint(dst, uint64(len(md.Objects)))
 	for _, obj := range md.Objects {
-		if obj.ID < 0 || obj.Blocks < 0 || obj.BlockBytes < 0 || obj.BitrateBitsPerSec < 0 {
-			return nil, fmt.Errorf("cm: object %d has negative fields", obj.ID)
+		if dst, err = AppendObject(dst, obj); err != nil {
+			return nil, err
 		}
-		dst = binary.AppendUvarint(dst, uint64(obj.ID))
-		dst = binary.AppendUvarint(dst, obj.Seed)
-		dst = binary.AppendUvarint(dst, uint64(obj.Blocks))
-		dst = binary.AppendUvarint(dst, uint64(obj.BlockBytes))
-		dst = binary.AppendUvarint(dst, uint64(obj.BitrateBitsPerSec))
 	}
 	return dst, nil
+}
+
+// AppendObject appends a catalogue entry in the one form every durable
+// format carries it in — five uvarints: ID, seed, blocks, block bytes,
+// bitrate — which checkpoints (here) and journal events (package store)
+// share.
+func AppendObject(dst []byte, obj workload.Object) ([]byte, error) {
+	if obj.ID < 0 || obj.Blocks < 0 || obj.BlockBytes < 0 || obj.BitrateBitsPerSec < 0 {
+		return nil, fmt.Errorf("cm: object %d has negative fields", obj.ID)
+	}
+	dst = binary.AppendUvarint(dst, uint64(obj.ID))
+	dst = binary.AppendUvarint(dst, obj.Seed)
+	dst = binary.AppendUvarint(dst, uint64(obj.Blocks))
+	dst = binary.AppendUvarint(dst, uint64(obj.BlockBytes))
+	return binary.AppendUvarint(dst, uint64(obj.BitrateBitsPerSec)), nil
+}
+
+// ReadObject reads what AppendObject wrote. Like every cursor read it
+// reports failure through c, not here.
+func ReadObject(c *frame.Cursor) workload.Object {
+	return workload.Object{
+		ID:                c.Int("object ID"),
+		Seed:              c.Uvarint("object seed"),
+		Blocks:            c.Int("object blocks"),
+		BlockBytes:        c.Int64("object block bytes"),
+		BitrateBitsPerSec: c.Int64("object bitrate"),
+	}
 }
 
 // DecodeMetadataBinary parses the binary metadata form, validating it
@@ -192,71 +210,26 @@ func DecodeMetadataBinary(data []byte) (*Metadata, error) {
 	if len(data) < len(metadataMagic) || string(data[:4]) != string(metadataMagic[:]) {
 		return nil, fmt.Errorf("cm: binary metadata lacks magic %q", metadataMagic)
 	}
-	r := bytes.NewReader(data[4:])
-	version, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("cm: binary metadata: %w", err)
+	c := frame.Cursor{Buf: data[4:]}
+	md := &Metadata{Version: c.Int("version"), History: &scaddar.History{}}
+	if c.OK() && md.Version != metadataVersion {
+		return nil, fmt.Errorf("cm: metadata version %d, want %d", md.Version, metadataVersion)
 	}
-	if version != metadataVersion {
-		return nil, fmt.Errorf("cm: metadata version %d, want %d", version, metadataVersion)
+	md.Bits = uint(c.Int("generator bits"))
+	md.Epoch = c.Uvarint("epoch")
+	hist := c.Bytes(c.Count(1, "history length"), "history")
+	// Five varints of at least one byte each per object.
+	for n := c.Count(5, "object count"); n > 0; n-- {
+		md.Objects = append(md.Objects, ReadObject(&c))
 	}
-	bits, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("cm: binary metadata: %w", err)
+	if err := c.Done("cm: binary metadata"); err != nil {
+		return nil, err
 	}
-	if bits > 64 {
-		return nil, fmt.Errorf("cm: binary metadata declares %d generator bits", bits)
+	if md.Bits > 64 {
+		return nil, fmt.Errorf("cm: binary metadata declares %d generator bits", md.Bits)
 	}
-	epoch, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("cm: binary metadata: %w", err)
-	}
-	histLen, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("cm: binary metadata: %w", err)
-	}
-	if histLen > uint64(r.Len()) {
-		return nil, fmt.Errorf("cm: binary metadata declares %d history bytes, %d remain", histLen, r.Len())
-	}
-	hist := make([]byte, histLen)
-	if _, err := io.ReadFull(r, hist); err != nil {
-		return nil, fmt.Errorf("cm: binary metadata: %w", err)
-	}
-	history := &scaddar.History{}
-	if err := history.UnmarshalBinary(hist); err != nil {
+	if err := md.History.UnmarshalBinary(hist); err != nil {
 		return nil, fmt.Errorf("cm: binary metadata history: %w", err)
-	}
-	nObjects, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("cm: binary metadata: %w", err)
-	}
-	// Five varints of at least one byte each per object: reject forged
-	// counts before allocating.
-	if nObjects > uint64(r.Len())/5 {
-		return nil, fmt.Errorf("cm: binary metadata declares %d objects in %d bytes", nObjects, r.Len())
-	}
-	md := &Metadata{Version: int(version), History: history, Epoch: epoch, Bits: uint(bits)}
-	for i := uint64(0); i < nObjects; i++ {
-		var fields [5]uint64
-		for k := range fields {
-			fields[k], err = binary.ReadUvarint(r)
-			if err != nil {
-				return nil, fmt.Errorf("cm: binary metadata object %d: %w", i, err)
-			}
-		}
-		if fields[0] > uint64(1)<<62 || fields[2] > uint64(1)<<62 || fields[3] > uint64(1)<<62 || fields[4] > uint64(1)<<62 {
-			return nil, fmt.Errorf("cm: binary metadata object %d has out-of-range fields", i)
-		}
-		md.Objects = append(md.Objects, workload.Object{
-			ID:                int(fields[0]),
-			Seed:              fields[1],
-			Blocks:            int(fields[2]),
-			BlockBytes:        int64(fields[3]),
-			BitrateBitsPerSec: int64(fields[4]),
-		})
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("cm: binary metadata has %d trailing bytes", r.Len())
 	}
 	return md, nil
 }

@@ -114,19 +114,21 @@ func ReadFrameInto(br *bufio.Reader, scratch []byte) (Frame, error) {
 		}
 		return Frame{}, err // between frames: a clean close is a bare io.EOF
 	}
-	switch payload[0] {
+	c := frame.Cursor{Buf: payload}
+	switch tag := c.U8("tag"); tag {
 	case frameData:
-		idx, k := binary.Uvarint(payload[1:])
-		if k <= 0 {
+		f := Frame{Index: c.Int("block index"), Data: c.Rest()}
+		if !c.OK() {
 			return Frame{}, fmt.Errorf("%w: bad block index", ErrFrameCorrupt)
 		}
-		return Frame{Index: int(idx), Data: payload[1+k:]}, nil
+		return f, nil
 	case frameEnd:
-		if len(payload) != 2 {
+		f := Frame{End: true, Reason: CloseReason(c.U8("close reason"))}
+		if c.Done("end frame") != nil {
 			return Frame{}, fmt.Errorf("%w: bad end frame", ErrFrameCorrupt)
 		}
-		return Frame{End: true, Reason: CloseReason(payload[1])}, nil
+		return f, nil
 	default:
-		return Frame{}, fmt.Errorf("%w: unknown frame tag %d", ErrFrameCorrupt, payload[0])
+		return Frame{}, fmt.Errorf("%w: unknown frame tag %d", ErrFrameCorrupt, tag)
 	}
 }

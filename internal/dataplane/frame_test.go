@@ -146,6 +146,14 @@ func TestFrameCorruptionDetected(t *testing.T) {
 	if !errors.Is(err, ErrFrameCorrupt) {
 		t.Fatalf("torn header = %v, want ErrFrameCorrupt", err)
 	}
+	// A block index that does not fit an int is corruption too, whatever
+	// the checksum says: the parent handed the client Index −9223372036854775808.
+	forged := binary.AppendUvarint(append(frame.Begin(nil), frameData), 1<<63)
+	forged = frame.Finish(append(forged, "block bytes"...), 0)
+	f, err := ReadFrame(bufio.NewReader(bytes.NewReader(forged)))
+	if !errors.Is(err, ErrFrameCorrupt) {
+		t.Fatalf("forged block index read as %+v, %v, want ErrFrameCorrupt", f, err)
+	}
 }
 
 // TestReadFrameKeepsCause: a read that fails inside a frame is still

@@ -1,0 +1,128 @@
+package dataplane
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"scaddar/internal/disk"
+	"scaddar/internal/frame"
+)
+
+// golden reads one committed golden file.
+func golden(tb testing.TB, name string) []byte {
+	tb.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// FuzzChunkFrame reads arbitrary bytes as a chunk stream the way a client
+// does — as they are, and again sealed as one frame's payload so the fuzzer
+// reaches the tag and the block index behind a valid checksum. The reader
+// never panics, fails only with ErrFrameCorrupt or a bare io.EOF between
+// frames, never hands out a negative block index or more data than it was
+// given, and what it accepts survives encode → decode.
+func FuzzChunkFrame(f *testing.F) {
+	data, end := golden(f, "chunk-data.bin"), golden(f, "chunk-end.bin")
+	f.Add(append(append([]byte(nil), data...), end...))
+	f.Add(data[frame.HeaderLen:])
+	f.Add(end[frame.HeaderLen:])
+	f.Add(binary.AppendUvarint([]byte{frameData}, 1<<63)) // an index no int holds
+	f.Add([]byte{frameEnd})
+	f.Add([]byte{7, 7, 7})
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		streams := [][]byte{in}
+		if len(in) > 0 {
+			streams = append(streams, frame.Finish(append(frame.Begin(nil), in...), 0))
+		}
+		for _, stream := range streams {
+			br := bufio.NewReader(bytes.NewReader(stream))
+			var scratch []byte
+			for {
+				// A forged length below the 64 MiB bound costs frame.Read an
+				// allocation of that size before the stream runs dry: within
+				// its contract (FuzzFrame), and too slow to fuzz through.
+				if hdr, _ := br.Peek(4); len(hdr) == 4 && binary.LittleEndian.Uint32(hdr) > 1<<20 {
+					break
+				}
+				fr, err := ReadFrameInto(br, scratch)
+				if err != nil {
+					if err != io.EOF && !errors.Is(err, ErrFrameCorrupt) {
+						t.Fatalf("read error %v is neither io.EOF nor ErrFrameCorrupt", err)
+					}
+					break
+				}
+				if fr.Index < 0 || len(fr.Data) > len(stream) {
+					t.Fatalf("frame with index %d and %d data bytes out of a %d-byte stream", fr.Index, len(fr.Data), len(stream))
+				}
+				wire := AppendEndFrame(nil, fr.Reason)
+				if !fr.End {
+					wire = AppendDataFrame(nil, fr.Index, fr.Data)
+				}
+				back, err := ReadFrame(bufio.NewReader(bytes.NewReader(wire)))
+				if err != nil || back.End != fr.End || back.Reason != fr.Reason || back.Index != fr.Index || !bytes.Equal(back.Data, fr.Data) {
+					t.Fatalf("accepted frame %+v re-reads as %+v, %v", fr, back, err)
+				}
+				scratch = fr.Data[:0] // the next read may reuse it, as a client's loop does
+			}
+		}
+	})
+}
+
+// FuzzSegmentRecord covers the two things a segment store reads back from
+// its directory. Arbitrary bytes as a record payload: decodeRecord never
+// panics and returns only a slice of its input. The same bytes as the body
+// of index.idx, sealed under a valid magic, version and checksum, against a
+// store with one 4 KiB segment: the loader never panics, sizes nothing by a
+// count the file could not hold, and an index it accepts places every record
+// inside the bytes its segment table covers — so no read it leads to can
+// carry a negative offset or length.
+func FuzzSegmentRecord(f *testing.F) {
+	f.Add(golden(f, "segment-put.bin")[frame.HeaderLen:])
+	f.Add(golden(f, "segment-del.bin")[frame.HeaderLen:])
+	uvarints := func(vs ...uint64) (b []byte) {
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	f.Add(uvarints(1, 0, 4096, 1, 300, 0, 13, 33))    // one segment; block 300 at offset 13, 33 bytes
+	f.Add(uvarints(1, 0, 4096, 1, 300, 0, 1<<63, 33)) // an offset no int64 holds
+	f.Add(uvarints(1, 0, 4096, 1<<40))                // an entry count no file holds
+	f.Add([]byte{})
+
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if _, _, data, ok := decodeRecord(in); ok && len(data) >= len(in) {
+			t.Fatalf("record data of %d bytes out of a %d-byte payload", len(data), len(in))
+		}
+		idx := append(append([]byte(indexMagic), segVersion), in...)
+		idx = binary.LittleEndian.AppendUint32(idx, frame.Checksum(idx))
+		if err := os.WriteFile(filepath.Join(dir, indexFileName), idx, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := &Store{dir: dir, bySeq: map[uint64]*segment{0: {seq: 0, size: 4096}}}
+		covered, ok := s.loadIndexCheckpoint()
+		if !ok {
+			return
+		}
+		if len(covered) > len(in) || len(s.index) > len(in) {
+			t.Fatalf("%d segments and %d entries out of %d bytes", len(covered), len(s.index), len(in))
+		}
+		for bid, e := range s.index {
+			size, known := covered[e.seg]
+			if !known || e.off < 0 || e.n < 0 || e.off+frame.HeaderLen+int64(e.n) > size || size > 4096 {
+				t.Fatalf("accepted entry %+v for block %d: segment covered to %d (known %v)", e, disk.BlockID(bid), size, known)
+			}
+		}
+	})
+}

@@ -342,23 +342,22 @@ func dataLen(e entry, bid disk.BlockID) int64 {
 
 // decodeRecord splits a record payload into kind, block ID, and data.
 func decodeRecord(payload []byte) (kind int, bid disk.BlockID, data []byte, ok bool) {
-	if len(payload) < 1 {
-		return 0, 0, nil, false
-	}
-	kind = int(payload[0])
-	if kind != recPut && kind != recDel {
-		return 0, 0, nil, false
-	}
-	id, n := binary.Uvarint(payload[1:])
-	if n <= 0 {
-		return 0, 0, nil, false
-	}
-	return kind, disk.BlockID(id), payload[1+n:], true
+	c := frame.Cursor{Buf: payload}
+	kind, bid, data = int(c.U8("kind")), disk.BlockID(c.Uvarint("block ID")), c.Rest()
+	return kind, bid, data, c.OK() && (kind == recPut || kind == recDel)
 }
 
 // appendRecord frames and appends one record to the active segment,
 // rotating first if the segment is full. Returns the record's location.
 func (s *Store) appendRecord(kind int, bid disk.BlockID, data []byte) (entry, error) {
+	s.scratch = append(frame.Begin(s.scratch[:0]), byte(kind))
+	s.scratch = binary.AppendUvarint(s.scratch, uint64(bid))
+	if n := len(s.scratch) - frame.HeaderLen + len(data); n > maxPayloadRecord {
+		// The recovery scan and every read distrust a record over the
+		// bound: storing this one would lose it, and truncate the segment
+		// there, at the next open.
+		return entry{}, fmt.Errorf("dataplane: block %d needs a %d-byte record, over the %d-byte bound", bid, n, maxPayloadRecord)
+	}
 	seg := s.active()
 	if seg.size >= s.opts.SegmentMaxBytes && seg.size > int64(segHeaderLen) {
 		if err := s.newSegment(); err != nil {
@@ -366,8 +365,6 @@ func (s *Store) appendRecord(kind int, bid disk.BlockID, data []byte) (entry, er
 		}
 		seg = s.active()
 	}
-	s.scratch = append(frame.Begin(s.scratch[:0]), byte(kind))
-	s.scratch = binary.AppendUvarint(s.scratch, uint64(bid))
 	s.scratch = frame.Finish(append(s.scratch, data...), 0)
 	if _, err := seg.f.WriteAt(s.scratch, seg.size); err != nil {
 		return entry{}, fmt.Errorf("dataplane: append to %s: %w", seg.path, err)
@@ -493,9 +490,6 @@ type pendingRead struct {
 // batchScratchPool recycles the planning slice across ReadBlocks calls so
 // the steady-state round pipeline performs no per-batch allocation.
 var batchScratchPool = sync.Pool{New: func() any { return new([]pendingRead) }}
-
-// Compile-time check: Store provides the batched read fast path.
-var _ disk.BatchReader = (*Store)(nil)
 
 // ReadBlocks resolves a batch of payload reads in one pass: under the
 // store mutex it consults the fault hook, looks up and pins every
@@ -830,53 +824,34 @@ func (s *Store) loadIndexCheckpoint() (map[uint64]int64, bool) {
 	if frame.Checksum(body) != binary.LittleEndian.Uint32(tail) {
 		return nil, false
 	}
-	r := body[5:]
-	next := func() (uint64, bool) {
-		v, n := binary.Uvarint(r)
-		if n <= 0 {
-			return 0, false
-		}
-		r = r[n:]
-		return v, true
-	}
-	nSegs, ok := next()
-	if !ok {
-		return nil, false
-	}
+	// Count holds both table lengths to what the file could hold (two and
+	// four uvarints a row) before a map is sized by them; Int64 / Int hold every
+	// offset and length to what the entry's fields can carry.
+	c := frame.Cursor{Buf: body[5:]}
+	nSegs := c.Count(2, "segment count")
 	covered := make(map[uint64]int64, nSegs)
-	for i := uint64(0); i < nSegs; i++ {
-		seq, ok1 := next()
-		size, ok2 := next()
-		if !ok1 || !ok2 {
-			return nil, false
-		}
-		seg := s.bySeq[seq]
-		if seg == nil || seg.size < int64(size) {
+	for ; nSegs > 0; nSegs-- {
+		seq, size := c.Uvarint("segment sequence"), c.Int64("covered size")
+		if seg := s.bySeq[seq]; seg == nil || seg.size < size {
 			// The checkpoint references a pruned (or truncated) segment:
 			// it no longer describes reality. Full rescan.
 			return nil, false
 		}
-		covered[seq] = int64(size)
+		covered[seq] = size
 	}
-	nEntries, ok := next()
-	if !ok {
-		return nil, false
-	}
+	nEntries := c.Count(4, "entry count")
 	idx := make(map[disk.BlockID]entry, nEntries)
-	for i := uint64(0); i < nEntries; i++ {
-		bid, ok1 := next()
-		seq, ok2 := next()
-		off, ok3 := next()
-		n, ok4 := next()
-		if !ok1 || !ok2 || !ok3 || !ok4 {
-			return nil, false
+	for ; nEntries > 0; nEntries-- {
+		bid := disk.BlockID(c.Uvarint("block ID"))
+		e := entry{seg: c.Uvarint("segment sequence"), off: c.Int64("record offset")}
+		n := c.Int("payload length")
+		if size, exists := covered[e.seg]; !exists || n > maxPayloadRecord || e.off+frame.HeaderLen+int64(n) > size {
+			return nil, false // a record outside the bytes the checkpoint covers
 		}
-		if _, exists := covered[seq]; !exists {
-			return nil, false
-		}
-		idx[disk.BlockID(bid)] = entry{seg: seq, off: int64(off), n: int32(n)}
+		e.n = int32(n)
+		idx[bid] = e
 	}
-	if len(r) != 0 {
+	if c.Done("index checkpoint") != nil {
 		return nil, false
 	}
 	s.index = idx

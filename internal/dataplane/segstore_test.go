@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"scaddar/internal/disk"
+	"scaddar/internal/frame"
 )
 
 // put stores the oracle payload for (seed, index) under bid.
@@ -350,4 +352,83 @@ func TestManagerRetainDestroysStaleDirs(t *testing.T) {
 	if m.Store(1) != nil || m.Store(7) != nil {
 		t.Fatal("destroyed stores still registered")
 	}
+}
+
+// TestStoreForgedIndexCheckpointIsDiscarded: an index checkpoint whose
+// checksum holds but whose numbers cannot be true — an offset or a length
+// that does not survive the narrowing to the entry's fields, a record outside
+// the bytes the checkpoint covers, a table length the file could not hold —
+// is discarded like any other structural problem, and Open falls back to the
+// scan. (The parent narrowed offset and length unchecked, so the first two
+// loaded as a negative offset and a negative length, and a Get of the block
+// failed or panicked; it sized both maps straight from the declared counts.)
+func TestStoreForgedIndexCheckpointIsDiscarded(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	put(t, s, 9, 3, 9, 128)
+	seq, size := s.active().seq, uint64(s.active().size)
+	e := s.index[9]
+	s.closeFiles()
+
+	u := binary.AppendUvarint
+	index := func(nSegs, nEntries, off, n uint64) []byte {
+		b := u(u(u(append([]byte(indexMagic), segVersion), nSegs), seq), size)
+		b = u(u(u(u(u(b, nEntries), 9), seq), off), n)
+		return binary.LittleEndian.AppendUint32(b, frame.Checksum(b))
+	}
+	for name, idx := range map[string][]byte{
+		"offset of 1<<63":                index(1, 1, 1<<63, uint64(e.n)),
+		"length of 1<<31 + the real one": index(1, 1, uint64(e.off), 1<<31+uint64(e.n)),
+		"record past the covered bytes":  index(1, 1, size-4, uint64(e.n)),
+		"entry count of 1<<40":           index(1, 1<<40, uint64(e.off), uint64(e.n)),
+		"segment count of 1<<40":         index(1<<40, 1, uint64(e.off), uint64(e.n)),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, indexFileName), idx, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenStore(dir, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if r.Len() != 1 {
+			t.Fatalf("%s: recovered Len = %d, want 1", name, r.Len())
+		}
+		wantOracle(t, r, 9, 3, 9, 128)
+		r.closeFiles()
+	}
+	// The honest checkpoint, same builder, is taken: the scan is skipped.
+	if err := os.WriteFile(filepath.Join(dir, indexFileName), index(1, 1, uint64(e.off), uint64(e.n)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := &Store{dir: dir, bySeq: map[uint64]*segment{seq: {seq: seq, size: int64(size)}}}
+	if _, ok := r.loadIndexCheckpoint(); !ok || r.index[9] != e {
+		t.Fatalf("honest checkpoint refused (ok %v) or misread: %+v, want %+v", ok, r.index[9], e)
+	}
+}
+
+// TestPutRejectsOversizeRecord: the store must not accept a record its own
+// recovery scan and reads refuse. A payload that would need a record over
+// maxPayloadRecord fails the Put before a byte is written; the store and
+// what it held stay usable.
+// (Unchecked, the record was appended and acknowledged, and the next open
+// truncated the segment at it — taking every later record along.)
+func TestPutRejectsOversizeRecord(t *testing.T) {
+	s, err := OpenStore(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	put(t, s, 1, 6, 1, 100)
+	size := s.active().size
+	huge := make([]byte, maxPayloadRecord) // never touched: refused before it is copied
+	if err := s.Put(2, huge); err == nil {
+		t.Fatal("a record over the bound was accepted")
+	}
+	if s.Len() != 1 || s.active().size != size {
+		t.Fatalf("rejected Put changed the store: %d blocks, segment %d → %d bytes", s.Len(), size, s.active().size)
+	}
+	wantOracle(t, s, 1, 6, 1, 100)
 }

@@ -165,8 +165,11 @@ func (p Profile) CapacityBlocks(blockBytes int64) int {
 type PayloadStore interface {
 	// Put stores (or replaces) a block's payload.
 	Put(BlockID, []byte) error
-	// Get reads a block's payload, verifying its integrity frame.
-	Get(BlockID) ([]byte, error)
+	// ReadBlocks is the one read path: it fills Payload or Err for every
+	// request slot independently — per-block errors, shared buffers for
+	// physically adjacent records — so the round scheduler issues one call
+	// per disk, and migration reads a block through the same pooled path.
+	ReadBlocks(reqs []BlockRead)
 	// Delete removes a block's payload; absent blocks are a no-op.
 	Delete(BlockID) error
 	// Blocks lists every stored payload's ID in unspecified order.
@@ -195,34 +198,6 @@ type BlockRead struct {
 	// Err is the per-block failure: not-found, integrity, or injected
 	// fault. A fault in one slot must not poison its neighbours.
 	Err error
-}
-
-// BatchReader is the optional batched read fast path of a PayloadStore.
-// ReadBlocks resolves every slot independently — per-block errors, shared
-// buffers for physically adjacent records — letting the round scheduler
-// issue one call per disk instead of one locked Get per stream. Stores
-// that do not implement it are served by a sequential Get fallback.
-type BatchReader interface {
-	// ReadBlocks fills Payload or Err for every request slot.
-	ReadBlocks(reqs []BlockRead)
-}
-
-// ReadBlocksFrom issues a batched read against ps, using the BatchReader
-// fast path when available and falling back to per-block Get otherwise
-// (fallback payloads are unpooled).
-func ReadBlocksFrom(ps PayloadStore, reqs []BlockRead) {
-	if br, ok := ps.(BatchReader); ok {
-		br.ReadBlocks(reqs)
-		return
-	}
-	for i := range reqs {
-		data, err := ps.Get(reqs[i].Block)
-		if err != nil {
-			reqs[i].Payload, reqs[i].Err = bufpool.Payload{}, err
-			continue
-		}
-		reqs[i].Payload, reqs[i].Err = bufpool.Unpooled(data), nil
-	}
 }
 
 // PayloadFactory opens the payload store for a disk by its stable ID —

@@ -11,7 +11,9 @@
 // inside one is ErrTorn, a bad length or checksum is ErrCorrupt. What a
 // verdict means — truncate there, "not flushed yet", drop the connection —
 // and the per-medium bound passed as max are the caller's; ARCHITECTURE.md
-// "Framing" tabulates both per site.
+// "Framing" tabulates both per site. Write takes the same bound, so a writer
+// cannot emit what its readers refuse; what is inside a payload is read with
+// Cursor.
 package frame
 
 import (
@@ -33,6 +35,9 @@ var (
 	// ErrCorrupt reports a complete header declaring a length of zero or
 	// above the bound, or a complete frame whose checksum does not match.
 	ErrCorrupt = errors.New("frame: corrupt frame")
+	// ErrBound reports a payload Write was asked to frame that every reader
+	// holding the same bound would refuse as ErrCorrupt: empty, or over max.
+	ErrBound = errors.New("frame: payload length out of bound")
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -62,11 +67,16 @@ func FinishSplit(dst []byte, start int, body []byte) []byte {
 	return dst
 }
 
-// Write frames payload onto w. The header is built in w's own spare
-// capacity, so nothing escapes to the heap; when the frame overflows the
-// buffer, bufio flushes to the underlying writer under whatever deadline
-// the caller armed.
-func Write(w *bufio.Writer, payload []byte) error {
+// Write frames payload onto w, under the bound max the readers of the same
+// medium pass: a payload they would refuse is refused here with ErrBound
+// before a byte is written, so a writer cannot emit what its readers drop.
+// The header is built in w's own spare capacity, so nothing escapes to the
+// heap; when the frame overflows the buffer, bufio flushes to the underlying
+// writer under whatever deadline the caller armed.
+func Write(w *bufio.Writer, payload []byte, max uint32) error {
+	if n := len(payload); n == 0 || uint64(n) > uint64(max) {
+		return fmt.Errorf("%w: %d bytes, readers accept 1 to %d", ErrBound, n, max)
+	}
 	hdr := binary.LittleEndian.AppendUint32(w.AvailableBuffer(), uint32(len(payload)))
 	hdr = binary.LittleEndian.AppendUint32(hdr, Checksum(payload))
 	if _, err := w.Write(hdr); err != nil {

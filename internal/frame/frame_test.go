@@ -82,7 +82,7 @@ func TestRoundTrip(t *testing.T) {
 	var written bytes.Buffer
 	w := bufio.NewWriterSize(&written, 64)
 	for _, p := range payloads {
-		if err := Write(w, p); err != nil {
+		if err := Write(w, p, 1<<20); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,7 +244,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	dst := make([]byte, 0, 1024)
 	br, buf := bufio.NewReader(bytes.NewReader(wire)), make([]byte, 0, 512)
 	if n := testing.AllocsPerRun(100, func() {
-		if err := Write(w, payload); err != nil {
+		if err := Write(w, payload, 1024); err != nil {
 			t.Fatal(err)
 		}
 		dst = Finish(append(Begin(dst[:0]), payload...), 0)

@@ -8,7 +8,8 @@ import (
 )
 
 // BenchmarkGatewayRead measures the HTTP hot path end to end: mux dispatch,
-// one atomic snapshot load, a SafeLocator lookup, and JSON encoding. The
+// one atomic snapshot load, a catalogue probe plus the compiled chain, and
+// JSON encoding. The
 // parallel variant is the number that matters — the read path holds no lock,
 // so it should scale with GOMAXPROCS.
 func BenchmarkGatewayRead(b *testing.B) {

@@ -8,8 +8,9 @@
 //
 // The read path does not pay for that serialization. Block-location
 // lookups (GET /v1/objects/{id}/blocks/{idx}) run concurrently in the HTTP
-// handlers against an immutable cm.LocatorSnapshot — backed by
-// scaddar.SafeLocator, the paper's O(j) directory-free access function —
+// handlers against an immutable cm.LocatorSnapshot — one probe of the
+// shared placement.Catalog for the object's seed and extent, then the
+// compiled REMAP chain, the paper's O(j) directory-free access function —
 // republished through an atomic pointer after every placement-changing
 // event and after each round while a migration drains. This is the
 // architectural payoff of SCADDAR's AO1 property: because lookup needs no
@@ -67,10 +68,13 @@ type Config struct {
 	// Zero means 5s.
 	RequestTimeout time.Duration
 	// Store, when non-nil, is the durable state store the server journals
-	// into. The gateway group-commits it once per round (so a crash loses
-	// at most the current round's data events), syncs it before
-	// acknowledging mutating control operations (scale, fail, repair),
-	// checkpoints it automatically, and exposes POST /v1/admin/checkpoint.
+	// into. The gateway calls its Sync once per round: a no-op at the
+	// store's default SyncEvery of 1, where every append is already
+	// durable, and the group-commit point of a store opened with
+	// SyncEvery > 1, where a crash loses at most the current round's data
+	// events. It also syncs before acknowledging mutating control
+	// operations (scale, fail, repair), checkpoints automatically, and
+	// exposes POST /v1/admin/checkpoint.
 	// The server must already be bootstrapped into or recovered from it.
 	Store *store.Store
 	// CheckpointEvery triggers an automatic checkpoint once that many

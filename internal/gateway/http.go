@@ -346,7 +346,8 @@ type readResponse struct {
 }
 
 // handleRead is the concurrent read path: no mailbox, no locks — one
-// atomic pointer load and a SafeLocator lookup. Its latency is recorded
+// atomic pointer load, a catalogue probe and the compiled chain
+// (cm.LocatorSnapshot.Locate). Its latency is recorded
 // split by phase (admission = parse+validate, locate = snapshot lookup,
 // service = response delivery); the instrumentation is atomic cells only
 // and adds zero allocations per request.

@@ -155,7 +155,7 @@ func TestHistogramMerge(t *testing.T) {
 	if _, err := a.Snapshot().Merge(c.Snapshot()); err == nil {
 		t.Fatal("merge with different bounds succeeded")
 	}
-	d := MustNewHistogram(append(ExpBuckets(1, 2, 19), 1 << 20))
+	d := MustNewHistogram(append(ExpBuckets(1, 2, 19), 1<<20))
 	if _, err := a.Snapshot().Merge(d.Snapshot()); err == nil {
 		t.Fatal("merge with same-length different bounds succeeded")
 	}

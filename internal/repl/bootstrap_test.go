@@ -16,12 +16,17 @@ package repl
 // proves the walk was contiguous).
 
 import (
+	"fmt"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"scaddar/internal/obs"
 	"scaddar/internal/store"
 )
 
@@ -158,4 +163,70 @@ func corruptCheckpoint(t *testing.T, dir string, lsn uint64) {
 		return
 	}
 	t.Fatalf("no checkpoint covering LSN %d in %s", lsn, dir)
+}
+
+// TestOversizeCheckpointIsNotShipped: a checkpoint that does not fit the
+// frame bound every follower reads under is refused by the leader's own
+// writer — nothing crosses the wire, on the first attempt or on a retry, the
+// snapshot counters stay at zero, and the log says why. (At the parent the
+// hello was framed unchecked, dropped by the follower as corrupt, and shipped
+// again on every reconnect.)
+func TestOversizeCheckpointIsNotShipped(t *testing.T) {
+	srv := newTestServer(t, testConfig(), 4)
+	st, err := store.Open(store.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Bootstrap(srv); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var logged []string
+	reg := obs.NewRegistry()
+	ldr, err := NewLeader(LeaderConfig{Store: st, Registry: reg, Logf: func(format string, args ...any) {
+		mu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, ckpt, err := st.CheckpointData()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ldr.maxFrame = uint32(len(ckpt)) // the hello adds its own fields: one byte too many is enough
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ldr.Serve(ln)
+	for attempt := 1; attempt <= 2; attempt++ {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write(encodeHandshake(0, journalID{})); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := io.ReadAll(conn); err != nil || len(got) != 0 {
+			t.Fatalf("attempt %d: follower received %d bytes (err %v), want a clean close with none", attempt, len(got), err)
+		}
+		conn.Close()
+	}
+	ldr.Close() // joins the connection goroutines: their log lines are in
+	if n := ldr.metrics.snapshots.Value(); n != 0 {
+		t.Errorf("repl_leader_snapshots_total = %d after two refused bootstraps, want 0", n)
+	}
+	reasons := 0
+	for _, line := range logged {
+		if strings.Contains(line, fmt.Sprintf("checkpoint of %d bytes exceeds the", len(ckpt))) && strings.Contains(line, "frame bound") {
+			reasons++
+		}
+	}
+	if reasons != 2 {
+		t.Errorf("leader logged the refusal %d times, want once per attempt; log:\n%s", reasons, strings.Join(logged, "\n"))
+	}
 }

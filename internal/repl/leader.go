@@ -72,6 +72,9 @@ type LeaderStatus struct {
 type Leader struct {
 	cfg LeaderConfig
 	id  journalID // the store's journal identity in wire form
+	// maxFrame is the bound every frame is written under — maxFrameLen, what
+	// followers read under; a field so a test can shrink it.
+	maxFrame uint32
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -128,10 +131,11 @@ func NewLeader(cfg LeaderConfig) (*Leader, error) {
 		return nil, err
 	}
 	return &Leader{
-		cfg:     cfg,
-		id:      id,
-		conns:   make(map[net.Conn]*leaderConn),
-		metrics: newLeaderMetrics(cfg.Registry),
+		cfg:      cfg,
+		id:       id,
+		maxFrame: maxFrameLen,
+		conns:    make(map[net.Conn]*leaderConn),
+		metrics:  newLeaderMetrics(cfg.Registry),
 	}, nil
 }
 
@@ -283,7 +287,11 @@ func (l *Leader) serveConn(conn net.Conn, lc *leaderConn) error {
 
 	cw := &connWriter{conn: conn, w: bufio.NewWriter(conn), timeout: l.cfg.WriteTimeout}
 	reader := l.cfg.Store.NewTailReader(fromLSN)
-	defer func() { reader.Close() }() // reader is reassigned by snapshot splices
+	defer func() { // reader is reassigned by snapshot splices; nil after one that failed
+		if reader != nil {
+			reader.Close()
+		}
+	}()
 
 	// Resume if the journal still holds the requested position; bootstrap
 	// otherwise. Probing with Next both answers that and fetches the first
@@ -307,7 +315,7 @@ func (l *Leader) serveConn(conn net.Conn, lc *leaderConn) error {
 			resumeLSN:   fromLSN,
 			durableLSN:  durable,
 			leaderEpoch: epoch,
-		})); err != nil {
+		}), l.maxFrame); err != nil {
 			return err
 		}
 	}
@@ -340,7 +348,7 @@ func (l *Leader) serveConn(conn net.Conn, lc *leaderConn) error {
 			continue // advanced between Next and DurableNotify
 		}
 		_, epoch := l.cfg.Store.Durable()
-		if err := frame.Write(cw.w, encodeHeartbeat(heartbeat{durableLSN: durable, durableEpoch: epoch})); err != nil {
+		if err := frame.Write(cw.w, encodeHeartbeat(heartbeat{durableLSN: durable, durableEpoch: epoch}), l.maxFrame); err != nil {
 			return err
 		}
 		if err := cw.flush(); err != nil {
@@ -392,7 +400,14 @@ func (l *Leader) sendSnapshot(cw *connWriter, lc *leaderConn, old *store.TailRea
 		leaderEpoch: epoch,
 		ckptData:    data,
 	}
-	if err := frame.Write(cw.w, encodeHelloSnapshot(h)); err != nil {
+	if err := frame.Write(cw.w, encodeHelloSnapshot(h), l.maxFrame); err != nil {
+		if errors.Is(err, frame.ErrBound) {
+			// Every follower reads under the same bound and would drop this
+			// frame as corrupt, reconnect and be sent it again, for ever: ship
+			// nothing and say why. Bootstrapping from a larger checkpoint
+			// needs chunked or content-addressed snapshots (ROADMAP P5).
+			err = fmt.Errorf("checkpoint of %d bytes exceeds the frame bound, not shipped: %w", len(data), err)
+		}
 		return nil, err
 	}
 	if err := cw.flush(); err != nil {
@@ -414,7 +429,7 @@ func (l *Leader) sendRecords(cw *connWriter, lc *leaderConn, batch []store.TailR
 		return nil
 	}
 	for _, rec := range batch {
-		if err := frame.Write(cw.w, encodeRecord(rec.LSN, rec.Event)); err != nil {
+		if err := frame.Write(cw.w, encodeRecord(rec.LSN, rec.Event), l.maxFrame); err != nil {
 			return err
 		}
 	}

@@ -51,6 +51,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"scaddar/internal/frame"
 )
 
 // Protocol constants. The version byte is checked exactly: there is one
@@ -180,90 +182,48 @@ func encodeHeartbeat(h heartbeat) []byte {
 	return binary.AppendUvarint(p, h.durableEpoch)
 }
 
-// frameCursor walks a frame payload's uvarint fields with uniform error
-// handling.
-type frameCursor struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (c *frameCursor) uvarint(what string) uint64 {
-	if c.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(c.buf[c.off:])
-	if n <= 0 {
-		c.err = fmt.Errorf("%w: truncated %s", errBadFrame, what)
-		return 0
-	}
-	c.off += n
-	return v
-}
-
-func (c *frameCursor) bytes(n uint64, what string) []byte {
-	if c.err != nil {
-		return nil
-	}
-	if uint64(len(c.buf)-c.off) < n {
-		c.err = fmt.Errorf("%w: %s wants %d bytes, %d left", errBadFrame, what, n, len(c.buf)-c.off)
-		return nil
-	}
-	b := c.buf[c.off : c.off+int(n)]
-	c.off += int(n)
-	return b
-}
-
-func (c *frameCursor) rest() []byte {
-	b := c.buf[c.off:]
-	c.off = len(c.buf)
-	return b
-}
-
-func (c *frameCursor) done(what string) error {
-	if c.err != nil {
-		return c.err
-	}
-	if c.off != len(c.buf) {
-		return fmt.Errorf("%w: %s has %d trailing bytes", errBadFrame, what, len(c.buf)-c.off)
+// The decoders below parse the payload of a frame whose type byte, p[0],
+// the caller dispatched on; done turns whatever the cursor could not read,
+// or left unread, into errBadFrame.
+func done(c *frame.Cursor, payload string) error {
+	if err := c.Done(payload); err != nil {
+		return fmt.Errorf("%w: %v", errBadFrame, err)
 	}
 	return nil
 }
 
-func decodeHelloSnapshot(p []byte) (helloSnapshot, error) {
-	c := frameCursor{buf: p, off: 1}
-	var h helloSnapshot
-	copy(h.journal[:], c.bytes(journalIDLen, "journal identity"))
-	h.ckptLSN = c.uvarint("checkpoint LSN")
-	h.ckptEpoch = c.uvarint("checkpoint epoch")
-	h.durableLSN = c.uvarint("durable LSN")
-	h.leaderEpoch = c.uvarint("leader epoch")
-	h.ckptData = c.bytes(c.uvarint("checkpoint length"), "checkpoint")
-	return h, c.done("hello-snapshot")
+func decodeHelloSnapshot(p []byte) (h helloSnapshot, err error) {
+	c := frame.Cursor{Buf: p}
+	c.U8("frame type")
+	copy(h.journal[:], c.Bytes(journalIDLen, "journal identity"))
+	h.ckptLSN = c.Uvarint("checkpoint LSN")
+	h.ckptEpoch = c.Uvarint("checkpoint epoch")
+	h.durableLSN = c.Uvarint("durable LSN")
+	h.leaderEpoch = c.Uvarint("leader epoch")
+	h.ckptData = c.Bytes(c.Count(1, "checkpoint length"), "checkpoint")
+	return h, done(&c, "hello-snapshot")
 }
 
-func decodeHelloResume(p []byte) (helloResume, error) {
-	c := frameCursor{buf: p, off: 1}
-	var h helloResume
-	copy(h.journal[:], c.bytes(journalIDLen, "journal identity"))
-	h.resumeLSN = c.uvarint("resume LSN")
-	h.durableLSN = c.uvarint("durable LSN")
-	h.leaderEpoch = c.uvarint("leader epoch")
-	return h, c.done("hello-resume")
+func decodeHelloResume(p []byte) (h helloResume, err error) {
+	c := frame.Cursor{Buf: p}
+	c.U8("frame type")
+	copy(h.journal[:], c.Bytes(journalIDLen, "journal identity"))
+	h.resumeLSN = c.Uvarint("resume LSN")
+	h.durableLSN = c.Uvarint("durable LSN")
+	h.leaderEpoch = c.Uvarint("leader epoch")
+	return h, done(&c, "hello-resume")
 }
 
 func decodeRecord(p []byte) (lsn uint64, event []byte, err error) {
-	c := frameCursor{buf: p, off: 1}
-	lsn = c.uvarint("record LSN")
-	event = c.rest()
-	return lsn, event, c.done("record")
+	c := frame.Cursor{Buf: p}
+	c.U8("frame type")
+	lsn, event = c.Uvarint("record LSN"), c.Rest()
+	return lsn, event, done(&c, "record")
 }
 
-func decodeHeartbeat(p []byte) (heartbeat, error) {
-	c := frameCursor{buf: p, off: 1}
-	h := heartbeat{
-		durableLSN:   c.uvarint("durable LSN"),
-		durableEpoch: c.uvarint("durable epoch"),
-	}
-	return h, c.done("heartbeat")
+func decodeHeartbeat(p []byte) (h heartbeat, err error) {
+	c := frame.Cursor{Buf: p}
+	c.U8("frame type")
+	h.durableLSN, h.durableEpoch = c.Uvarint("durable LSN"), c.Uvarint("durable epoch")
+	return h, done(&c, "heartbeat")
 }

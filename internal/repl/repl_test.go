@@ -302,7 +302,7 @@ func startScriptedLeader(t *testing.T, hello []byte) *scriptedLeader {
 					return
 				}
 				w := bufio.NewWriter(conn)
-				if err := frame.Write(w, sl.hello); err != nil {
+				if err := frame.Write(w, sl.hello, maxFrameLen); err != nil {
 					return
 				}
 				if err := w.Flush(); err != nil {
@@ -313,7 +313,7 @@ func startScriptedLeader(t *testing.T, hello []byte) *scriptedLeader {
 					pending := sl.frames[sent:]
 					sl.mu.Unlock()
 					for _, payload := range pending {
-						if err := frame.Write(w, payload); err != nil {
+						if err := frame.Write(w, payload, maxFrameLen); err != nil {
 							return
 						}
 						sent++

@@ -1,11 +1,11 @@
 package scaddar
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
+
+	"scaddar/internal/frame"
 )
 
 // This file gives History durable encodings. The paper's point is that
@@ -115,74 +115,48 @@ func (h *History) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary implements encoding.BinaryUnmarshaler, replaying and
 // re-validating the encoded operations.
 func (h *History) UnmarshalBinary(data []byte) error {
-	rd := bytes.NewReader(data)
-	var magic [4]byte
-	if _, err := io.ReadFull(rd, magic[:]); err != nil {
-		return fmt.Errorf("scaddar: binary history: %w", err)
+	c := frame.Cursor{Buf: data}
+	if magic := c.Bytes(len(binaryMagic), "magic"); c.OK() && [4]byte(magic) != binaryMagic {
+		return fmt.Errorf("scaddar: binary history: bad magic %q", magic)
 	}
-	if magic != binaryMagic {
-		return fmt.Errorf("scaddar: binary history: bad magic %q", magic[:])
-	}
-	version, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return fmt.Errorf("scaddar: binary history: %w", err)
-	}
-	if version != binaryVersion {
+	if version := c.Uvarint("version"); c.OK() && version != binaryVersion {
 		return fmt.Errorf("scaddar: binary history: unsupported version %d", version)
 	}
-	n0u, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return fmt.Errorf("scaddar: binary history: %w", err)
+	n0 := c.Int("n0")
+	// Every operation costs at least its kind and count bytes, and every
+	// removed index at least one delta byte: Count holds both lengths to
+	// what the input could hold before anything is sized or looped by them.
+	nops := c.Count(2, "operation count")
+	if !c.OK() {
+		return c.Done("scaddar: binary history")
 	}
-	nops, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return fmt.Errorf("scaddar: binary history: %w", err)
-	}
-	out, err := NewHistory(int(n0u))
+	out, err := NewHistory(n0)
 	if err != nil {
 		return err
 	}
-	for i := uint64(0); i < nops; i++ {
-		kindU, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return fmt.Errorf("scaddar: binary history op %d: %w", i+1, err)
-		}
-		count, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return fmt.Errorf("scaddar: binary history op %d: %w", i+1, err)
-		}
-		switch OpKind(kindU) {
-		case OpAdd:
-			if _, err := out.Add(int(count)); err != nil {
-				return fmt.Errorf("scaddar: binary history op %d: %w", i+1, err)
-			}
-		case OpRemove:
-			// Each removed index costs at least one delta byte, so a count
-			// beyond the remaining input is corrupt; checking first keeps a
-			// short forged header from forcing a huge allocation.
-			if count > uint64(rd.Len()) {
-				return fmt.Errorf("scaddar: binary history op %d: %d removals but %d bytes left",
-					i+1, count, rd.Len())
-			}
-			removed := make([]int, count)
+	for i := 1; i <= nops && c.OK(); i++ {
+		switch kind := c.Uvarint("operation kind"); kind {
+		case uint64(OpAdd):
+			_, err = out.Add(c.Int("disks added"))
+		case uint64(OpRemove):
+			removed := make([]int, c.Count(1, "removal count"))
 			prev := 0
 			for k := range removed {
-				delta, err := binary.ReadUvarint(rd)
-				if err != nil {
-					return fmt.Errorf("scaddar: binary history op %d: %w", i+1, err)
-				}
-				prev += int(delta)
+				// Int leaves a bit of headroom: a sum that overflows goes
+				// negative, stays in removed, and Remove refuses it.
+				prev += c.Int("removed index delta")
 				removed[k] = prev
 			}
-			if _, err := out.Remove(removed...); err != nil {
-				return fmt.Errorf("scaddar: binary history op %d: %w", i+1, err)
-			}
+			_, err = out.Remove(removed...)
 		default:
-			return fmt.Errorf("scaddar: binary history op %d: unknown kind %d", i+1, kindU)
+			err = fmt.Errorf("unknown kind %d", kind)
+		}
+		if err != nil && c.OK() {
+			return fmt.Errorf("scaddar: binary history op %d: %w", i, err)
 		}
 	}
-	if rd.Len() != 0 {
-		return fmt.Errorf("scaddar: binary history: %d trailing bytes", rd.Len())
+	if err := c.Done("scaddar: binary history"); err != nil {
+		return err
 	}
 	old := h.version
 	*h = *out

@@ -2,6 +2,7 @@ package scaddar
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -69,11 +70,17 @@ type History struct {
 	cc      *chainCache
 }
 
+// maxDisks bounds a History's disk count, far above any array and below
+// where N + count could overflow an int. It is the bound the binary codec
+// holds every count to (frame.Cursor.Int), kept here so that the JSON codec
+// and the API accept exactly the histories the binary codec can carry.
+const maxDisks = math.MaxInt >> 1
+
 // NewHistory creates a History for an array that starts with n0 >= 1 disks
 // and no scaling operations.
 func NewHistory(n0 int) (*History, error) {
-	if n0 < 1 {
-		return nil, fmt.Errorf("scaddar: initial disk count %d, need at least 1", n0)
+	if n0 < 1 || n0 > maxDisks {
+		return nil, fmt.Errorf("scaddar: initial disk count %d, need 1 to %d", n0, maxDisks)
 	}
 	return &History{n0: n0, cc: &chainCache{}}, nil
 }
@@ -112,8 +119,8 @@ func (h *History) Op(j int) Op { return h.ops[j-1] }
 // Add records the addition of a disk group of count disks and returns the
 // recorded operation.
 func (h *History) Add(count int) (Op, error) {
-	if count < 1 {
-		return Op{}, fmt.Errorf("scaddar: add of %d disks, need at least 1", count)
+	if count < 1 || count > maxDisks-h.N() {
+		return Op{}, fmt.Errorf("scaddar: add of %d disks to %d, need at least 1 and at most %d in all", count, h.N(), maxDisks)
 	}
 	op := Op{Kind: OpAdd, NBefore: h.N(), NAfter: h.N() + count}
 	h.ops = append(h.ops, op)

@@ -1,7 +1,9 @@
 package scaddar
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -388,6 +390,36 @@ func TestBinaryRejectsCorrupt(t *testing.T) {
 	trailing := append(append([]byte{}, good...), 0x01)
 	if err := back.UnmarshalBinary(trailing); err == nil {
 		t.Error("trailing bytes accepted")
+	}
+}
+
+// TestBinaryRejectsForgedCounts: a count the decoder would have to narrow is
+// held to the bound first. The parent cast each straight to int and accepted
+// every one of these — a history with a negative disk count, removal indices
+// that wrap around to valid ones out of order, an operation kind of 257 read
+// as an add — and the JSON codec and the API took the same disk counts.
+func TestBinaryRejectsForgedCounts(t *testing.T) {
+	u := binary.AppendUvarint
+	head := func(n0, nops uint64) []byte { return u(u(u([]byte("SCDR"), 1), n0), nops) }
+	for name, data := range map[string][]byte{
+		"n0 of MaxInt64, then an add that overflows it": u(u(head(math.MaxInt64, 1), uint64(OpAdd)), 1),
+		"add of MaxInt64 disks":                         u(u(head(4, 1), uint64(OpAdd)), math.MaxInt64),
+		"three adds that overflow only together":        u(u(u(u(u(u(head(1, 3), 1), 1<<62-2), 1), 1<<62-2), 1), 1<<62-2),
+		"removal delta of -1 as a uvarint":              u(u(u(u(head(4, 1), uint64(OpRemove)), 2), 1), math.MaxUint64),
+		"operation kind 257":                            u(u(head(4, 1), 257), 1),
+		"operation count the input cannot hold":         head(4, 1<<40),
+	} {
+		var h History
+		if err := h.UnmarshalBinary(data); err == nil {
+			t.Errorf("%s: accepted as %s with N = %d", name, h.String(), h.N())
+		}
+	}
+	if _, err := NewHistory(math.MaxInt64); err == nil {
+		t.Error("NewHistory accepted a disk count no codec can carry")
+	}
+	var h History
+	if err := json.Unmarshal([]byte(`{"n0":4,"ops":[{"kind":1,"nBefore":4,"nAfter":9223372036854775807}]}`), &h); err == nil {
+		t.Errorf("JSON codec accepted an add to N = %d", h.N())
 	}
 }
 

@@ -20,10 +20,8 @@ package store
 // the original server used.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -76,8 +74,11 @@ func encodeCheckpoint(lsn, epoch uint64, cfg cm.Config, md *cm.Metadata) ([]byte
 	return append(out, payload...), nil
 }
 
-// decodeCheckpoint parses and validates a checkpoint file.
-func decodeCheckpoint(data []byte) (lsn, epoch uint64, cfg cm.Config, md *cm.Metadata, err error) {
+// DecodeCheckpointData parses and validates checkpoint bytes — a checkpoint
+// file, or what CheckpointData ships to a follower — returning the covered
+// LSN, the replication epoch at it, the server configuration, and the
+// metadata.
+func DecodeCheckpointData(data []byte) (lsn, epoch uint64, cfg cm.Config, md *cm.Metadata, err error) {
 	if len(data) < ckptHeaderLen || string(data[:4]) != ckptMagic {
 		return 0, 0, cfg, nil, fmt.Errorf("store: checkpoint lacks magic %q", ckptMagic)
 	}
@@ -88,87 +89,23 @@ func decodeCheckpoint(data []byte) (lsn, epoch uint64, cfg cm.Config, md *cm.Met
 	if frame.Checksum(payload) != binary.LittleEndian.Uint32(data[5:]) {
 		return 0, 0, cfg, nil, fmt.Errorf("store: checkpoint CRC mismatch")
 	}
-	r := bytes.NewReader(payload)
-	if lsn, err = binary.ReadUvarint(r); err != nil {
-		return 0, 0, cfg, nil, fmt.Errorf("store: checkpoint LSN: %w", err)
-	}
-	if epoch, err = binary.ReadUvarint(r); err != nil {
-		return 0, 0, cfg, nil, fmt.Errorf("store: checkpoint epoch: %w", err)
-	}
-	round, err := readUint(r, "round length")
-	if err != nil {
+	c := frame.Cursor{Buf: payload}
+	lsn, epoch = c.Uvarint("LSN"), c.Uvarint("epoch")
+	cfg.Round = time.Duration(c.Int64("round length"))
+	cfg.Profile = readProfile(&c)
+	cfg.BlockBytes = c.Int64("block size")
+	cfg.Utilization = c.Float64("utilization")
+	cfg.OverloadTarget = c.Float64("overload target")
+	cfg.GeneratorBits = uint(c.Int("generator bits"))
+	cfg.Tolerance = c.Float64("tolerance")
+	cfg.CacheBlocks = c.Int("cache blocks")
+	cfg.MeasureRounds = c.U8("measure-rounds flag") != 0
+	cfg.Redundancy = cm.Redundancy(c.Int("redundancy"))
+	cfg.ParityGroup = c.Int("parity group")
+	mdBytes := c.Bytes(c.Count(1, "metadata length"), "metadata")
+	if err := c.Done("store: checkpoint"); err != nil {
 		return 0, 0, cfg, nil, err
 	}
-	cfg.Round = time.Duration(round)
-	if cfg.Profile, err = readProfile(r); err != nil {
-		return 0, 0, cfg, nil, err
-	}
-	blockBytes, err := readUint(r, "block size")
-	if err != nil {
-		return 0, 0, cfg, nil, err
-	}
-	cfg.BlockBytes = int64(blockBytes)
-	if cfg.Utilization, err = readFloat(r, "utilization"); err != nil {
-		return 0, 0, cfg, nil, err
-	}
-	if cfg.OverloadTarget, err = readFloat(r, "overload target"); err != nil {
-		return 0, 0, cfg, nil, err
-	}
-	bits, err := readUint(r, "generator bits")
-	if err != nil {
-		return 0, 0, cfg, nil, err
-	}
-	cfg.GeneratorBits = uint(bits)
-	if cfg.Tolerance, err = readFloat(r, "tolerance"); err != nil {
-		return 0, 0, cfg, nil, err
-	}
-	cacheBlocks, err := readUint(r, "cache blocks")
-	if err != nil {
-		return 0, 0, cfg, nil, err
-	}
-	cfg.CacheBlocks = int(cacheBlocks)
-	measure, err := r.ReadByte()
-	if err != nil {
-		return 0, 0, cfg, nil, fmt.Errorf("store: measure-rounds flag: %w", err)
-	}
-	cfg.MeasureRounds = measure != 0
-	redundancy, err := readUint(r, "redundancy")
-	if err != nil {
-		return 0, 0, cfg, nil, err
-	}
-	cfg.Redundancy = cm.Redundancy(redundancy)
-	parityGroup, err := readUint(r, "parity group")
-	if err != nil {
-		return 0, 0, cfg, nil, err
-	}
-	cfg.ParityGroup = int(parityGroup)
-	mdLen, err := readCount(r, 1, "metadata")
-	if err != nil {
-		return 0, 0, cfg, nil, err
-	}
-	mdBytes := make([]byte, mdLen)
-	if _, err := io.ReadFull(r, mdBytes); err != nil {
-		return 0, 0, cfg, nil, fmt.Errorf("store: checkpoint metadata: %w", err)
-	}
-	if md, err = cm.DecodeMetadataBinary(mdBytes); err != nil {
-		return 0, 0, cfg, nil, err
-	}
-	if r.Len() != 0 {
-		return 0, 0, cfg, nil, fmt.Errorf("store: checkpoint has %d trailing bytes", r.Len())
-	}
-	return lsn, epoch, cfg, md, nil
-}
-
-// readFloat reads a fixed 8-byte float64 and rejects NaNs (no config field
-// is legitimately NaN, and NaN != NaN breaks comparisons downstream).
-func readFloat(r *bytes.Reader, what string) (float64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, fmt.Errorf("store: %s: %w", what, err)
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
-	if math.IsNaN(v) {
-		return 0, fmt.Errorf("store: %s is NaN", what)
-	}
-	return v, nil
+	md, err = cm.DecodeMetadataBinary(mdBytes)
+	return lsn, epoch, cfg, md, err
 }

@@ -7,23 +7,22 @@ package store
 // or fuzzed payload cannot allocate unboundedly.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"time"
 
 	"scaddar/internal/cm"
 	"scaddar/internal/disk"
-	"scaddar/internal/workload"
+	"scaddar/internal/frame"
 )
 
-// appendEvent serializes an event onto dst.
-func appendEvent(dst []byte, ev cm.Event) ([]byte, error) {
-	dst = binary.AppendUvarint(dst, uint64(ev.Kind))
+// EncodeEvent renders one event in the journal's binary form, the inverse of
+// DecodeEvent.
+func EncodeEvent(ev cm.Event) ([]byte, error) {
+	dst := binary.AppendUvarint(nil, uint64(ev.Kind))
 	switch ev.Kind {
 	case cm.EventObjectAdded, cm.EventIngestCommitted:
-		return appendObject(dst, ev.Object)
+		return cm.AppendObject(dst, ev.Object)
 	case cm.EventObjectRemoved:
 		if ev.ObjectID < 0 {
 			return nil, fmt.Errorf("store: negative object ID %d", ev.ObjectID)
@@ -78,18 +77,6 @@ func appendEvent(dst []byte, ev cm.Event) ([]byte, error) {
 	}
 }
 
-func appendObject(dst []byte, obj workload.Object) ([]byte, error) {
-	if obj.ID < 0 || obj.Blocks < 0 || obj.BlockBytes < 0 || obj.BitrateBitsPerSec < 0 {
-		return nil, fmt.Errorf("store: object %d has negative fields", obj.ID)
-	}
-	dst = binary.AppendUvarint(dst, uint64(obj.ID))
-	dst = binary.AppendUvarint(dst, obj.Seed)
-	dst = binary.AppendUvarint(dst, uint64(obj.Blocks))
-	dst = binary.AppendUvarint(dst, uint64(obj.BlockBytes))
-	dst = binary.AppendUvarint(dst, uint64(obj.BitrateBitsPerSec))
-	return dst, nil
-}
-
 func appendProfile(dst []byte, p disk.Profile) ([]byte, error) {
 	if p.CapacityBytes < 0 || p.AvgSeek < 0 || p.RPM < 0 || p.TransferBytesPerSec < 0 {
 		return nil, fmt.Errorf("store: profile %q has negative fields", p.Name)
@@ -115,219 +102,68 @@ func appendBlockList(dst []byte, list []cm.BlockPos) ([]byte, error) {
 	return dst, nil
 }
 
-// maxInt rejects values that cannot round-trip through int on any platform.
-const maxInt = 1<<62 - 1
-
-// EncodeEvent renders one event in the journal's binary form — the inverse
-// of DecodeEvent, exported for replication tests and tools that synthesize
-// streams.
-func EncodeEvent(ev cm.Event) ([]byte, error) {
-	return appendEvent(nil, ev)
-}
-
-// DecodeEvent parses one event payload (the Event bytes of a TailRecord),
-// rejecting trailing bytes. It is the exported face of the journal's event
-// codec for replication consumers.
+// DecodeEvent parses one event payload (the Event bytes of a TailRecord) —
+// the inverse of EncodeEvent — rejecting trailing bytes.
 func DecodeEvent(data []byte) (cm.Event, error) {
-	return decodeEvent(data)
-}
-
-// decodeEvent parses one event payload, rejecting trailing bytes.
-func decodeEvent(data []byte) (cm.Event, error) {
-	r := bytes.NewReader(data)
-	ev, err := readEvent(r)
-	if err != nil {
-		return cm.Event{}, err
-	}
-	if r.Len() != 0 {
-		return cm.Event{}, fmt.Errorf("store: event has %d trailing bytes", r.Len())
-	}
-	return ev, nil
-}
-
-func readEvent(r *bytes.Reader) (cm.Event, error) {
-	kind, err := readUint(r, "event kind")
-	if err != nil {
-		return cm.Event{}, err
-	}
-	ev := cm.Event{Kind: cm.EventKind(kind)}
+	c := frame.Cursor{Buf: data}
+	ev := cm.Event{Kind: cm.EventKind(c.Int("event kind"))}
 	switch ev.Kind {
 	case cm.EventObjectAdded, cm.EventIngestCommitted:
-		ev.Object, err = readObject(r)
-		return ev, err
+		ev.Object = cm.ReadObject(&c)
 	case cm.EventObjectRemoved:
-		id, err := readUint(r, "object ID")
-		ev.ObjectID = int(id)
-		return ev, err
+		ev.ObjectID = c.Int("object ID")
 	case cm.EventScaleUpStarted:
-		count, err := readUint(r, "disk count")
-		if err != nil {
-			return cm.Event{}, err
-		}
-		ev.Count = int(count)
-		flag, err := r.ReadByte()
-		if err != nil {
-			return cm.Event{}, fmt.Errorf("store: profile flag: %w", err)
-		}
-		switch flag {
+		ev.Count = c.Int("disk count")
+		switch flag := c.U8("profile flag"); flag {
 		case 0:
 		case 1:
-			p, err := readProfile(r)
-			if err != nil {
-				return cm.Event{}, err
-			}
+			p := readProfile(&c)
 			ev.Profile = &p
 		default:
 			return cm.Event{}, fmt.Errorf("store: profile flag %d", flag)
 		}
-		return ev, nil
 	case cm.EventScaleDownStarted:
-		n, err := readCount(r, 1, "disk list")
-		if err != nil {
-			return cm.Event{}, err
+		for n := c.Count(1, "disk list length"); n > 0; n-- {
+			ev.Disks = append(ev.Disks, c.Int("disk index"))
 		}
-		for i := uint64(0); i < n; i++ {
-			d, err := readUint(r, "disk index")
-			if err != nil {
-				return cm.Event{}, err
-			}
-			ev.Disks = append(ev.Disks, int(d))
-		}
-		return ev, nil
 	case cm.EventRedistributeStarted, cm.EventReorgCompleted:
-		return ev, nil
 	case cm.EventBlocksMigrated:
-		ev.Moves, err = readBlockList(r)
-		return ev, err
+		ev.Moves = readBlockList(&c)
 	case cm.EventDiskFailed:
-		d, err := readUint(r, "disk index")
-		if err != nil {
-			return cm.Event{}, err
-		}
-		ev.Disk = int(d)
-		ev.Lost, err = readBlockList(r)
-		return ev, err
+		ev.Disk = c.Int("disk index")
+		ev.Lost = readBlockList(&c)
 	case cm.EventDiskRepaired:
-		d, err := readUint(r, "disk index")
-		ev.Disk = int(d)
-		return ev, err
+		ev.Disk = c.Int("disk index")
 	case cm.EventBlocksRebuilt:
-		n, err := readCount(r, 3, "rebuild list")
-		if err != nil {
-			return cm.Event{}, err
+		for n := c.Count(3, "rebuild list length"); n > 0; n-- {
+			ev.Rebuilt = append(ev.Rebuilt, cm.RebuildPos{
+				Kind: c.Int("rebuild kind"), Object: c.Int("object ID"), Index: c.Uvarint("block index")})
 		}
-		for i := uint64(0); i < n; i++ {
-			kind, err := readUint(r, "rebuild kind")
-			if err != nil {
-				return cm.Event{}, err
-			}
-			object, err := readUint(r, "object ID")
-			if err != nil {
-				return cm.Event{}, err
-			}
-			index, err := binary.ReadUvarint(r)
-			if err != nil {
-				return cm.Event{}, fmt.Errorf("store: block index: %w", err)
-			}
-			ev.Rebuilt = append(ev.Rebuilt, cm.RebuildPos{Kind: int(kind), Object: int(object), Index: index})
-		}
-		return ev, nil
 	default:
-		return cm.Event{}, fmt.Errorf("store: unknown event kind %d", kind)
+		if c.OK() {
+			return cm.Event{}, fmt.Errorf("store: unknown event kind %d", ev.Kind)
+		}
 	}
+	if err := c.Done("store: event"); err != nil {
+		return cm.Event{}, err
+	}
+	return ev, nil
 }
 
-// readUint reads a uvarint that must fit an int.
-func readUint(r *bytes.Reader, what string) (uint64, error) {
-	v, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, fmt.Errorf("store: %s: %w", what, err)
-	}
-	if v > maxInt {
-		return 0, fmt.Errorf("store: %s %d out of range", what, v)
-	}
-	return v, nil
-}
-
-// readCount reads a list length and rejects counts the remaining bytes
-// cannot possibly hold (minBytes is the minimum encoded size per element).
-func readCount(r *bytes.Reader, minBytes int, what string) (uint64, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, fmt.Errorf("store: %s length: %w", what, err)
-	}
-	if n > uint64(r.Len())/uint64(minBytes) {
-		return 0, fmt.Errorf("store: %s declares %d entries in %d bytes", what, n, r.Len())
-	}
-	return n, nil
-}
-
-func readObject(r *bytes.Reader) (workload.Object, error) {
-	var fields [5]uint64
-	for k, what := range [5]string{"object ID", "seed", "blocks", "block bytes", "bitrate"} {
-		v, err := binary.ReadUvarint(r)
-		if err != nil {
-			return workload.Object{}, fmt.Errorf("store: %s: %w", what, err)
-		}
-		if k != 1 && v > maxInt {
-			return workload.Object{}, fmt.Errorf("store: %s %d out of range", what, v)
-		}
-		fields[k] = v
-	}
-	return workload.Object{
-		ID:                int(fields[0]),
-		Seed:              fields[1],
-		Blocks:            int(fields[2]),
-		BlockBytes:        int64(fields[3]),
-		BitrateBitsPerSec: int64(fields[4]),
-	}, nil
-}
-
-func readProfile(r *bytes.Reader) (disk.Profile, error) {
-	nameLen, err := readCount(r, 1, "profile name")
-	if err != nil {
-		return disk.Profile{}, err
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(r, name); err != nil {
-		return disk.Profile{}, fmt.Errorf("store: profile name: %w", err)
-	}
-	var fields [4]uint64
-	for k, what := range [4]string{"capacity", "seek", "rpm", "transfer rate"} {
-		v, err := binary.ReadUvarint(r)
-		if err != nil {
-			return disk.Profile{}, fmt.Errorf("store: profile %s: %w", what, err)
-		}
-		if v > maxInt {
-			return disk.Profile{}, fmt.Errorf("store: profile %s %d out of range", what, v)
-		}
-		fields[k] = v
-	}
+func readProfile(c *frame.Cursor) disk.Profile {
 	return disk.Profile{
-		Name:                string(name),
-		CapacityBytes:       int64(fields[0]),
-		AvgSeek:             time.Duration(fields[1]),
-		RPM:                 int(fields[2]),
-		TransferBytesPerSec: int64(fields[3]),
-	}, nil
+		Name:                string(c.Bytes(c.Count(1, "profile name length"), "profile name")),
+		CapacityBytes:       c.Int64("profile capacity"),
+		AvgSeek:             time.Duration(c.Int64("profile seek")),
+		RPM:                 c.Int("profile rpm"),
+		TransferBytesPerSec: c.Int64("profile transfer rate"),
+	}
 }
 
-func readBlockList(r *bytes.Reader) ([]cm.BlockPos, error) {
-	n, err := readCount(r, 2, "block list")
-	if err != nil {
-		return nil, err
-	}
+func readBlockList(c *frame.Cursor) []cm.BlockPos {
 	var out []cm.BlockPos
-	for i := uint64(0); i < n; i++ {
-		object, err := readUint(r, "object ID")
-		if err != nil {
-			return nil, err
-		}
-		index, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("store: block index: %w", err)
-		}
-		out = append(out, cm.BlockPos{Object: int(object), Index: index})
+	for n := c.Count(2, "block list length"); n > 0; n-- {
+		out = append(out, cm.BlockPos{Object: c.Int("object ID"), Index: c.Uvarint("block index")})
 	}
-	return out, nil
+	return out
 }

@@ -38,7 +38,7 @@ func checkGolden(t *testing.T, name string, got []byte) []byte {
 // recovery scanner.
 func TestGoldenJournalRecord(t *testing.T) {
 	moves := []cm.BlockPos{{Object: 2, Index: 0}, {Object: 2, Index: 4}}
-	event, err := appendEvent(nil, cm.Event{Kind: cm.EventBlocksMigrated, Moves: moves})
+	event, err := EncodeEvent(cm.Event{Kind: cm.EventBlocksMigrated, Moves: moves})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,12 +129,13 @@ func scanSegment(data []byte) (*segmentScan, error) {
 			scan.truncated, scan.reason = true, err.Error()
 			return scan, nil
 		}
-		lsn, n := binary.Uvarint(payload)
-		if n <= 0 || lsn != next {
+		c := frame.Cursor{Buf: payload}
+		lsn := c.Uvarint("LSN")
+		if !c.OK() || lsn != next {
 			scan.truncated, scan.reason = true, fmt.Sprintf("record LSN %d breaks continuity (want %d)", lsn, next)
 			return scan, nil
 		}
-		scan.records = append(scan.records, record{lsn: lsn, event: payload[n:]})
+		scan.records = append(scan.records, record{lsn: lsn, event: c.Rest()})
 		next++
 		scan.validLen += int64(size)
 	}

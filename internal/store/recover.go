@@ -31,7 +31,7 @@ func (s *Store) Recover(x0 placement.X0Func) (*cm.Server, *RecoveryInfo, error) 
 		return nil, nil, err
 	}
 	for _, rec := range s.tail {
-		ev, err := decodeEvent(rec.event)
+		ev, err := DecodeEvent(rec.event)
 		if err != nil {
 			return nil, nil, fmt.Errorf("store: event at LSN %d: %w", rec.lsn, err)
 		}

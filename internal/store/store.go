@@ -8,17 +8,19 @@
 //
 // Usage: Open a data directory; Bootstrap a fresh server into it (initial
 // checkpoint + event sink) or Recover the server it holds (newest valid
-// checkpoint, then journal tail replay). Appends are group-committed: fsync
-// runs every Config.SyncEvery records and on explicit Sync — the gateway
-// calls Sync once per scheduling round, so a crash loses at most the final
-// round's events, never checkpointed or synced state. Recovery truncates the
-// journal at the first torn or corrupt record rather than failing.
+// checkpoint, then journal tail replay). At the default Config.SyncEvery of
+// 1 every Append fsyncs before it returns, so a crash loses no event Append
+// returned from, and the Sync the gateway calls once per scheduling round
+// finds nothing to do. SyncEvery > 1 turns that into group commit: fsync
+// runs once that many records have accumulated and on the round's Sync, and
+// a crash can lose the events appended since — at most a round's worth,
+// never checkpointed or synced state. Recovery truncates the journal at the
+// first torn or corrupt record rather than failing.
 package store
 
 import (
 	"bufio"
 	"crypto/rand"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -267,7 +269,7 @@ func (s *Store) load() error {
 		if err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
-		lsn, epoch, cfg, md, err := decodeCheckpoint(data)
+		lsn, epoch, cfg, md, err := DecodeCheckpointData(data)
 		if err != nil || lsn != ckptLSNs[i] {
 			s.recovery.DroppedCheckpoints++
 			if !s.cfg.ReadOnly {
@@ -379,7 +381,8 @@ func (s *Store) load() error {
 	// scaling-operation event the surviving tail holds.
 	s.epoch = s.ckptEpoch
 	for _, rec := range s.tail {
-		if kind, n := binary.Uvarint(rec.event); n > 0 && cm.IsEpochEvent(cm.EventKind(kind)) {
+		c := frame.Cursor{Buf: rec.event}
+		if cm.IsEpochEvent(cm.EventKind(c.Int("event kind"))) {
 			s.epoch++
 		}
 	}
@@ -492,7 +495,7 @@ func (s *Store) Append(ev cm.Event) (uint64, error) {
 	if s.cfg.ReadOnly {
 		return 0, ErrReadOnly
 	}
-	event, err := appendEvent(nil, ev)
+	event, err := EncodeEvent(ev)
 	if err != nil {
 		return 0, s.fail(err)
 	}

@@ -65,7 +65,7 @@ func loadObjects(t *testing.T, srv *cm.Server, n, blocks int) {
 }
 
 // drain ticks until no migration remains, then clears it.
-func drain(t *testing.T, srv *cm.Server) {
+func drain(t testing.TB, srv *cm.Server) {
 	t.Helper()
 	for i := 0; srv.Reorganizing(); i++ {
 		if i > 10000 {
@@ -470,7 +470,7 @@ func TestDuplicateSegmentSequence(t *testing.T) {
 		// A consistent segment whose LSN range re-covers journaled LSNs.
 		dup := t.TempDir()
 		copyDir(t, dir, dup)
-		event, err := appendEvent(nil, cm.Event{Kind: cm.EventReorgCompleted})
+		event, err := EncodeEvent(cm.Event{Kind: cm.EventReorgCompleted})
 		if err != nil {
 			t.Fatal(err)
 		}

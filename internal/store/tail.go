@@ -16,13 +16,11 @@ package store
 // from the newest checkpoint instead.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 
-	"scaddar/internal/cm"
 	"scaddar/internal/frame"
 )
 
@@ -82,13 +80,6 @@ func (s *Store) CheckpointData() (lsn, epoch uint64, data []byte, err error) {
 		return 0, 0, nil, err
 	}
 	return s.ckptLSN, s.ckptEpoch, data, nil
-}
-
-// DecodeCheckpointData parses checkpoint bytes produced by CheckpointData
-// (or read from a checkpoint file), returning the covered LSN, the
-// replication epoch at it, the server configuration, and the metadata.
-func DecodeCheckpointData(data []byte) (lsn, epoch uint64, cfg cm.Config, md *cm.Metadata, err error) {
-	return decodeCheckpoint(data)
 }
 
 // TailReader is a stateful cursor over the durable journal, safe to use
@@ -250,9 +241,10 @@ func readFrameAt(f *os.File, off int64) (TailRecord, int64, error) {
 	if err != nil {
 		return TailRecord{}, 0, err
 	}
-	lsn, n := binary.Uvarint(payload)
-	if n <= 0 {
+	c := frame.Cursor{Buf: payload}
+	rec := TailRecord{LSN: c.Uvarint("LSN"), Event: c.Rest()}
+	if !c.OK() {
 		return TailRecord{}, 0, fmt.Errorf("store: tail record has no LSN")
 	}
-	return TailRecord{LSN: lsn, Event: payload[n:]}, frame.HeaderLen + int64(len(payload)), nil
+	return rec, frame.HeaderLen + int64(len(payload)), nil
 }

@@ -11,12 +11,11 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"scaddar/internal/cm"
+	"scaddar/internal/frame"
 )
 
 // Kind tags an event.
@@ -200,59 +199,25 @@ func (t *Trace) MarshalBinary() ([]byte, error) { return t.AppendBinary(nil), ni
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (t *Trace) UnmarshalBinary(data []byte) error {
-	rd := bytes.NewReader(data)
-	var magic [4]byte
-	if _, err := io.ReadFull(rd, magic[:]); err != nil {
-		return fmt.Errorf("trace: %w", err)
+	c := frame.Cursor{Buf: data}
+	if magic := c.Bytes(len(traceMagic), "magic"); c.OK() && [4]byte(magic) != traceMagic {
+		return fmt.Errorf("trace: bad magic %q", magic)
 	}
-	if magic != traceMagic {
-		return fmt.Errorf("trace: bad magic %q", magic[:])
-	}
-	version, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	if version != traceVersion {
+	if version := c.Uvarint("version"); c.OK() && version != traceVersion {
 		return fmt.Errorf("trace: unsupported version %d", version)
 	}
-	count, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
+	// An event is its kind byte and two varints: three bytes at least.
+	events := make([]Event, c.Count(3, "event count"))
+	for i := range events {
+		ev := Event{Kind: Kind(c.U8("event kind")), A: c.Varint("event A"), B: c.Varint("event B")}
+		if c.OK() && (ev.Kind < KindTick || ev.Kind > KindRedistribute) {
+			return fmt.Errorf("trace: event %d: unknown kind %d", i, ev.Kind)
+		}
+		events[i] = ev
 	}
-	const maxEvents = 100 << 20 // refuse absurd declared sizes
-	if count > maxEvents {
-		return fmt.Errorf("trace: declared %d events", count)
-	}
-	events := make([]Event, 0, min64(count, 1<<16))
-	for i := uint64(0); i < count; i++ {
-		kind, err := rd.ReadByte()
-		if err != nil {
-			return fmt.Errorf("trace: event %d: %w", i, err)
-		}
-		a, err := binary.ReadVarint(rd)
-		if err != nil {
-			return fmt.Errorf("trace: event %d: %w", i, err)
-		}
-		b, err := binary.ReadVarint(rd)
-		if err != nil {
-			return fmt.Errorf("trace: event %d: %w", i, err)
-		}
-		if Kind(kind) < KindTick || Kind(kind) > KindRedistribute {
-			return fmt.Errorf("trace: event %d: unknown kind %d", i, kind)
-		}
-		events = append(events, Event{Kind: Kind(kind), A: a, B: b})
-	}
-	if rd.Len() != 0 {
-		return fmt.Errorf("trace: %d trailing bytes", rd.Len())
+	if err := c.Done("trace"); err != nil {
+		return err
 	}
 	t.Events = events
 	return nil
-}
-
-// min64 avoids importing a whole package for one clamp.
-func min64(a uint64, b int) int {
-	if a < uint64(b) {
-		return int(a)
-	}
-	return b
 }
