@@ -54,6 +54,16 @@ lint:
 # bench/ is a module of its own that compiles against internal/ (cluster
 # above all), so the root ./... does not see it: vet and test it here, or an
 # API change that breaks the benchmark surfaces only in the acceptance run.
+# One of its tests FAILS since PR 22, which could not touch bench/, so this
+# target stops at the bench test line until the next benchmark PR:
+# TestTracedRunRecordsSpans wants a "gateway.http_read" span (and its two
+# shadow children) on lookup_routed, which the benchmark opens when the
+# sampled request's path arrives at a shard's HTTP handler — and a routed
+# read now reaches the shard as a binary frame on an upgraded connection
+# (EXPERIMENTS E26: the budget's gateway row reads 0, the shard's share sits
+# in the cluster row). It is not skipped: the failure is three "no ... span"
+# lines for lookup_routed and nothing else; the lines after it are run by
+# hand until then (ROADMAP item 3b).
 verify: lint
 	$(GO) test -race ./...
 	$(GO) -C bench vet ./...
@@ -96,10 +106,13 @@ bench:
 # per spec, never panic), the four replication payloads, the chunk stream
 # reader, the segment record and index.idx loader, the router's shard-reply
 # reader (arbitrary shard bytes: no panic, no body over the 8 MiB cap or
-# under a HEAD, no kept connection after an error), the shared envelope
-# (internal/frame: its three readers agree on every input, none
+# under a HEAD, no kept connection after an error) and its reader of an
+# upgraded connection (the 101, the handshake, the reply frame: no answer
+# the bytes do not spell out, no kept connection after an error), the shared
+# envelope (internal/frame: its three readers agree on every input, none
 # over-allocates for a forged length) and the payload cursor every decoder
 # above is written on (random read sequences against encoding/binary).
+# Twelve targets.
 fuzz:
 	$(GO) test ./internal/scaddar/ -fuzz FuzzCodec -fuzztime 20s
 	$(GO) test ./internal/scaddar/ -fuzz FuzzCompiledChain -fuzztime 20s
@@ -110,6 +123,7 @@ fuzz:
 	$(GO) test ./internal/dataplane/ -fuzz FuzzChunkFrame -fuzztime 20s
 	$(GO) test ./internal/dataplane/ -fuzz FuzzSegmentRecord -fuzztime 20s
 	$(GO) test ./internal/cluster/ -fuzz FuzzShardResponse -fuzztime 20s
+	$(GO) test ./internal/cluster/ -fuzz FuzzShardBinReply -fuzztime 20s
 	$(GO) test ./internal/frame/ -fuzz FuzzFrame -fuzztime 20s
 	$(GO) test ./internal/frame/ -fuzz FuzzCursor -fuzztime 20s
 

@@ -114,18 +114,9 @@ func NewClient(nc net.Conn, cfg ClientConfig) (*Client, error) {
 		cfg.DialTimeout = 5 * time.Second
 	}
 	nc.SetDeadline(time.Now().Add(cfg.DialTimeout))
-	if err := writeHandshake(nc, Version); err != nil {
+	if err := handshake(nc, nc); err != nil {
 		nc.Close()
 		return nil, err
-	}
-	ver, err := readHandshake(nc)
-	if err != nil {
-		nc.Close()
-		return nil, err
-	}
-	if ver != Version {
-		nc.Close()
-		return nil, fmt.Errorf("binproto: server speaks version %d, want %d", ver, Version)
 	}
 	nc.SetDeadline(time.Time{})
 	c := &Client{
@@ -333,10 +324,7 @@ func (c *Client) newCall(op uint8) *call {
 func (c *Client) Locate(object, index int) (disk int, epoch uint64, healthy bool, err error) {
 	ca := c.newCall(OpLocate)
 	defer c.pool.Put(ca)
-	err = c.roundTrip(ca, func(dst []byte) []byte {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(object))
-		return binary.LittleEndian.AppendUint32(dst, uint32(index))
-	})
+	err = c.roundTrip(ca, func(dst []byte) []byte { return appendLocate(dst, uint32(object), uint32(index)) })
 	if err != nil {
 		return 0, 0, false, err
 	}

@@ -53,11 +53,7 @@ func FuzzBinProto(f *testing.F) {
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				srv.wg.Add(1)
-				srv.mu.Lock()
-				srv.conns[server] = struct{}{}
-				srv.mu.Unlock()
-				srv.handleConn(server)
+				srv.ServeConn(server)
 			}()
 			client.SetDeadline(time.Now().Add(5 * time.Second))
 			writeHandshake(client, Version)

@@ -61,6 +61,9 @@ func goldenFrames(t *testing.T) map[string][]byte {
 		"batch3-request":       framed(req),
 		"batch3-response":      framed(resp),
 		"error-unknown-opcode": framed(appendError(nil, 9, ErrCodeUnknownOpcode, 0x6F, "unknown opcode 0x6f")),
+		// §1.1: the client's request to a gateway at shard-0:8080, then the
+		// server's whole answer.
+		"upgrade": append(AppendUpgradeRequest(nil, "", "shard-0:8080"), UpgradeReply...),
 	}
 }
 
@@ -228,6 +231,7 @@ func TestGoldenFrameSizes(t *testing.T) {
 		"batch3-request":       41,
 		"batch3-response":      41,
 		"error-unknown-opcode": 34,
+		"upgrade":              80 + 72,
 	} {
 		b, err := os.ReadFile(filepath.Join("testdata", name+".bin"))
 		if err != nil {

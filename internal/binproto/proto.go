@@ -51,6 +51,24 @@ const (
 	maxPingBody = 256
 )
 
+// The HTTP upgrade (docs/PROTOCOL.md §1.1).
+const (
+	// UpgradePath is the gateway route that hands its connection over.
+	UpgradePath = "/v1/bin"
+	// UpgradeToken is the protocol name in the Upgrade header, both ways.
+	UpgradeToken = "sblk"
+	// UpgradeReply is the server's whole answer to an upgrade it accepts.
+	UpgradeReply = "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + UpgradeToken + "\r\n\r\n"
+)
+
+// AppendUpgradeRequest appends the client's upgrade request to a gateway
+// mounted under prefix ("" at the root) and addressed as host.
+func AppendUpgradeRequest(dst []byte, prefix, host string) []byte {
+	dst = append(append(dst, "GET "...), prefix...)
+	dst = append(append(dst, UpgradePath+" HTTP/1.1\r\nHost: "...), host...)
+	return append(dst, "\r\nConnection: Upgrade\r\nUpgrade: "+UpgradeToken+"\r\n\r\n"...)
+}
+
 // Request opcodes. A response carries the request's opcode with RespFlag
 // set; whole-request failures come back as OpError instead.
 const (
@@ -212,11 +230,28 @@ func readHandshake(r io.Reader) (uint8, error) {
 	return buf[4], nil
 }
 
+// handshake is the client's half: send ours, insist the server's is equal.
+func handshake(w io.Writer, r io.Reader) error {
+	if err := writeHandshake(w, Version); err != nil {
+		return err
+	}
+	ver, err := readHandshake(r)
+	if err == nil && ver != Version {
+		err = fmt.Errorf("binproto: server speaks version %d, want %d", ver, Version)
+	}
+	return err
+}
+
 // appendHeader starts a request or response payload: opcode then u32 LE
 // correlation ID.
 func appendHeader(dst []byte, op uint8, corr uint32) []byte {
 	dst = append(dst, op)
 	return binary.LittleEndian.AppendUint32(dst, corr)
+}
+
+// appendLocate renders an OpLocate request body.
+func appendLocate(dst []byte, object, index uint32) []byte {
+	return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(dst, object), index)
 }
 
 // appendError renders an OpError payload.

@@ -124,17 +124,34 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			nc.Close()
-			continue
+		if s.track(nc) {
+			go s.handleConn(nc, true)
 		}
-		s.conns[nc] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go s.handleConn(nc)
 	}
+}
+
+// ServeConn serves a connection the caller accepted itself — the gateway's
+// HTTP upgrade (docs/PROTOCOL.md §1.1) — on the calling goroutine, until it
+// ends or the server closes. It is answered while the server drains, as an
+// HTTP read is: ErrCodeDraining is for connections a Serve listener accepted.
+func (s *Server) ServeConn(nc net.Conn) {
+	if s.track(nc) {
+		s.handleConn(nc, false)
+	}
+}
+
+// track registers a live connection for Close to end and wait for; on a
+// closed server it closes the connection instead and reports false.
+func (s *Server) track(nc net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		nc.Close()
+		return false
+	}
+	s.conns[nc] = struct{}{}
+	s.wg.Add(1)
+	return true
 }
 
 // Close stops all listeners, closes every live connection, and waits for
@@ -162,6 +179,8 @@ type srvConn struct {
 	bw  *bufio.Writer
 	in  []byte
 	out []byte
+	// listened: a Serve listener accepted it, so it is refused while draining.
+	listened bool
 	// batch working set, grown once to the client's steady batch size.
 	addrs   []cm.BlockAddr
 	disks   []int32
@@ -170,7 +189,7 @@ type srvConn struct {
 }
 
 // handleConn owns one connection from handshake to close.
-func (s *Server) handleConn(nc net.Conn) {
+func (s *Server) handleConn(nc net.Conn, listened bool) {
 	defer func() {
 		nc.Close()
 		s.mu.Lock()
@@ -200,9 +219,10 @@ func (s *Server) handleConn(nc net.Conn) {
 	}
 
 	c := &srvConn{
-		nc: nc,
-		br: bufio.NewReaderSize(nc, 64<<10),
-		bw: bufio.NewWriterSize(nc, s.cfg.WriteBuffer),
+		nc:       nc,
+		br:       bufio.NewReaderSize(nc, 64<<10),
+		bw:       bufio.NewWriterSize(nc, s.cfg.WriteBuffer),
+		listened: listened,
 	}
 	for {
 		nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
@@ -257,7 +277,7 @@ func (s *Server) handleFrame(c *srvConn, payload []byte) (drain bool, err error)
 		return false, s.writeReply(c, appendError(c.out[:0], 0, ErrCodeMalformed, op, "frame shorter than header"))
 	}
 
-	draining := s.cfg.Draining != nil && s.cfg.Draining()
+	draining := c.listened && s.cfg.Draining != nil && s.cfg.Draining()
 	switch op {
 	case OpLocate:
 		if draining {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"scaddar/internal/cm"
+	"scaddar/internal/frame"
 	"scaddar/internal/placement"
 	"scaddar/internal/prng"
 	"scaddar/internal/workload"
@@ -366,5 +367,64 @@ func TestServerFramesZeroAlloc(t *testing.T) {
 	if s.m.errorFrames.Value() != 0 || s.m.lookupErrors.Value() != 0 {
 		t.Errorf("handler counted %d error frames and %d lookup errors on well-formed requests",
 			s.m.errorFrames.Value(), s.m.lookupErrors.Value())
+	}
+}
+
+// TestSyncConn drives the synchronous client against a server that was
+// handed the connection (ServeConn): answers equal the snapshot's, a refused
+// lookup is an answer carrying the server's code and words and leaves the
+// connection good, such a connection is answered while the server drains,
+// and a hang-up before any reply byte is told apart from a reply that lies.
+func TestSyncConn(t *testing.T) {
+	b := newTestBackend(t, 6, 2, 50)
+	var draining atomic.Bool
+	s, err := NewServer(ServerConfig{Snapshot: b.snap.Load, Draining: draining.Load})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	client, server := net.Pipe()
+	served := make(chan struct{})
+	go func() { defer close(served); s.ServeConn(server) }()
+	c, err := NewSyncConn(client, bufio.NewReader(client))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn := b.snap.Load()
+	for _, drain := range []bool{false, true} {
+		draining.Store(drain)
+		want, _ := sn.Locate(1, 7)
+		loc, replied, err := c.Locate(1, 7)
+		if err != nil || !replied || loc != (Location{Disk: want, Epoch: sn.Epoch(), Healthy: true}) {
+			t.Fatalf("draining=%v: Locate(1,7) = %+v replied=%v err=%v, want disk %d", drain, loc, replied, err, want)
+		}
+		_, lerr := sn.Locate(1, 50)
+		loc, replied, err = c.Locate(1, 50)
+		if err != nil || !replied || loc.Code != ErrCodeOutOfRange || loc.Msg != lerr.Error() {
+			t.Fatalf("draining=%v: Locate(1,50) = %+v replied=%v err=%v, want code %d %q", drain, loc, replied, err, ErrCodeOutOfRange, lerr)
+		}
+	}
+	s.Close()
+	<-served
+	if loc, replied, err := c.Locate(1, 7); err == nil || replied {
+		t.Fatalf("Locate on a connection the server closed: %+v replied=%v err=%v", loc, replied, err)
+	}
+
+	// A well-framed reply to some other request is a lying connection.
+	client, server = net.Pipe()
+	go func() {
+		readHandshake(server)
+		writeHandshake(server, Version)
+		br, bw := bufio.NewReader(server), bufio.NewWriter(server)
+		var buf []byte
+		frame.Read(br, &buf, MaxFrameLen)
+		frame.Write(bw, append(appendHeader(nil, OpLocate|RespFlag, 99), make([]byte, 13)...), MaxFrameLen)
+		bw.Flush()
+	}()
+	if c, err = NewSyncConn(client, bufio.NewReader(client)); err != nil {
+		t.Fatal(err)
+	}
+	if loc, replied, err := c.Locate(1, 7); !errors.Is(err, errMalformed) || !replied {
+		t.Fatalf("reply to request #99: %+v replied=%v err=%v, want errMalformed", loc, replied, err)
 	}
 }

@@ -1,6 +1,8 @@
 package cli
 
 import (
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -9,7 +11,9 @@ import (
 // TestClusterAndLoadgen boots a 3-shard cluster on ephemeral ports, seeds a
 // small library through the router, and runs the load generator in cluster
 // mode against it with a mid-run scale-up targeted at shard 0. The run must
-// report per-shard read shares and a drained reorganization.
+// report per-shard read shares, a drained reorganization and, on its -dash
+// lines, the rate the router routed at (which no shard's HTTP read counter
+// sees: a routed read reaches the shard as a binary lookup).
 func TestClusterAndLoadgen(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end cluster test skipped in -short mode")
@@ -54,11 +58,21 @@ func TestClusterAndLoadgen(t *testing.T) {
 		add:      2,
 		shard:    0,
 		perSess:  16,
+		dash:     50 * time.Millisecond,
 	}, &lgOut)
 	if err != nil {
 		t.Fatalf("loadgen: %v\n%s", err, lgOut.String())
 	}
 	out := lgOut.String()
+	peak := 0
+	for _, m := range regexp.MustCompile(`dash t=\S+ +(\d+) req/s`).FindAllStringSubmatch(out, -1) {
+		if rate, _ := strconv.Atoi(m[1]); rate > peak {
+			peak = rate
+		}
+	}
+	if peak == 0 {
+		t.Errorf("no -dash line shows a non-zero fleet rate:\n%s", out)
+	}
 	for _, want := range []string{
 		"scale-up +2 accepted",
 		"reorganization drained in",

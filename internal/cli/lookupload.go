@@ -148,11 +148,15 @@ func (l *load) dashTick() func(time.Duration) {
 			return
 		}
 		ms := obs.NewMetricSet(samples)
-		// A router's page carries one relabeled copy of each gateway counter
-		// per shard: sum them for the fleet rate.
+		// A router's page carries its own count of what it routed, per shard; a
+		// shard sees a routed read as a binary lookup, not in gateway_reads_total.
+		counter := "gateway_reads_total"
+		if opts.cluster {
+			counter = "cluster_routed_total"
+		}
 		var reads float64
 		for _, s := range samples {
-			if s.Name == "gateway_reads_total" {
+			if s.Name == counter {
 				reads += s.Value
 			}
 		}

@@ -66,7 +66,7 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	results := r.fanout(req.Context(), "/v1/metrics")
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	for _, res := range results {
-		res.shard.connsIdle.SetInt(len(res.shard.idle))
+		res.shard.connsIdle.SetInt(len(res.shard.idle) + len(res.shard.binIdle))
 		res.shard.connsBusy.SetInt(int(res.shard.busy.Load()))
 	}
 	var buf bytes.Buffer

@@ -9,7 +9,11 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
+
+	"scaddar/internal/binproto"
+	"scaddar/internal/cm"
 )
 
 // maxBodyBytes bounds control-request bodies at the router edge.
@@ -127,30 +131,34 @@ func (r *Router) routableShard(object int, forSession bool) (*shard, error) {
 	return sh, nil
 }
 
-// forward performs one request against a shard — buffered, so a routed
-// request can be retried against a different shard before anything is
-// written. A returned error has already bumped the shard's error counter; a
-// transport-level one (connect/timeout/short body) wraps ErrShardDown and
-// has marked the shard unhealthy — unless it was only a pooled connection
-// found dead by a request that may not be replayed (errStaleConn); an
-// over-limit reply is errReplyTooLarge and has not.
+// forward performs one request against a shard — buffered, so it can be
+// retried against another shard before anything is written — and books it.
 func (r *Router) forward(ctx context.Context, sh *shard, method, path string, body []byte) (shardReply, error) {
 	start := time.Now()
 	rep, err := sh.call(ctx, method, path, body)
+	return rep, r.account(sh, start, err)
+}
+
+// account books one routed exchange of either kind. A returned error has
+// bumped the shard's error counter; a transport-level one (connect, timeout,
+// short reply, refused upgrade) wraps ErrShardDown and has marked the shard
+// unhealthy — unless it was only a pooled connection found dead by a request
+// that may not be replayed (errStaleConn); errReplyTooLarge has not.
+func (r *Router) account(sh *shard, start time.Time, err error) error {
 	if err != nil {
 		sh.routedErrs.Inc()
 		if errors.Is(err, errReplyTooLarge) {
-			return shardReply{}, fmt.Errorf("shard %d: %w", sh.id, err)
+			return fmt.Errorf("shard %d: %w", sh.id, err)
 		}
 		if !errors.Is(err, errStaleConn) { // the next request dials afresh and finds out
 			sh.setHealthy(false)
 		}
-		return shardReply{}, fmt.Errorf("%w: shard %d: %v", ErrShardDown, sh.id, err)
+		return fmt.Errorf("%w: shard %d: %v", ErrShardDown, sh.id, err)
 	}
 	sh.routed.Inc()
 	sh.setHealthy(true)
 	r.m.proxySeconds.ObserveDuration(time.Since(start))
-	return rep, nil
+	return nil
 }
 
 // jsonContentType is the preallocated Content-Type value of nearly every
@@ -194,48 +202,95 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request, sh *shard, path
 	writeForwarded(w, sh, pr, rewrite)
 }
 
-// proxyRouted forwards an object-addressed request to the object's owning
-// shard, re-resolving and retrying when the answer is a 404 and the
-// topology meanwhile routes the object elsewhere. That closes the
-// inherent time-of-check race with a concurrent migration: the owner
-// resolved before the hop can have handed the object off by the time the
-// request lands.
-func (r *Router) proxyRouted(w http.ResponseWriter, req *http.Request, object int,
-	forSession bool, path string, body []byte,
-	rewrite func(sh *shard) func(status int, body []byte) []byte) {
-	for attempt := 0; ; attempt++ {
-		sh, err := r.routableShard(object, forSession)
-		if err != nil {
-			r.writeError(w, err)
-			return
-		}
-		pr, err := r.forward(req.Context(), sh, req.Method, path, body)
-		if err != nil {
-			r.writeError(w, err)
-			return
-		}
-		if pr.status == http.StatusNotFound && attempt < 2 {
-			if cur := r.topo.Load().shardFor(object); cur != nil && cur != sh {
-				continue // the object moved mid-flight; chase it
-			}
-		}
-		var rw func(int, []byte) []byte
-		if rewrite != nil {
-			rw = rewrite(sh)
-		}
-		writeForwarded(w, sh, pr, rw)
-		return
-	}
+// movedFrom reports whether the topology now routes the object to a shard
+// other than sh: a 404 from sh is then the time-of-check race with a
+// migration that handed the object off mid-hop, and the request chases it.
+func (r *Router) movedFrom(object int, sh *shard) bool {
+	cur := r.topo.Load().shardFor(object)
+	return cur != nil && cur != sh
 }
 
-// handleRead routes the hot-path block lookup to the owning shard.
+// readBodies pools the scratch a routed read's JSON body is appended into;
+// the longest (three ten-digit numbers, two "false") is 96 bytes: none grows.
+var readBodies = sync.Pool{New: func() any { b := make([]byte, 0, 128); return &b }}
+
+// handleRead answers the hot-path block lookup: the owning shard is asked
+// with one binary exchange ((*shard).locate) and the reply rebuilt here is the
+// one its own HTTP handler would have written (TestRoutedReadMatchesDirect).
 func (r *Router) handleRead(w http.ResponseWriter, req *http.Request) {
 	id, err := pathInt(req, "id")
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	r.proxyRouted(w, req, id, false, req.URL.Path, nil, nil)
+	idx, idxErr := pathInt(req, "idx")
+	for attempt := 0; ; attempt++ {
+		sh, err := r.routableShard(id, false)
+		if err != nil {
+			r.writeError(w, err)
+			return
+		}
+		var loc binproto.Location
+		switch {
+		case idxErr != nil:
+			w.Header()[ShardHeader] = sh.shardHdr
+			writeJSON(w, http.StatusBadRequest, map[string]string{"error": idxErr.Error()})
+			return
+		// What the wire's u32 fields cannot name no shard holds: answered as
+		// the shard would, without a hop.
+		case uint64(id)>>32 != 0:
+			loc.Code, loc.Msg = binproto.ErrCodeUnknownObject, fmt.Sprintf("%v: object %d", cm.ErrUnknownObject, id)
+		case uint64(idx)>>32 != 0:
+			loc.Code, loc.Msg = binproto.ErrCodeOutOfRange,
+				fmt.Sprintf("%v: object %d has no block %d", cm.ErrBlockOutOfRange, id, idx)
+		default:
+			start := time.Now()
+			loc, err = sh.locate(req.Context(), uint32(id), uint32(idx))
+			if err = r.account(sh, start, err); err != nil {
+				r.writeError(w, err)
+				return
+			}
+		}
+		status := http.StatusOK // what gateway.writeError gives the sentinel the code stands for
+		switch loc.Code {
+		case 0:
+		case binproto.ErrCodeUnknownObject, binproto.ErrCodeOutOfRange:
+			status = http.StatusNotFound
+		case binproto.ErrCodeBusy:
+			status = http.StatusConflict
+		case binproto.ErrCodeEpochFenced:
+			status = http.StatusServiceUnavailable
+		default:
+			status = http.StatusInternalServerError
+		}
+		if status == http.StatusNotFound && attempt < 2 && r.movedFrom(id, sh) {
+			continue
+		}
+		h := w.Header()
+		h[ShardHeader] = sh.shardHdr // ShardHeader is in canonical form
+		if status != http.StatusOK {
+			if status == http.StatusServiceUnavailable {
+				h.Set("Retry-After", "1")
+			}
+			writeJSON(w, status, map[string]string{"error": loc.Msg})
+			return
+		}
+		bp := readBodies.Get().(*[]byte)
+		b := strconv.AppendInt(append((*bp)[:0], `{"object":`...), int64(id), 10)
+		b = strconv.AppendInt(append(b, `,"block":`...), int64(idx), 10)
+		b = strconv.AppendInt(append(b, `,"disk":`...), int64(loc.Disk), 10)
+		b = strconv.AppendBool(append(b, `,"healthy":`...), loc.Healthy)
+		b = strconv.AppendBool(append(b, `,"reorganizing":`...), loc.Reorganizing)
+		b = append(b, "}\n"...)
+		h["Content-Type"] = jsonContentType
+		w.WriteHeader(status)
+		if req.Method != http.MethodHead {
+			_, _ = w.Write(b)
+		}
+		*bp = b
+		readBodies.Put(bp)
+		return
+	}
 }
 
 // rewriteSessionID swaps a shard-local "session" field in a 2xx response
@@ -277,8 +332,23 @@ func (r *Router) handleOpenSession(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
 		return
 	}
-	r.proxyRouted(w, req, open.Object, true, "/v1/sessions", body,
-		func(sh *shard) func(int, []byte) []byte { return rewriteSessionID(sh.id) })
+	for attempt := 0; ; attempt++ {
+		sh, err := r.routableShard(open.Object, true)
+		if err != nil {
+			r.writeError(w, err)
+			return
+		}
+		pr, err := r.forward(req.Context(), sh, req.Method, "/v1/sessions", body)
+		if err != nil {
+			r.writeError(w, err)
+			return
+		}
+		if pr.status == http.StatusNotFound && attempt < 2 && r.movedFrom(open.Object, sh) {
+			continue
+		}
+		writeForwarded(w, sh, pr, rewriteSessionID(sh.id))
+		return
+	}
 }
 
 // handleSession routes get/seek/close of an existing session by the shard
@@ -551,7 +621,7 @@ func (r *Router) topologyView() TopologyView {
 			ID: s.id, URL: s.url, State: s.State().String(), Healthy: s.healthy.Load(),
 			Routed: int64(s.routed.Value()), RoutedErrors: int64(s.routedErrs.Value()),
 			Dials: int64(s.dials.Value()), ConnRetries: int64(s.connRetries.Value()),
-			ConnsIdle: len(s.idle), ConnsBusy: int(s.busy.Load()),
+			ConnsIdle: len(s.idle) + len(s.binIdle), ConnsBusy: int(s.busy.Load()),
 		}
 	}
 	return out

@@ -49,12 +49,12 @@ type shard struct {
 
 	// addr, host and prefix are url split for the wire; timeout is the
 	// router's ShardTimeout; shardHdr is the preallocated ShardHeader value
-	// of every reply routed here; idle, busy and poolClosed are the
-	// connection pool (shardconn.go).
+	// of every reply routed here; idle (HTTP), binIdle (upgraded), busy and
+	// poolClosed are the connection pool (shardconn.go).
 	addr, host, prefix string
 	timeout            time.Duration
 	shardHdr           []string
-	idle               chan *shardConn
+	idle, binIdle      chan *shardConn
 	busy               atomic.Int64
 	poolClosed         atomic.Bool
 
@@ -264,6 +264,7 @@ func (r *Router) newShard(id int, base string, st ShardState) (*shard, error) {
 		timeout:     r.cfg.ShardTimeout,
 		shardHdr:    []string{label},
 		idle:        make(chan *shardConn, maxIdleConns),
+		binIdle:     make(chan *shardConn, maxIdleConns),
 		routed:      r.m.routed.With(label),
 		routedErrs:  r.m.routedErrs.With(label),
 		fanoutErrs:  r.m.fanoutErrs.With(label),

@@ -270,8 +270,8 @@ func goldenFrames(t testing.TB) map[string][]byte {
 	}
 	frames := map[string][]byte{}
 	for _, path := range paths {
-		if strings.HasSuffix(path, "handshake.bin") {
-			continue // binproto's handshake is not a frame
+		if strings.HasSuffix(path, "handshake.bin") || strings.HasSuffix(path, "upgrade.bin") {
+			continue // binproto's handshake and HTTP upgrade are not frames
 		}
 		b, err := os.ReadFile(path)
 		if err != nil {

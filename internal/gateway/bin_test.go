@@ -1,11 +1,15 @@
 package gateway
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -280,6 +284,91 @@ func TestBinUnderReorg(t *testing.T) {
 		}
 		if out[k].Code != 0 || out[k].Disk != want {
 			t.Fatalf("block %d/%d: binary %+v, snapshot disk %d", a.Object, a.Index, out[k], want)
+		}
+	}
+}
+
+// TestBinUpgrade drives docs/PROTOCOL.md §1.1 against a gateway's HTTP port:
+// the upgrade is answered with UpgradeReply to the byte and the connection
+// then speaks the lookup protocol — answered while the gateway drains, where
+// the dedicated listener's connection is refused — counted in the bin_*
+// cells; a request without the headers is refused in HTTP; bytes sent
+// behind the request without waiting for the 101 get the connection closed;
+// and the gateway's Close ends the upgraded connection and the goroutine
+// serving it, which http.Server's Close no longer would.
+func TestBinUpgrade(t *testing.T) {
+	g, binAddr := newBinGateway(t, 6, 2, 40, nil, func(cfg *Config) { cfg.Round = time.Hour })
+	hs := httptest.NewServer(http.StripPrefix("/shard", g.Handler()))
+	defer hs.Close()
+	addr := strings.TrimPrefix(hs.URL, "http://")
+	upgrade := func(behind string) (net.Conn, []byte) {
+		t.Helper()
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nc.Close() })
+		nc.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := nc.Write(append(binproto.AppendUpgradeRequest(nil, "/shard", addr), behind...)); err != nil {
+			t.Fatal(err)
+		}
+		reply := make([]byte, len(binproto.UpgradeReply))
+		n, _ := io.ReadFull(nc, reply)
+		return nc, reply[:n]
+	}
+
+	nc, reply := upgrade("")
+	if string(reply) != binproto.UpgradeReply {
+		t.Fatalf("upgrade answered %q, want %q", reply, binproto.UpgradeReply)
+	}
+	c, err := binproto.NewSyncConn(nc, bufio.NewReader(nc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	listened, err := binproto.Dial(binAddr, binproto.ClientConfig{RequestTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer listened.Close()
+	sn := g.Snapshot()
+	for _, draining := range []bool{false, true} {
+		g.draining.Store(draining)
+		want, _ := sn.Locate(1, 9)
+		if loc, _, err := c.Locate(1, 9); err != nil || loc.Code != 0 || loc.Disk != want {
+			t.Fatalf("draining=%v: upgraded Locate(1,9) = %+v, %v; snapshot says disk %d", draining, loc, err, want)
+		}
+		if _, _, _, err := listened.Locate(1, 9); draining != errors.Is(err, binproto.ErrDraining) {
+			t.Fatalf("draining=%v: the dedicated listener's connection answered %v", draining, err)
+		}
+	}
+	g.draining.Store(false)
+	if loc, _, err := c.Locate(5, 0); err != nil || loc.Code != binproto.ErrCodeUnknownObject {
+		t.Fatalf("upgraded Locate of an unknown object = %+v, %v", loc, err)
+	}
+	if total, active := g.reg.NewCounter("bin_connections_total", "").Value(), g.reg.NewGauge("bin_connections_active", "").Value(); total != 2 || active != 2 {
+		t.Errorf("bin_connections_total=%d _active=%v, want both connections counted", total, active)
+	}
+
+	resp, err := http.Get(hs.URL + "/shard" + binproto.UpgradePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUpgradeRequired || resp.Header.Get("Upgrade") != binproto.UpgradeToken {
+		t.Errorf("GET without the upgrade headers: %s, Upgrade %q", resp.Status, resp.Header.Get("Upgrade"))
+	}
+	if _, reply := upgrade(binproto.Magic + "\x01"); len(reply) != 0 {
+		t.Errorf("a handshake sent without waiting for the 101 was answered %q", reply)
+	}
+
+	before := runtime.NumGoroutine()
+	g.Close()
+	if loc, _, err := c.Locate(1, 9); err == nil {
+		t.Errorf("upgraded connection survived the gateway's Close: %+v", loc)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() >= before; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before Close, %d after: the upgraded connection's did not exit", before, runtime.NumGoroutine())
 		}
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"scaddar/internal/binproto"
 	"scaddar/internal/bufpool"
 	"scaddar/internal/cm"
 	"scaddar/internal/dataplane"
@@ -216,12 +217,9 @@ type Gateway struct {
 	closed   chan struct{} // closed by the owner loop on exit
 	stopOnce sync.Once
 
-	// closeHooks are auxiliary shutdowns (the binary lookup listener) run
-	// once after the round driver stops.
-	hooksMu    sync.Mutex
-	closeHooks []func()
-	hooksOnce  sync.Once
-	// binAddr is the advertised binary lookup address (set by ServeBin).
+	// bin is the gateway's one binary lookup server (bin.go), closed after the
+	// round driver stops; binAddr the advertised address of its listener.
+	bin     *binproto.Server
 	binAddr atomic.Value // string
 
 	// reg/trace/m are the observability layer: the registry served at
@@ -312,6 +310,11 @@ func New(srv *cm.Server, cfg Config) (*Gateway, error) {
 		return nil, err
 	}
 	g.dp = dp
+	g.bin, err = binproto.NewServer(binproto.ServerConfig{
+		Snapshot: g.Snapshot, Draining: g.Draining, Registry: reg, Logf: cfg.Logf})
+	if err != nil {
+		return nil, err
+	}
 	g.publishStatus()
 	g.routes()
 	go g.run()
@@ -639,19 +642,5 @@ func (g *Gateway) Close() {
 func (g *Gateway) halt() {
 	g.stopOnce.Do(func() { close(g.stop) })
 	<-g.closed
-	g.hooksOnce.Do(func() {
-		g.hooksMu.Lock()
-		hooks := g.closeHooks
-		g.hooksMu.Unlock()
-		for _, fn := range hooks {
-			fn()
-		}
-	})
-}
-
-// onClose registers a shutdown hook run once when the gateway halts.
-func (g *Gateway) onClose(fn func()) {
-	g.hooksMu.Lock()
-	g.closeHooks = append(g.closeHooks, fn)
-	g.hooksMu.Unlock()
+	g.bin.Close()
 }

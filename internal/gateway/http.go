@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"scaddar/internal/binproto"
 	"scaddar/internal/cm"
 	"scaddar/internal/dataplane"
 	"scaddar/internal/disk"
@@ -47,6 +48,7 @@ func (g *Gateway) routes() {
 	g.mux.HandleFunc("POST /v1/admin/objects", g.handleAdminAddObject)
 	g.mux.HandleFunc("DELETE /v1/admin/objects/{id}", g.handleAdminRemoveObject)
 	g.mux.HandleFunc("GET /v1/replication", g.handleReplication)
+	g.mux.HandleFunc("GET "+binproto.UpgradePath, g.handleBinUpgrade)
 }
 
 // adminObject is the full catalog entry shipped over the admin surface —
@@ -163,9 +165,9 @@ func (g *Gateway) handleReplication(w http.ResponseWriter, r *http.Request) {
 }
 
 // Handler returns the gateway's HTTP handler with the per-request deadline
-// applied. Long-lived endpoints — chunked session streams and locator delta
-// long-polls — are exempt: a stream lives as long as its session plays, and
-// a delta poll parks until the feed moves; both bound themselves.
+// applied. Long-lived endpoints — chunked session streams, locator delta
+// long-polls, upgraded connections — are exempt: each lives as long as its
+// session plays, its feed is still or its peer keeps asking, and bounds itself.
 func (g *Gateway) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if isLongLived(r) {
@@ -183,7 +185,7 @@ func isLongLived(r *http.Request) bool {
 	if r.Method != http.MethodGet {
 		return false
 	}
-	return r.URL.Path == "/v1/locator/deltas" ||
+	return r.URL.Path == "/v1/locator/deltas" || r.URL.Path == binproto.UpgradePath ||
 		(strings.HasPrefix(r.URL.Path, "/v1/sessions/") && strings.HasSuffix(r.URL.Path, "/stream"))
 }
 

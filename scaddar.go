@@ -299,13 +299,13 @@ type BlockAddr = cm.BlockAddr
 // BinEpochInfo is the answer to a binary epoch probe.
 type BinEpochInfo = binproto.EpochInfo
 
-// BinServerConfig tunes a standalone binary protocol server; most callers
-// should use Gateway.ServeBin instead, which wires the gateway's snapshot,
-// registry, and lifecycle in automatically.
+// BinServerConfig tunes a standalone binary protocol server. A Gateway has
+// one of its own, over its snapshot, registry and lifecycle: Gateway.ServeBin
+// gives it a listener, and its HTTP port upgrades to it (docs/PROTOCOL.md §1.1).
 type BinServerConfig = binproto.ServerConfig
 
-// DialBin connects and handshakes with a binary lookup listener (started
-// with Gateway.ServeBin or the serve -bin-addr / cluster -bin flags).
+// DialBin connects and handshakes with a binary lookup listener (the
+// dedicated one: Gateway.ServeBin, or the serve -bin-addr / cluster -bin flags).
 func DialBin(addr string, cfg BinClientConfig) (*BinClient, error) { return binproto.Dial(addr, cfg) }
 
 // DialBinPool opens size binary protocol connections to one address.

@@ -3,8 +3,9 @@
 // It parses internal/binproto with go/ast, collects every exported
 // package-level constant that is part of the wire contract — opcodes (Op*),
 // response marker (RespFlag), error codes (ErrCode*), condition flags
-// (Flag*), batch status marker (EntryUnhealthy), and protocol limits
-// (Version, MaxFrameLen, MaxBatch) — and verifies each name appears
+// (Flag*), batch status marker (EntryUnhealthy), protocol limits
+// (Version, MaxFrameLen, MaxBatch), and the HTTP upgrade's three strings
+// (Upgrade*) — and verifies each name appears
 // verbatim in docs/PROTOCOL.md. Renaming, adding, or removing a wire
 // constant without touching the spec fails `make lint`.
 //
@@ -30,7 +31,7 @@ import (
 // wirePrefixes selects the constant families that form the wire contract;
 // wireExact adds the loners that do not share a family prefix.
 var (
-	wirePrefixes = []string{"Op", "ErrCode", "Flag"}
+	wirePrefixes = []string{"Op", "ErrCode", "Flag", "Upgrade"}
 	wireExact    = map[string]bool{
 		"RespFlag":       true,
 		"EntryUnhealthy": true,
