@@ -20,11 +20,16 @@ test: build
 # whose oracle is independent on purpose) no non-test Go file imports
 # hash/crc32 or calls one of encoding/binary's varint readers — what is
 # inside a payload is read through frame.Cursor, under its one forged-length
-# rule and its one "fits an int" bound — and gofmt: no file it would change.
+# rule and its one "fits an int" bound — and gofmt: no file it would change —
+# and the reachability check: an exported package-level identifier under
+# internal/, or an exported field of a *Config / *Options struct there, that
+# no non-test file of the module or of bench/ names fails the build, unless
+# its declaration says //unreached:testsupport <reason> (tools/unreached).
 lint:
 	$(GO) vet ./...
 	$(GO) run ./tools/missingdoc
 	$(GO) run ./tools/speclink
+	$(GO) run ./tools/unreached
 	@! grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=frame '"hash/crc32"' . || { echo 'lint: hash/crc32 imported outside internal/frame (see ARCHITECTURE.md "Framing")'; exit 1; }
 	@! grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=frame 'binary\.(Read)?(Uv|V)arint\(' . || { echo 'lint: varint read outside internal/frame: use frame.Cursor (see ARCHITECTURE.md "Framing")'; exit 1; }
 	@test -z "$$(gofmt -l .)" || { echo 'lint: gofmt would change:'; gofmt -l .; exit 1; }

@@ -48,10 +48,11 @@ type EpochInfo struct {
 	Degraded bool
 }
 
+// dialTimeout bounds the TCP connect, and then the handshake.
+const dialTimeout = 5 * time.Second
+
 // ClientConfig configures Dial.
 type ClientConfig struct {
-	// DialTimeout bounds the TCP connect plus handshake (default 5s).
-	DialTimeout time.Duration
 	// RequestTimeout, when positive, bounds each request's wait for its
 	// response. Zero means wait until the connection dies.
 	RequestTimeout time.Duration
@@ -97,10 +98,7 @@ type Client struct {
 // Dial connects, performs the version handshake, and starts the response
 // reader.
 func Dial(addr string, cfg ClientConfig) (*Client, error) {
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
-	nc, err := net.DialTimeout("tcp", addr, cfg.DialTimeout)
+	nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -110,10 +108,7 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 // NewClient performs the handshake over an existing connection and starts
 // the response reader. On error the connection is closed.
 func NewClient(nc net.Conn, cfg ClientConfig) (*Client, error) {
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
-	nc.SetDeadline(time.Now().Add(cfg.DialTimeout))
+	nc.SetDeadline(time.Now().Add(dialTimeout))
 	if err := handshake(nc, nc); err != nil {
 		nc.Close()
 		return nil, err

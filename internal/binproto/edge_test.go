@@ -169,7 +169,7 @@ func TestCorruptCRCDropsConnection(t *testing.T) {
 
 func TestTornFrameDropsConnection(t *testing.T) {
 	b := newTestBackend(t, 4, 1, 10)
-	addr := startServer(t, b, func(cfg *ServerConfig) { cfg.IdleTimeout = 200 * time.Millisecond })
+	addr := startServer(t, b, func(s *Server) { s.idleTimeout = 200 * time.Millisecond })
 	nc := rawConn(t, addr)
 	// Declare 100 payload bytes, send 3, stop mid-frame: the idle deadline
 	// tears the connection down instead of waiting forever.
@@ -193,13 +193,12 @@ func TestZeroLengthFrameDropsConnection(t *testing.T) {
 
 func TestSlowReaderEviction(t *testing.T) {
 	b := newTestBackend(t, 4, 2, 200)
-	reg := obs.NewRegistry()
-	addr := startServer(t, b, func(cfg *ServerConfig) {
-		cfg.Registry = reg
-		cfg.WriteTimeout = 100 * time.Millisecond
-		cfg.WriteBuffer = 4 << 10
+	var evictions *obs.Counter
+	addr := startServer(t, b, func(s *Server) {
+		evictions = s.m.slowEvictions
+		s.writeTimeout = 100 * time.Millisecond
+		s.writeBuffer = 4 << 10
 	})
-	evictions := reg.NewCounter("bin_slow_evictions_total", "")
 	nc := rawConn(t, addr)
 	// Pipeline large batches without ever reading a reply. Replies overrun
 	// the 4 KiB bounded buffer, the flush to our stalled socket hits the

@@ -31,10 +31,11 @@ func FuzzBinProto(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 
 	b := newTestBackend(f, 4, 2, 50)
-	srv, err := NewServer(ServerConfig{Snapshot: b.snap.Load, WriteTimeout: time.Second, IdleTimeout: time.Second})
+	srv, err := NewServer(ServerConfig{Snapshot: b.snap.Load})
 	if err != nil {
 		f.Fatal(err)
 	}
+	srv.writeTimeout, srv.idleTimeout = time.Second, time.Second
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > MaxFrameLen {

@@ -15,20 +15,6 @@ import (
 	"scaddar/internal/obs"
 )
 
-// Server defaults.
-const (
-	// DefaultWriteTimeout is how long one reply write may block before the
-	// connection is evicted as a slow reader.
-	DefaultWriteTimeout = 5 * time.Second
-	// DefaultIdleTimeout is how long a connection may sit with no
-	// complete request before it is closed.
-	DefaultIdleTimeout = 2 * time.Minute
-	// DefaultWriteBuffer is the per-connection bounded pending-reply
-	// queue, in bytes. Replies beyond it block on the socket under the
-	// write deadline instead of growing memory.
-	DefaultWriteBuffer = 64 << 10
-)
-
 // ServerConfig configures a binary lookup server. Snapshot is the only
 // required field.
 type ServerConfig struct {
@@ -45,14 +31,6 @@ type ServerConfig struct {
 	Registry *obs.Registry
 	// Logf, when non-nil, receives connection-level diagnostics.
 	Logf func(format string, args ...any)
-	// MaxBatch overrides the per-frame lookup bound (default MaxBatch).
-	MaxBatch int
-	// WriteTimeout overrides DefaultWriteTimeout.
-	WriteTimeout time.Duration
-	// IdleTimeout overrides DefaultIdleTimeout.
-	IdleTimeout time.Duration
-	// WriteBuffer overrides DefaultWriteBuffer.
-	WriteBuffer int
 }
 
 // Server answers binary lookup requests over persistent TCP connections.
@@ -62,6 +40,18 @@ type Server struct {
 	cfg ServerConfig
 	m   *binMetrics
 
+	// Connection limits, set once by NewServer; fields rather than constants
+	// only so that this package's tests can shrink them before Serve.
+	// maxBatch is the per-frame lookup bound (MaxBatch). writeTimeout is how
+	// long one reply write may block before the connection is evicted as a
+	// slow reader; idleTimeout how long a connection may sit with no complete
+	// request before it is closed. writeBuffer is the per-connection pending-
+	// reply queue in bytes: replies beyond it block on the socket under the
+	// write deadline instead of growing memory.
+	maxBatch                  int
+	writeTimeout, idleTimeout time.Duration
+	writeBuffer               int
+
 	mu     sync.Mutex
 	closed bool
 	lns    map[net.Listener]struct{}
@@ -69,35 +59,24 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// NewServer validates the config and applies defaults.
+// NewServer validates the config.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Snapshot == nil {
 		return nil, errors.New("binproto: ServerConfig.Snapshot is required")
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = MaxBatch
-	}
-	if cfg.MaxBatch > MaxBatch {
-		return nil, fmt.Errorf("binproto: MaxBatch %d exceeds protocol bound %d", cfg.MaxBatch, MaxBatch)
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = DefaultWriteTimeout
-	}
-	if cfg.IdleTimeout <= 0 {
-		cfg.IdleTimeout = DefaultIdleTimeout
-	}
-	if cfg.WriteBuffer <= 0 {
-		cfg.WriteBuffer = DefaultWriteBuffer
 	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	return &Server{
-		cfg:   cfg,
-		m:     newBinMetrics(reg),
-		lns:   make(map[net.Listener]struct{}),
-		conns: make(map[net.Conn]struct{}),
+		cfg:          cfg,
+		m:            newBinMetrics(reg),
+		maxBatch:     MaxBatch,
+		writeTimeout: 5 * time.Second,
+		idleTimeout:  2 * time.Minute,
+		writeBuffer:  64 << 10,
+		lns:          make(map[net.Listener]struct{}),
+		conns:        make(map[net.Conn]struct{}),
 	}, nil
 }
 
@@ -201,7 +180,7 @@ func (s *Server) handleConn(nc net.Conn, listened bool) {
 	s.m.connsTotal.Inc()
 	s.m.connsActive.Add(1)
 
-	nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+	nc.SetReadDeadline(time.Now().Add(s.idleTimeout))
 	ver, err := readHandshake(nc)
 	if err != nil {
 		s.logf("binproto: %s: %v", nc.RemoteAddr(), err)
@@ -221,11 +200,11 @@ func (s *Server) handleConn(nc net.Conn, listened bool) {
 	c := &srvConn{
 		nc:       nc,
 		br:       bufio.NewReaderSize(nc, 64<<10),
-		bw:       bufio.NewWriterSize(nc, s.cfg.WriteBuffer),
+		bw:       bufio.NewWriterSize(nc, s.writeBuffer),
 		listened: listened,
 	}
 	for {
-		nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+		nc.SetReadDeadline(time.Now().Add(s.idleTimeout))
 		payload, err := frame.Read(c.br, &c.in, MaxFrameLen)
 		if err != nil {
 			if errors.Is(err, frame.ErrCorrupt) {
@@ -316,10 +295,10 @@ func (s *Server) handleFrame(c *srvConn, payload []byte) (drain bool, err error)
 			return false, s.writeReply(c, appendError(c.out[:0], corr, ErrCodeMalformed, op, "batch body lacks count"))
 		}
 		count := int(binary.LittleEndian.Uint32(body))
-		if count > s.cfg.MaxBatch {
+		if count > s.maxBatch {
 			s.m.errorFrames.Inc()
 			return false, s.writeReply(c, appendError(c.out[:0], corr, ErrCodeTooLarge, op,
-				fmt.Sprintf("batch of %d exceeds limit %d", count, s.cfg.MaxBatch)))
+				fmt.Sprintf("batch of %d exceeds limit %d", count, s.maxBatch)))
 		}
 		pairs := body[4:]
 		if len(pairs) != 8*count {
@@ -406,13 +385,13 @@ func (s *Server) handleFrame(c *srvConn, payload []byte) (drain bool, err error)
 // retained as the next response's scratch.
 func (s *Server) writeReply(c *srvConn, payload []byte) error {
 	c.out = payload[:0]
-	c.nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	c.nc.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 	return frame.Write(c.bw, payload, MaxFrameLen)
 }
 
 // flush pushes buffered replies to the socket under the write deadline.
 func (s *Server) flush(c *srvConn) error {
-	c.nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	c.nc.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 	return c.bw.Flush()
 }
 

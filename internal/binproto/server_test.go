@@ -64,15 +64,14 @@ func (b *testBackend) publish(t testing.TB) {
 
 // startServer runs a binproto server for the backend on a loopback
 // listener, returning its address.
-func startServer(t testing.TB, b *testBackend, mutate func(*ServerConfig)) string {
+func startServer(t testing.TB, b *testBackend, mutate func(*Server)) string {
 	t.Helper()
-	cfg := ServerConfig{Snapshot: b.snap.Load}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	s, err := NewServer(cfg)
+	s, err := NewServer(ServerConfig{Snapshot: b.snap.Load})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if mutate != nil {
+		mutate(s)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -232,9 +231,7 @@ func TestEpochEchoTracksReorganization(t *testing.T) {
 func TestDrainingRefusesLookups(t *testing.T) {
 	b := newTestBackend(t, 4, 2, 50)
 	var draining atomic.Bool
-	addr := startServer(t, b, func(cfg *ServerConfig) {
-		cfg.Draining = draining.Load
-	})
+	addr := startServer(t, b, func(s *Server) { s.cfg.Draining = draining.Load })
 	c := dialTest(t, addr)
 	if _, _, _, err := c.Locate(0, 0); err != nil {
 		t.Fatal(err)
@@ -254,7 +251,7 @@ func TestDrainingRefusesLookups(t *testing.T) {
 
 func TestBatchTooLarge(t *testing.T) {
 	b := newTestBackend(t, 4, 2, 50)
-	addr := startServer(t, b, func(cfg *ServerConfig) { cfg.MaxBatch = 4 })
+	addr := startServer(t, b, func(s *Server) { s.maxBatch = 4 })
 	c := dialTest(t, addr)
 	addrs := make([]cm.BlockAddr, 5)
 	if _, err := c.LocateBatch(addrs, make([]Result, 5)); !errors.Is(err, ErrTooLarge) {

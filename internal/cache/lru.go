@@ -23,8 +23,6 @@ type LRU struct {
 	capacity int
 	order    *list.List // front = most recent; values are disk.BlockID
 	index    map[disk.BlockID]*list.Element
-
-	hits, misses int
 }
 
 // New creates an LRU holding up to capacity blocks. Zero capacity is valid
@@ -40,9 +38,6 @@ func New(capacity int) (*LRU, error) {
 	}, nil
 }
 
-// Capacity returns the configured block capacity.
-func (c *LRU) Capacity() int { return c.capacity }
-
 // Len returns the number of cached blocks.
 func (c *LRU) Len() int { return c.order.Len() }
 
@@ -55,13 +50,10 @@ func (c *LRU) Contains(b disk.BlockID) bool {
 // Get looks the block up, refreshing its recency on a hit.
 func (c *LRU) Get(b disk.BlockID) bool {
 	el, ok := c.index[b]
-	if !ok {
-		c.misses++
-		return false
+	if ok {
+		c.order.MoveToFront(el)
 	}
-	c.order.MoveToFront(el)
-	c.hits++
-	return true
+	return ok
 }
 
 // Put inserts (or refreshes) a block, evicting the least recently used one
@@ -91,19 +83,7 @@ func (c *LRU) Remove(b disk.BlockID) {
 	}
 }
 
-// Stats returns cumulative hit and miss counts.
-func (c *LRU) Stats() (hits, misses int) { return c.hits, c.misses }
-
-// HitRate returns hits/(hits+misses), or 0 before any lookup.
-func (c *LRU) HitRate() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
-}
-
-// Clear empties the cache, keeping the statistics.
+// Clear empties the cache.
 func (c *LRU) Clear() {
 	c.order.Init()
 	c.index = make(map[disk.BlockID]*list.Element)

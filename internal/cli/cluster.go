@@ -41,7 +41,6 @@ type clusterOptions struct {
 	shardTimeout time.Duration
 	opTimeout    time.Duration
 	probe        time.Duration
-	timeout      time.Duration
 	bin          bool
 }
 
@@ -62,7 +61,6 @@ func cmdCluster(args []string, w io.Writer) error {
 	fs.DurationVar(&opts.shardTimeout, "shard-timeout", 2*time.Second, "per-shard sub-request deadline (routing and fan-out)")
 	fs.DurationVar(&opts.opTimeout, "op-timeout", 2*time.Minute, "topology-operation deadline (shard add/drain incl. migration)")
 	fs.DurationVar(&opts.probe, "probe", time.Second, "shard health-probe interval (negative = off)")
-	fs.DurationVar(&opts.timeout, "timeout", 10*time.Second, "router per-request deadline")
 	fs.BoolVar(&opts.bin, "bin", false, "give every in-process shard a binary lookup listener (docs/PROTOCOL.md) on an ephemeral port, advertised via each shard's /v1/status")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -105,12 +103,15 @@ func bootClusterShard(opts clusterOptions, i int, w io.Writer) (*shardProc, erro
 	var st *store.Store
 	var srv *cm.Server
 	var err error
+	reg, ring := obs.NewRegistry(), obs.NewRing(gateway.TraceSpans) // before Recover, as in serve
 	if opts.dataDir != "" {
 		dir := filepath.Join(opts.dataDir, fmt.Sprintf("shard-%d", i))
 		st, err = store.Open(store.Config{Dir: dir})
 		if err != nil {
 			return nil, err
 		}
+		st.Observe(reg)
+		st.SetTraceRing(ring)
 	}
 	fail := func(err error) (*shardProc, error) {
 		if st != nil {
@@ -142,10 +143,11 @@ func bootClusterShard(opts clusterOptions, i int, w io.Writer) (*shardProc, erro
 		}
 	}
 	g, err := gateway.New(srv, gateway.Config{
-		Factory:  func(seed uint64) prng.Source { return prng.NewSplitMix64(seed) },
-		Round:    opts.round,
-		Store:    st,
-		Registry: obs.NewRegistry(),
+		Factory:   func(seed uint64) prng.Source { return prng.NewSplitMix64(seed) },
+		Round:     opts.round,
+		Store:     st,
+		Registry:  reg,
+		TraceRing: ring,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(w, "shard %d: "+format+"\n", append([]any{i}, args...)...)
 		},
@@ -225,11 +227,10 @@ func runCluster(opts clusterOptions, w io.Writer, ready func(addr string), stop 
 	}
 
 	r, err := cluster.NewRouter(cluster.RouterConfig{
-		ManifestPath:   opts.manifest,
-		ShardTimeout:   opts.shardTimeout,
-		OpTimeout:      opts.opTimeout,
-		ProbeInterval:  opts.probe,
-		RequestTimeout: opts.timeout,
+		ManifestPath:  opts.manifest,
+		ShardTimeout:  opts.shardTimeout,
+		OpTimeout:     opts.opTimeout,
+		ProbeInterval: opts.probe,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(w, format+"\n", args...)
 		},
@@ -268,9 +269,7 @@ func runCluster(opts clusterOptions, w io.Writer, ready func(addr string), stop 
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: r.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
+	hs, serveErr := startHTTP(ln, r.Handler())
 	base := "http://" + ln.Addr().String()
 
 	if opts.objects > 0 {
@@ -293,9 +292,7 @@ func runCluster(opts clusterOptions, w io.Writer, ready func(addr string), stop 
 	case <-stop:
 	}
 	fmt.Fprintf(w, "cluster: shutting down\n")
-	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	return hs.Shutdown(sctx)
+	return shutdownHTTP(hs, 10*time.Second)
 }
 
 // seedClusterObjects loads a synthetic library through the router, which

@@ -28,7 +28,6 @@ func TestClusterAndLoadgen(t *testing.T) {
 		shardTimeout: 5 * time.Second,
 		opTimeout:    time.Minute,
 		probe:        50 * time.Millisecond,
-		timeout:      10 * time.Second,
 	}
 	addrCh := make(chan string, 1)
 	stop := make(chan struct{})
@@ -128,7 +127,6 @@ func TestClusterBinLoadgen(t *testing.T) {
 		shardTimeout: 5 * time.Second,
 		opTimeout:    time.Minute,
 		probe:        50 * time.Millisecond,
-		timeout:      10 * time.Second,
 		bin:          true,
 	}
 	addrCh := make(chan string, 1)

@@ -1,12 +1,10 @@
 package cli
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -21,11 +19,10 @@ import (
 // followOptions configures the follow subcommand; a plain struct so tests
 // can drive runFollower without a flag set or signals.
 type followOptions struct {
-	leader  string
-	addr    string
-	maxLag  uint64
-	timeout time.Duration
-	quiet   bool
+	leader string
+	addr   string
+	maxLag uint64
+	quiet  bool
 }
 
 func cmdFollow(args []string, w io.Writer) error {
@@ -35,7 +32,6 @@ func cmdFollow(args []string, w io.Writer) error {
 	fs.StringVar(&opts.leader, "leader", "", "leader replication address (serve -repl-addr) to tail; required")
 	fs.StringVar(&opts.addr, "addr", "127.0.0.1:8081", "HTTP listen address for replica reads")
 	fs.Uint64Var(&opts.maxLag, "max-lag", 0, "staleness budget in journal events; reads beyond it fail retryably (0 = unbounded)")
-	fs.DurationVar(&opts.timeout, "timeout", 5*time.Second, "per-request deadline")
 	fs.BoolVar(&opts.quiet, "quiet", false, "suppress per-connection replication log lines")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -81,9 +77,8 @@ func runFollower(opts followOptions, w io.Writer, ready func(addr string), stop 
 	defer f.Close()
 
 	rp, err := gateway.NewReplica(gateway.ReplicaConfig{
-		Follower:       f,
-		RequestTimeout: opts.timeout,
-		Registry:       reg,
+		Follower: f,
+		Registry: reg,
 	})
 	if err != nil {
 		return err
@@ -99,9 +94,7 @@ func runFollower(opts followOptions, w io.Writer, ready func(addr string), stop 
 		ready(ln.Addr().String())
 	}
 
-	hs := &http.Server{Handler: rp.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
+	hs, serveErr := startHTTP(ln, rp.Handler())
 
 	select {
 	case err := <-serveErr:
@@ -109,9 +102,7 @@ func runFollower(opts followOptions, w io.Writer, ready func(addr string), stop 
 	case <-stop:
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	shutErr := hs.Shutdown(ctx)
+	shutErr := shutdownHTTP(hs, 5*time.Second)
 	st := f.Status()
 	fmt.Fprintf(w, "follow: done at LSN %d epoch %d; %d reconnects, %d snapshots\n",
 		st.AppliedLSN, st.Epoch, st.Reconnects, st.Snapshots)

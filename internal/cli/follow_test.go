@@ -91,10 +91,9 @@ func TestServeReplAndFollow(t *testing.T) {
 	followOut := &syncWriter{}
 	go func() {
 		followDone <- runFollower(followOptions{
-			leader:  replAddr,
-			addr:    "127.0.0.1:0",
-			timeout: 5 * time.Second,
-			quiet:   true,
+			leader: replAddr,
+			addr:   "127.0.0.1:0",
+			quiet:  true,
 		}, followOut, func(a string) { faddrCh <- a }, fstop)
 	}()
 	var fAddr string

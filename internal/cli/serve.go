@@ -186,6 +186,11 @@ func serveGateway(opts serveOptions, w io.Writer, ready func(addr string), stop 
 	// existing journal is recovered (the library flags are ignored — the
 	// journal is the authority), a fresh directory is bootstrapped from
 	// the synthetic library and journals everything from then on.
+	// The registry and the span ring exist before the store recovers, so that
+	// recovery counts and retraces the events it replays into what
+	// /v1/metrics and /v1/trace will serve.
+	reg := obs.NewRegistry()
+	ring := obs.NewRing(gateway.TraceSpans)
 	var st *store.Store
 	var srv *cm.Server
 	if opts.dataDir != "" {
@@ -194,6 +199,8 @@ func serveGateway(opts serveOptions, w io.Writer, ready func(addr string), stop 
 			return err
 		}
 		defer st.Close()
+		st.Observe(reg)
+		st.SetTraceRing(ring)
 	}
 	if st != nil && st.HasState() {
 		var info *store.RecoveryInfo
@@ -235,13 +242,26 @@ func serveGateway(opts serveOptions, w io.Writer, ready func(addr string), stop 
 	// actual bytes, migrations and rebuilds move them, and streaming sessions
 	// serve them. Attach after recovery so the startup reconcile can GC
 	// orphan payloads and re-materialize missing ones against the recovered
-	// catalog (the metadata journal is the system of record).
+	// catalog (the metadata journal is the system of record) — first whole
+	// directories: one whose disk the recovered array does not have was left
+	// by a scaling operation the journal never saw, or saw end.
 	if opts.payloadDir != "" {
 		mgr, err := dataplane.NewManager(opts.payloadDir, dataplane.Options{})
 		if err != nil {
 			return err
 		}
 		defer mgr.Close()
+		keep := make([]int, srv.N())
+		for i := range keep {
+			d, err := srv.Array().Disk(i)
+			if err != nil {
+				return err
+			}
+			keep[i] = d.ID()
+		}
+		if err := mgr.Retain(keep); err != nil {
+			return err
+		}
 		if err := srv.AttachPayloads(mgr.Factory(), dataplane.SeededContent); err != nil {
 			return err
 		}
@@ -256,7 +276,6 @@ func serveGateway(opts serveOptions, w io.Writer, ready func(addr string), stop 
 	}
 	// The replication leader shares the gateway's metrics registry so one
 	// /metrics scrape covers serving and shipping.
-	reg := obs.NewRegistry()
 	var ldr *repl.Leader
 	if opts.replAddr != "" {
 		ldr, err = repl.NewLeader(repl.LeaderConfig{
@@ -286,6 +305,7 @@ func serveGateway(opts serveOptions, w io.Writer, ready func(addr string), stop 
 		Store:            st,
 		CheckpointEvery:  opts.checkpointEvery,
 		Registry:         reg,
+		TraceRing:        ring,
 		ReplLeader:       ldr,
 		StreamBuffer:     opts.streamBuffer,
 		StreamEvictAfter: opts.streamEvict,
@@ -349,9 +369,7 @@ func serveGateway(opts serveOptions, w io.Writer, ready func(addr string), stop 
 		ready(ln.Addr().String())
 	}
 
-	hs := &http.Server{Handler: g.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
+	hs, serveErr := startHTTP(ln, g.Handler())
 
 	select {
 	case err := <-serveErr:
@@ -362,10 +380,11 @@ func serveGateway(opts serveOptions, w io.Writer, ready func(addr string), stop 
 	// Graceful exit: drain sessions first (new ones are refused with 503
 	// while existing ones play out), then stop accepting connections.
 	fmt.Fprintf(w, "serve: draining (budget %s)...\n", opts.drain)
-	ctx, cancel := context.WithTimeout(context.Background(), opts.drain)
+	deadline := time.Now().Add(opts.drain)
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
 	defer cancel()
 	drainErr := g.Shutdown(ctx)
-	if err := hs.Shutdown(ctx); err != nil && drainErr == nil {
+	if err := shutdownHTTP(hs, time.Until(deadline)); err != nil && drainErr == nil {
 		drainErr = err
 	}
 	gs := g.Status()

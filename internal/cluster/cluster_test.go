@@ -72,11 +72,10 @@ type testCluster struct {
 func newTestCluster(t testing.TB, k int, mutate func(*RouterConfig)) *testCluster {
 	t.Helper()
 	cfg := RouterConfig{
-		ShardTimeout:   time.Second,
-		OpTimeout:      30 * time.Second,
-		ProbeInterval:  -1,
-		RequestTimeout: 30 * time.Second,
-		Logf:           t.Logf,
+		ShardTimeout:  time.Second,
+		OpTimeout:     30 * time.Second,
+		ProbeInterval: -1,
+		Logf:          t.Logf,
 	}
 	if mutate != nil {
 		mutate(&cfg)

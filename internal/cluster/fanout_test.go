@@ -3,7 +3,9 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -36,11 +38,10 @@ func (s *slowHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func newSlowCluster(t *testing.T) (*testCluster, *slowHandler) {
 	t.Helper()
 	cfg := RouterConfig{
-		ShardTimeout:   100 * time.Millisecond,
-		OpTimeout:      30 * time.Second,
-		ProbeInterval:  -1,
-		RequestTimeout: 30 * time.Second,
-		Logf:           t.Logf,
+		ShardTimeout:  100 * time.Millisecond,
+		OpTimeout:     30 * time.Second,
+		ProbeInterval: -1,
+		Logf:          t.Logf,
 	}
 	r, err := NewRouter(cfg)
 	if err != nil {
@@ -242,5 +243,54 @@ func TestFanoutDeadlineIndependent(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("three aggregations took %s; deadlines are not independent", elapsed)
+	}
+}
+
+// TestDeadlinePerHopAndPerOperation is the router's deadline contract now
+// that Handler adds none of its own. A data-path request to a shard that has
+// stopped answering costs one ShardTimeout, answers 503 and marks the shard
+// down. A topology operation is bounded by OpTimeout and by nothing shorter:
+// it rides out a shard that stalls several ShardTimeouts and then answers,
+// and ends in 504 at OpTimeout against one that never does.
+func TestDeadlinePerHopAndPerOperation(t *testing.T) {
+	c, slow := newSlowCluster(t)
+	c.router.cfg.OpTimeout = time.Second
+	var onSlow, onFast []int // objects homed on the slow shard, and elsewhere
+	for id := 0; id < 24; id++ {
+		if RouteSlot(id, 3) == 2 {
+			onSlow = append(onSlow, id)
+		} else {
+			onFast = append(onFast, id)
+		}
+	}
+
+	slow.delay.Store(int64(1500 * time.Millisecond))
+	start := time.Now()
+	rec := c.do(t, http.MethodGet, fmt.Sprintf("/v1/objects/%d/blocks/0", onSlow[0]), nil)
+	if took := time.Since(start); rec.Code != http.StatusServiceUnavailable || took < 100*time.Millisecond || took > time.Second {
+		t.Fatalf("read from a stalled shard: %d after %s, want 503 after one 100ms ShardTimeout: %s", rec.Code, took, rec.Body)
+	}
+	if c.router.topologyView().Shards[2].Healthy {
+		t.Error("the stalled shard is still marked healthy")
+	}
+	if rec := c.do(t, http.MethodGet, fmt.Sprintf("/v1/objects/%d/blocks/0", onFast[0]), nil); rec.Code != http.StatusOK {
+		t.Fatalf("read from a healthy shard meanwhile: %d: %s", rec.Code, rec.Body)
+	}
+
+	// The shard stalls for three ShardTimeouts, then answers.
+	slow.delay.Store(int64(300 * time.Millisecond))
+	time.AfterFunc(300*time.Millisecond, func() { slow.delay.Store(0) })
+	move := func(id int) (*httptest.ResponseRecorder, time.Duration) {
+		start := time.Now()
+		rec := c.do(t, http.MethodPost, fmt.Sprintf("/v1/cluster/objects/%d/move", id), map[string]any{"shard": 2})
+		return rec, time.Since(start)
+	}
+	if rec, took := move(onFast[0]); rec.Code != http.StatusOK || took < 100*time.Millisecond {
+		t.Fatalf("move onto a shard that stalls past ShardTimeout, inside OpTimeout: %d after %s: %s", rec.Code, took, rec.Body)
+	}
+
+	slow.delay.Store(int64(1500 * time.Millisecond))
+	if rec, took := move(onFast[1]); rec.Code != http.StatusGatewayTimeout || took < time.Second || took > 3*time.Second {
+		t.Fatalf("move onto a shard that never answers: %d after %s, want 504 at the 1s OpTimeout: %s", rec.Code, took, rec.Body)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -47,21 +46,11 @@ func (r *Router) routes() {
 	r.mux.HandleFunc("POST /v1/cluster/objects/{id}/move", r.handleMoveObject)
 }
 
-// Handler returns the router's HTTP handler with the per-request deadline
-// applied to data-path requests. Topology and object-move operations (POST
-// under /v1/cluster/) run under the separate, longer OpTimeout — they
-// migrate keys.
-func (r *Router) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		timeout := r.cfg.RequestTimeout
-		if req.Method == http.MethodPost && strings.HasPrefix(req.URL.Path, "/v1/cluster/") {
-			timeout = r.cfg.OpTimeout
-		}
-		ctx, cancel := context.WithTimeout(req.Context(), timeout)
-		defer cancel()
-		r.mux.ServeHTTP(w, req.WithContext(ctx))
-	})
-}
+// Handler returns the router's HTTP handler: the mux, with nothing around it.
+// A data-path request runs under its caller's context and is bounded hop by
+// hop — a read and its at most two chases, ShardTimeout each (roundTrip); the
+// two handlers that migrate keys apply OpTimeout themselves.
+func (r *Router) Handler() http.Handler { return r.mux }
 
 // writeJSON writes v as a JSON response with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -478,7 +467,7 @@ type shardOpResponse struct {
 
 // handleShardOp executes a topology change: add a shard (migrating the
 // jump-hash-moved key fraction onto it), drain the tail shard, or remove
-// a drained one. Runs under OpTimeout, not the data-path deadline.
+// a drained one, under OpTimeout.
 func (r *Router) handleShardOp(w http.ResponseWriter, req *http.Request) {
 	body, err := readBody(w, req)
 	if err != nil {
@@ -490,13 +479,15 @@ func (r *Router) handleShardOp(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
 		return
 	}
+	ctx, cancel := context.WithTimeout(req.Context(), r.cfg.OpTimeout)
+	defer cancel()
 	switch op.Op {
 	case "add":
 		if op.URL == "" {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": `cluster: add needs a "url"`})
 			return
 		}
-		info, stats, err := r.AddShard(req.Context(), op.URL)
+		info, stats, err := r.AddShard(ctx, op.URL)
 		if err != nil {
 			r.writeError(w, err)
 			return
@@ -507,7 +498,7 @@ func (r *Router) handleShardOp(w http.ResponseWriter, req *http.Request) {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": `cluster: drain needs an "id"`})
 			return
 		}
-		stats, err := r.DrainShard(req.Context(), *op.ID)
+		stats, err := r.DrainShard(ctx, *op.ID)
 		if err != nil {
 			r.writeError(w, err)
 			return
@@ -558,7 +549,9 @@ func (r *Router) handleMoveObject(w http.ResponseWriter, req *http.Request) {
 			map[string]string{"error": `cluster: move needs a "shard" field naming the destination shard`})
 		return
 	}
-	res, err := r.MoveObject(req.Context(), id, *mv.Shard)
+	ctx, cancel := context.WithTimeout(req.Context(), r.cfg.OpTimeout)
+	defer cancel()
+	res, err := r.MoveObject(ctx, id, *mv.Shard)
 	if err != nil {
 		r.writeError(w, err)
 		return

@@ -266,7 +266,7 @@ func (r *Router) migrateKeys(ctx context.Context, t *topology) (MigrationStats, 
 			if _, dup := holder[obj.ID]; dup {
 				// Keep the copy at the object's new home; the other is
 				// the stale duplicate a crash left behind.
-				if i == JumpHash(RouteKey(obj.ID), p.newBuckets) {
+				if i == RouteSlot(obj.ID, p.newBuckets) {
 					holder[obj.ID] = i
 				}
 				continue
@@ -288,9 +288,8 @@ func (r *Router) migrateKeys(ctx context.Context, t *topology) (MigrationStats, 
 	sort.Ints(ids)
 	stats.Objects = len(ids)
 	for _, id := range ids {
-		key := RouteKey(id)
-		oldSlot := JumpHash(key, p.oldBuckets)
-		newSlot := JumpHash(key, p.newBuckets)
+		oldSlot := RouteSlot(id, p.oldBuckets)
+		newSlot := RouteSlot(id, p.newBuckets)
 		if oldSlot == newSlot {
 			continue
 		}

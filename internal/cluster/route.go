@@ -1,5 +1,7 @@
 package cluster
 
+import "scaddar/internal/placement"
+
 // Key routing: object ID → shard slot, via jump consistent hashing over a
 // mixed 64-bit key. This is the cluster-level analogue of SCADDAR's access
 // function — arithmetic only, no directory, minimal movement on growth.
@@ -15,23 +17,11 @@ func RouteKey(object int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// JumpHash is the Lamping-Veach loop: the key doubles as LCG state and the
-// candidate bucket jumps forward with geometrically increasing strides.
-// It returns a bucket in [0, buckets); buckets must be positive. Growing
-// buckets by one relocates each key with probability 1/(buckets+1), and
-// every relocated key moves to the new bucket — the property the shard
-// scaling operations and their tests rely on.
-func JumpHash(key uint64, buckets int) int {
-	var b, j int64 = -1, 0
-	for j < int64(buckets) {
-		b = j
-		key = key*2862933555777941757 + 1
-		j = int64(float64(b+1) * (float64(int64(1)<<31) / float64((key>>33)+1)))
-	}
-	return int(b)
-}
-
-// RouteSlot returns the routing slot of an object among `buckets` shards.
+// RouteSlot returns the routing slot of an object among `buckets` shards
+// (buckets must be positive). Growing buckets by one relocates each key with
+// probability 1/(buckets+1), and every relocated key moves to the new bucket
+// — the property of jump hashing the shard scaling operations and their
+// tests rely on.
 func RouteSlot(object, buckets int) int {
-	return JumpHash(RouteKey(object), buckets)
+	return placement.JumpHash(RouteKey(object), buckets)
 }

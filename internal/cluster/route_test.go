@@ -1,9 +1,26 @@
 package cluster
 
 import (
+	"hash/fnv"
 	"math"
 	"testing"
 )
+
+// TestRouteSlotGolden pins where objects live: the slot of 1,000 object IDs
+// among 1, 3, 16 and 64 shards, as a digest taken before RouteSlot moved onto
+// placement.JumpHash. A change here strands every routed object on a shard
+// the router no longer asks.
+func TestRouteSlotGolden(t *testing.T) {
+	h := fnv.New64a()
+	for _, k := range []int{1, 3, 16, 64} {
+		for id := 0; id < 1000; id++ {
+			h.Write([]byte{byte(RouteSlot(id, k))})
+		}
+	}
+	if got := h.Sum64(); got != 0x4f5c2dcaf0283bbf {
+		t.Fatalf("RouteSlot digest %#x, want 0x4f5c2dcaf0283bbf: routed objects changed shard", got)
+	}
+}
 
 // TestJumpHashRange checks the bucket is always within [0, buckets).
 func TestJumpHashRange(t *testing.T) {

@@ -31,13 +31,6 @@ type RouterConfig struct {
 	// disables active probing (passive marking from routed requests still
 	// applies).
 	ProbeInterval time.Duration
-	// RequestTimeout is the per-request deadline applied by Handler to
-	// data-path requests. Zero means 10s.
-	RequestTimeout time.Duration
-	// Registry, when non-nil, receives the router's metrics (and is served
-	// at GET /v1/metrics alongside the per-shard scrape). Nil means a
-	// fresh registry owned by the router.
-	Registry *obs.Registry
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
@@ -131,12 +124,11 @@ func (t *topology) shardFor(object int) *shard {
 		}
 	}
 	if p := t.pending; p != nil {
-		key := RouteKey(object)
 		if p.oldBuckets == 0 {
-			return t.slots[JumpHash(key, p.newBuckets)]
+			return t.slots[RouteSlot(object, p.newBuckets)]
 		}
-		oldSlot := JumpHash(key, p.oldBuckets)
-		newSlot := JumpHash(key, p.newBuckets)
+		oldSlot := RouteSlot(object, p.oldBuckets)
+		newSlot := RouteSlot(object, p.newBuckets)
 		if oldSlot == newSlot {
 			return t.slots[oldSlot]
 		}
@@ -148,7 +140,7 @@ func (t *topology) shardFor(object int) *shard {
 	if t.buckets == 0 {
 		return nil
 	}
-	return t.slots[JumpHash(RouteKey(object), t.buckets)]
+	return t.slots[RouteSlot(object, t.buckets)]
 }
 
 // shardByID finds a shard handle by stable ID.
@@ -200,13 +192,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = time.Second
 	}
-	if cfg.RequestTimeout == 0 {
-		cfg.RequestTimeout = 10 * time.Second
-	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	r := &Router{
 		cfg:       cfg,
 		reg:       reg,
@@ -359,9 +345,6 @@ func (r *Router) manifestLocked() *Manifest {
 func (r *Router) saveLocked() error {
 	return r.manifestLocked().Save(r.cfg.ManifestPath)
 }
-
-// Registry returns the registry the router publishes into.
-func (r *Router) Registry() *obs.Registry { return r.reg }
 
 // Topology returns the current manifest-shaped view of the topology.
 func (r *Router) Topology() Manifest {

@@ -538,19 +538,18 @@ func (w *nullWriter) WriteHeader(status int)      { w.status = status }
 func (w *nullWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 // routedReadAllocs is the router-side allocation count of one routed read,
-// Handler() to the last Write, as measured when the shard hop became one
-// binary frame each way (over HTTP on the pooled connections: 25; through
-// the http.Client before that: 69). None of the twelve is the hop's own. By a
-// rate-1 memory profile: Handler's context.WithTimeout four (the context, its
-// timer, their closures) and its request copy one; ServeMux matching two (the
-// wildcard values); context.AfterFunc for the poison five (its context and
-// stop function, and the done channel, children map and entry it makes the
-// request's context grow). Under ten needs the read route to stop building a
-// timeout context per request. The pin holds under -race too, which is how
-// `make verify` and CI run it: there sync.Pool drops a quarter of its Puts and
-// a fresh body scratch (readBodies) is two allocations, a mean of 12.47 that
-// AllocsPerRun floors to 12; a thirteenth allocation per read reads 13.
-const routedReadAllocs = 12
+// Handler() to the last Write (with a timeout context and a request copy per
+// request in Handler: 12; over HTTP on the pooled connections: 25; through
+// the http.Client before that: 69). None of the four is the hop's own. By a
+// rate-1 memory profile: ServeMux matching two (the wildcard values), and
+// context.AfterFunc for the poison two (its context and its stop function —
+// this request's context cannot be cancelled; one that can, as under a live
+// http.Server, also grows a done channel and a children map and entry). The
+// pin holds under -race too, which is how `make verify` and CI run it: there
+// sync.Pool drops a quarter of its Puts and a fresh body scratch
+// (readBodies) is two allocations, a mean of 4.47 that AllocsPerRun floors
+// to 4; a fifth allocation per read reads 5.
+const routedReadAllocs = 4
 
 // TestRoutedReadAllocs keeps the routed read's diet from regressing. The
 // stub's upgraded connections allocate nothing per frame, so the count taken

@@ -144,10 +144,6 @@ func (s *Server) reconcilePayloads(d *disk.Disk, ps disk.PayloadStore) error {
 	return nil
 }
 
-// PayloadsAttached reports whether a real data plane is wired under the
-// disks.
-func (s *Server) PayloadsAttached() bool { return s.payloads != nil }
-
 // contentFor computes a block's oracle bytes from its packed ID, or nil when
 // no oracle is attached or the owning object is unknown.
 func (s *Server) contentFor(bid disk.BlockID) []byte {
@@ -240,9 +236,9 @@ func (s *Server) newExecutor(plan *reorg.Plan) (*reorg.Executor, error) {
 }
 
 // attachAddedPayloads opens stores for the disks a scale-up just attached
-// (logical indices [from, N)). New disks start empty; a leftover store dir
-// under a recycled ID would have been destroyed by the store manager's
-// startup GC, and disk IDs are never reused anyway.
+// (logical indices [from, N)). New disks start empty: a store directory
+// left under the ID by a scale-up the journal never recorded was destroyed
+// when the process started (serve: dataplane.Manager.Retain).
 func (s *Server) attachAddedPayloads(from int) error {
 	if s.payloads == nil {
 		return nil

@@ -128,11 +128,15 @@ func RestoreServer(cfg Config, md *Metadata, x0 placement.X0Func) (*Server, erro
 }
 
 // EncodeMetadata serializes metadata as JSON.
+//
+//unreached:testsupport the documented debugging form; the store writes EncodeMetadataBinary's
 func EncodeMetadata(md *Metadata) ([]byte, error) {
 	return json.Marshal(md)
 }
 
 // DecodeMetadata parses JSON metadata.
+//
+//unreached:testsupport see EncodeMetadata
 func DecodeMetadata(data []byte) (*Metadata, error) {
 	var md Metadata
 	if err := json.Unmarshal(data, &md); err != nil {

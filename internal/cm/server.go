@@ -77,9 +77,6 @@ type Config struct {
 	// ParityGroup is the parity group size g for RedundancyParity; 0 means
 	// the default of 4.
 	ParityGroup int
-	// MirrorOffset overrides the mirror offset function for
-	// RedundancyMirror; nil means the paper's f(N) = N/2.
-	MirrorOffset mirror.OffsetFunc
 }
 
 // DefaultConfig returns a server configuration matching the paper's era:
@@ -337,7 +334,7 @@ func NewServer(cfg Config, strat placement.Strategy) (*Server, error) {
 	switch cfg.Redundancy {
 	case RedundancyNone:
 	case RedundancyMirror:
-		mirrored, err = mirror.New(strat, cfg.MirrorOffset)
+		mirrored, err = mirror.New(strat, nil) // the paper's f(N) = N/2
 		if err != nil {
 			return nil, err
 		}

@@ -235,16 +235,6 @@ func (c *ClientLocator) Object(id int) (ObjectInfo, bool) {
 	return ObjectInfo{}, false
 }
 
-// Objects returns the number of cataloged objects.
-func (c *ClientLocator) Objects() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.catalog == nil {
-		return 0
-	}
-	return c.catalog.Len()
-}
-
 // Locate computes the logical disk currently holding a block, applying the
 // same mid-migration rules as the server's LocatorSnapshot: pending blocks
 // resolve to their pre-operation home, and scale-down drains translate

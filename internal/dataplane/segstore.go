@@ -63,11 +63,6 @@ type Options struct {
 	// SegmentMaxBytes rotates the active segment once it grows past this
 	// size. Zero means the 64 MiB default.
 	SegmentMaxBytes int64
-	// SyncOnPut fsyncs after every append. Off by default: payloads are
-	// re-materializable from the content oracle and the metadata journal
-	// is the durability record, so the data plane trades fsync latency for
-	// a reconcile pass on recovery.
-	SyncOnPut bool
 }
 
 // withDefaults fills unset options.
@@ -371,11 +366,6 @@ func (s *Store) appendRecord(kind int, bid disk.BlockID, data []byte) (entry, er
 	}
 	e := entry{seg: seg.seq, off: seg.size, n: int32(len(s.scratch) - frame.HeaderLen)}
 	seg.size += int64(len(s.scratch))
-	if s.opts.SyncOnPut {
-		if err := seg.f.Sync(); err != nil {
-			return entry{}, fmt.Errorf("dataplane: sync %s: %w", seg.path, err)
-		}
-	}
 	return e, nil
 }
 
@@ -743,21 +733,6 @@ func (s *Store) Compact() error {
 			seg.live--
 		}
 		s.pruneLocked(seg)
-	}
-	return nil
-}
-
-// Sync flushes every segment file to stable storage.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrStoreClosed
-	}
-	for _, seg := range s.segs {
-		if err := seg.f.Sync(); err != nil {
-			return fmt.Errorf("dataplane: sync %s: %w", seg.path, err)
-		}
 	}
 	return nil
 }

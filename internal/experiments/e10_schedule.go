@@ -9,6 +9,8 @@ import (
 )
 
 // E10Config parameterizes the round-scheduling experiment.
+//
+//unreached:testsupport cmd/benchtables runs the paper's scale; the tests shrink it
 type E10Config struct {
 	// Profile is the disk model.
 	Profile disk.Profile

@@ -11,6 +11,8 @@ import (
 )
 
 // E11Config parameterizes the heterogeneous-array experiment.
+//
+//unreached:testsupport cmd/benchtables runs the paper's scale; the tests shrink it
 type E11Config struct {
 	// OldDisks is the number of old-generation disks.
 	OldDisks int

@@ -9,6 +9,8 @@ import (
 )
 
 // E12Config parameterizes the generator-quality experiment.
+//
+//unreached:testsupport cmd/benchtables runs the paper's scale; the tests shrink it
 type E12Config struct {
 	// N0 is the initial disk count.
 	N0 int

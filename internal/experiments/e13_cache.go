@@ -10,6 +10,8 @@ import (
 )
 
 // E13Config parameterizes the block-buffer experiment.
+//
+//unreached:testsupport cmd/benchtables runs the paper's scale; the tests shrink it
 type E13Config struct {
 	// N0 is the disk count.
 	N0 int

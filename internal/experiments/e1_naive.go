@@ -7,6 +7,8 @@ import (
 )
 
 // E1Config parameterizes the Figure 1 reproduction.
+//
+//unreached:testsupport cmd/benchtables runs the paper's scale; the tests shrink it
 type E1Config struct {
 	// N0 is the initial disk count (the figure uses 4).
 	N0 int

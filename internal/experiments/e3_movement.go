@@ -8,6 +8,8 @@ import (
 )
 
 // E3Config parameterizes the movement-fraction experiment.
+//
+//unreached:testsupport cmd/benchtables runs the paper's scale; the tests shrink it
 type E3Config struct {
 	// Objects and BlocksPer size the block universe.
 	Objects, BlocksPer int

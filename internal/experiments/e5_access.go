@@ -10,6 +10,8 @@ import (
 )
 
 // E5Config parameterizes the access-cost experiment.
+//
+//unreached:testsupport cmd/benchtables runs the paper's scale; the tests shrink it
 type E5Config struct {
 	// OpCounts are the history lengths j at which to measure lookups.
 	OpCounts []int

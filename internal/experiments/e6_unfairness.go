@@ -9,6 +9,8 @@ import (
 )
 
 // E6Config parameterizes the unfairness-bound experiment.
+//
+//unreached:testsupport cmd/benchtables runs the paper's scale; the tests shrink it
 type E6Config struct {
 	// Bits is the generator width; small widths make the bound reachable
 	// empirically.

@@ -10,6 +10,8 @@ import (
 )
 
 // E7Config parameterizes the online-reorganization experiment.
+//
+//unreached:testsupport cmd/benchtables runs the paper's scale; the tests shrink it
 type E7Config struct {
 	// N0 is the initial disk count.
 	N0 int

@@ -9,6 +9,8 @@ import (
 )
 
 // E8Config parameterizes the fault-tolerance experiment.
+//
+//unreached:testsupport cmd/benchtables runs the paper's scale; the tests shrink it
 type E8Config struct {
 	// N0 is the initial disk count.
 	N0 int

@@ -7,6 +7,8 @@ import (
 )
 
 // E9Config parameterizes the metadata-storage experiment.
+//
+//unreached:testsupport cmd/benchtables runs the paper's scale; the tests shrink it
 type E9Config struct {
 	// Ops is the length of the scaling history both schemes must support.
 	Ops int

@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"testing"
-	"time"
 
 	"scaddar/internal/binproto"
 	"scaddar/internal/cm"
@@ -20,7 +19,7 @@ func BenchmarkBinGatewayRead(b *testing.B) {
 	_, addr := newBinGateway(b, 8, 8, 500, nil, nil)
 	dial := func(b *testing.B) *binproto.Client {
 		b.Helper()
-		c, err := binproto.Dial(addr, binproto.ClientConfig{DialTimeout: 5 * time.Second})
+		c, err := binproto.Dial(addr, binproto.ClientConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -58,7 +57,7 @@ func BenchmarkBinGatewayRead(b *testing.B) {
 	})
 
 	b.Run("batch64-parallel", func(b *testing.B) {
-		pool, err := binproto.DialPool(addr, 8, binproto.ClientConfig{DialTimeout: 5 * time.Second})
+		pool, err := binproto.DialPool(addr, 8, binproto.ClientConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -53,6 +53,9 @@ var (
 	ErrDraining = fmt.Errorf("gateway: draining")
 )
 
+// TraceSpans is the capacity of the span ring served at GET /v1/trace.
+const TraceSpans = 4096
+
 // Config tunes the gateway around a server.
 type Config struct {
 	// Factory builds the per-object generators for locator snapshots; it
@@ -65,8 +68,8 @@ type Config struct {
 	// MailboxDepth bounds the command backlog; commands beyond it are
 	// rejected with ErrOverloaded. Zero means 64.
 	MailboxDepth int
-	// RequestTimeout is the per-request deadline applied by Handler.
-	// Zero means 5s.
+	// RequestTimeout bounds how long an HTTP request waits for a command it
+	// submits to the owner goroutine (504 past it). Zero means 5s.
 	RequestTimeout time.Duration
 	// Store, when non-nil, is the durable state store the server journals
 	// into. The gateway calls its Sync once per round: a no-op at the
@@ -89,9 +92,9 @@ type Config struct {
 	// a server this one replaces.
 	Registry *obs.Registry
 	// TraceRing, when non-nil, is the span ring the server's event stream
-	// appends to, served at GET /v1/trace. Nil means a fresh 4096-span ring.
-	// Pass the ring the store replayed into during recovery and the live
-	// trace continues where the retrace ended.
+	// appends to, served at GET /v1/trace. Nil means a fresh ring of
+	// TraceSpans. Pass the ring the store replayed into during recovery and
+	// the live trace continues where the retrace ended.
 	TraceRing *obs.Ring
 	// ReplLeader, when non-nil, is the journal-shipping replication leader
 	// running beside this gateway; its follower connections are reported at
@@ -105,9 +108,6 @@ type Config struct {
 	// StreamEvictAfter is how many consecutive deadline misses evict a
 	// streaming session. Zero means the dataplane default (8).
 	StreamEvictAfter int
-	// FeedCapacity bounds the locator delta feed ring; clients further
-	// behind than this must refetch the full snapshot. Zero means 1024.
-	FeedCapacity int
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
@@ -276,7 +276,7 @@ func New(srv *cm.Server, cfg Config) (*Gateway, error) {
 	}
 	trace := cfg.TraceRing
 	if trace == nil {
-		trace = obs.NewRing(4096)
+		trace = obs.NewRing(TraceSpans)
 	}
 	g := &Gateway{
 		cfg:    cfg,
@@ -504,26 +504,31 @@ func (g *Gateway) Status() Status {
 // separate debug listener.
 func (g *Gateway) Registry() *obs.Registry { return g.reg }
 
-// TraceRing returns the span ring the server's event stream appends to —
-// the same spans served at GET /v1/trace.
-func (g *Gateway) TraceRing() *obs.Ring { return g.trace }
-
-// exec submits a command to the owner goroutine and waits for its reply,
-// the context deadline, or gateway shutdown. A full mailbox returns
-// ErrOverloaded immediately — backpressure at the edge instead of an
-// unbounded queue.
+// exec is how an HTTP handler runs a command: submit under RequestTimeout.
+// This is the gateway's one request deadline — the mailbox is the only place
+// a request waits — and a command that outlives it answers 504.
 func (g *Gateway) exec(ctx context.Context, mutates bool, fn func(*cm.Server) (any, error)) (any, error) {
 	return g.execDiscard(ctx, mutates, fn, nil)
 }
 
-// execDiscard is exec for commands with side effects that must not outlive
-// their submitter. A reply that raced the deadline is preferred over the
-// deadline (the command ran; report its true outcome rather than a timeout
-// the side effects don't match). If the command is truly abandoned —
-// deadline fired before fn finished — discard receives the eventual
-// successful result so the handler's compensation (detach, stop) can run;
-// a nil discard makes this identical to exec.
+// execDiscard is exec with submit's discard hook.
 func (g *Gateway) execDiscard(ctx context.Context, mutates bool, fn func(*cm.Server) (any, error), discard func(v any)) (any, error) {
+	ctx, cancel := context.WithTimeout(ctx, g.cfg.RequestTimeout)
+	defer cancel()
+	return g.submit(ctx, mutates, fn, discard)
+}
+
+// submit hands a command to the owner goroutine and waits for its reply,
+// the context, or gateway shutdown. A full mailbox returns ErrOverloaded
+// immediately — backpressure at the edge instead of an unbounded queue.
+//
+// discard is for commands with side effects that must not outlive their
+// submitter. A reply that raced the deadline is preferred over the deadline
+// (the command ran; report its true outcome rather than a timeout the side
+// effects don't match). If the command is truly abandoned — deadline fired
+// before fn finished — discard receives the eventual successful result so
+// the handler's compensation (detach, stop) can run; nil means none.
+func (g *Gateway) submit(ctx context.Context, mutates bool, fn func(*cm.Server) (any, error), discard func(v any)) (any, error) {
 	c := command{ctx: ctx, fn: fn, mutates: mutates, reply: make(chan cmdResult, 1), discard: discard}
 	select {
 	case <-g.closed:
@@ -588,9 +593,10 @@ func (g *Gateway) abandon(c command) {
 
 // Exec runs fn serialized with the round driver — the only sanctioned way
 // to touch the underlying server from outside. It is treated as mutating:
-// the read-path snapshot is republished after it succeeds.
+// the read-path snapshot is republished after it succeeds. The caller's
+// context is the only deadline.
 func (g *Gateway) Exec(ctx context.Context, fn func(*cm.Server) (any, error)) (any, error) {
-	return g.exec(ctx, true, fn)
+	return g.submit(ctx, true, fn, nil)
 }
 
 // Rounds returns the number of rounds ticked so far.
@@ -607,9 +613,9 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	g.draining.Store(true)
 	defer g.halt()
 	for {
-		v, err := g.exec(ctx, false, func(s *cm.Server) (any, error) {
+		v, err := g.submit(ctx, false, func(s *cm.Server) (any, error) {
 			return s.ActiveStreams() + s.MigrationRemaining(), nil
-		})
+		}, nil)
 		if err != nil {
 			if err == ErrOverloaded {
 				// Backlogged control plane: wait a round and re-ask.

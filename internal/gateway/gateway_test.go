@@ -1,17 +1,23 @@
 package gateway
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
+	"scaddar/internal/binproto"
 	"scaddar/internal/cm"
+	"scaddar/internal/dataplane"
 	"scaddar/internal/placement"
 	"scaddar/internal/prng"
 	"scaddar/internal/workload"
@@ -309,9 +315,51 @@ func TestMailboxOverloadReturns503(t *testing.T) {
 	}
 }
 
+// TestRequestDeadlineReturns504 holds the owner goroutine inside a command
+// and checks who RequestTimeout binds, through the bare Handler(): a request
+// that submits a command answers 504 once it has waited that long, and the
+// command it gave up on never runs; a block read and a metrics scrape, which
+// submit none, answer 200 meanwhile; and a session stream, a delta long-poll
+// and an upgraded connection opened before the hold are all still there
+// several RequestTimeouts later, and carry on when the owner does.
 func TestRequestDeadlineReturns504(t *testing.T) {
-	g := newTestGateway(t, 4, 2, 50, nil, func(c *Config) { c.RequestTimeout = 20 * time.Millisecond })
+	const timeout = 100 * time.Millisecond
+	g, ts := newStreamGateway(t, 4, 2, 2000, func(c *Config) { c.RequestTimeout = timeout })
 	h := g.Handler()
+
+	stream, err := http.Get(fmt.Sprintf("%s/v1/sessions/%d/stream", ts.URL, openPausedSession(t, ts.URL, 0)))
+	if err != nil || stream.StatusCode != http.StatusOK {
+		t.Fatalf("attach: %v %v", stream, err)
+	}
+	defer stream.Body.Close()
+	frames := bufio.NewReader(stream.Body)
+	if f, err := dataplane.ReadFrame(frames); err != nil || f.End {
+		t.Fatalf("first frame: %+v, %v", f, err)
+	}
+	poll := make(chan *http.Response, 1)
+	go func() {
+		resp, err := http.Get(fmt.Sprintf("%s/v1/locator/deltas?after=%d", ts.URL, fetchWireSnapshot(t, ts.URL).Seq))
+		if err != nil {
+			t.Error(err)
+		}
+		poll <- resp
+	}()
+	nc, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if _, err := nc.Write(binproto.AppendUpgradeRequest(nil, "", "shard")); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(nc)
+	if _, err := io.ReadFull(br, make([]byte, len(binproto.UpgradeReply))); err != nil {
+		t.Fatal(err)
+	}
+	bin, err := binproto.NewSyncConn(nc, br)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	gate := make(chan struct{})
 	entered := make(chan struct{})
@@ -323,11 +371,41 @@ func TestRequestDeadlineReturns504(t *testing.T) {
 		})
 	}()
 	<-entered
-	defer close(gate)
+	start := time.Now()
+	rec, _ := doJSON(t, h, "POST", "/v1/scale", map[string]any{"add": 1})
+	if waited := time.Since(start); rec.Code != http.StatusGatewayTimeout || waited < timeout {
+		t.Fatalf("control request with the owner held = %d after %s, want 504 after %s", rec.Code, waited, timeout)
+	}
+	if rec, _ := doJSON(t, h, "GET", "/v1/objects/1/blocks/7", nil); rec.Code != http.StatusOK {
+		t.Errorf("block read with the owner held = %d", rec.Code)
+	}
+	mrec := httptest.NewRecorder()
+	h.ServeHTTP(mrec, httptest.NewRequest("GET", "/v1/metrics", nil))
+	if mrec.Code != http.StatusOK {
+		t.Errorf("metrics scrape with the owner held = %d", mrec.Code)
+	}
+	time.Sleep(4*timeout - time.Since(start))
+	if loc, _, err := bin.Locate(1, 7); err != nil || loc.Code != 0 {
+		t.Errorf("upgraded connection, four RequestTimeouts on: %+v, %v", loc, err)
+	}
+	select {
+	case resp := <-poll:
+		t.Fatalf("the delta long-poll was answered with nothing published: %v", resp)
+	default:
+	}
 
-	rec, _ := doJSON(t, h, "GET", "/v1/sessions/0", nil)
-	if rec.Code != http.StatusGatewayTimeout {
-		t.Fatalf("blocked owner = %d, want 504", rec.Code)
+	close(gate)
+	if rec, _ := doJSON(t, h, "POST", "/v1/scale", map[string]any{"add": 1}); rec.Code != http.StatusAccepted {
+		t.Fatalf("scale after the hold = %d: the abandoned one ran, or the owner is stuck", rec.Code)
+	}
+	if resp := <-poll; resp != nil {
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("delta long-poll, parked across the hold = %d", resp.StatusCode)
+		}
+	}
+	if f, err := dataplane.ReadFrame(frames); err != nil || f.End {
+		t.Errorf("session stream, attached across the hold: %+v, %v", f, err)
 	}
 }
 

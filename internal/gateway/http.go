@@ -164,30 +164,11 @@ func (g *Gateway) handleReplication(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"role": "leader", "leader": g.cfg.ReplLeader.Status()})
 }
 
-// Handler returns the gateway's HTTP handler with the per-request deadline
-// applied. Long-lived endpoints — chunked session streams, locator delta
-// long-polls, upgraded connections — are exempt: each lives as long as its
-// session plays, its feed is still or its peer keeps asking, and bounds itself.
-func (g *Gateway) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if isLongLived(r) {
-			g.mux.ServeHTTP(w, r)
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
-		defer cancel()
-		g.mux.ServeHTTP(w, r.WithContext(ctx))
-	})
-}
-
-// isLongLived recognizes the endpoints exempt from the per-request deadline.
-func isLongLived(r *http.Request) bool {
-	if r.Method != http.MethodGet {
-		return false
-	}
-	return r.URL.Path == "/v1/locator/deltas" || r.URL.Path == binproto.UpgradePath ||
-		(strings.HasPrefix(r.URL.Path, "/v1/sessions/") && strings.HasSuffix(r.URL.Path, "/stream"))
-}
+// Handler returns the gateway's HTTP handler: the mux, with nothing around
+// it. The only place a request waits is the command mailbox, so that is where
+// RequestTimeout is applied (exec); reads, scrapes, streams, long-polls and
+// upgraded connections never enter it.
+func (g *Gateway) Handler() http.Handler { return g.mux }
 
 // writeJSON writes v as a JSON response with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -433,9 +414,7 @@ func (g *Gateway) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 	// orphan must not play on, holding round capacity nobody is counting.
 	discard := func(v any) {
 		id := v.(sessionResponse).Session
-		ctx, cancel := context.WithTimeout(context.Background(), g.cfg.RequestTimeout)
-		defer cancel()
-		_, _ = g.exec(ctx, false, func(s *cm.Server) (any, error) {
+		_, _ = g.exec(context.Background(), false, func(s *cm.Server) (any, error) {
 			return nil, s.StopStream(id)
 		})
 	}

@@ -16,7 +16,6 @@ package gateway
 import (
 	"errors"
 	"net/http"
-	"time"
 
 	"scaddar/internal/cm"
 	"scaddar/internal/obs"
@@ -27,8 +26,6 @@ import (
 type ReplicaConfig struct {
 	// Follower is the running journal tail to serve from. Required.
 	Follower *repl.Follower
-	// RequestTimeout is the per-request deadline; 0 means 5s.
-	RequestTimeout time.Duration
 	// Registry, when non-nil, is served at GET /v1/metrics — pass the one
 	// the follower publishes into to expose its lag and apply counters.
 	Registry *obs.Registry
@@ -44,9 +41,6 @@ type Replica struct {
 func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	if cfg.Follower == nil {
 		return nil, errors.New("gateway: ReplicaConfig.Follower is required")
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 5 * time.Second
 	}
 	rp := &Replica{cfg: cfg, mux: http.NewServeMux()}
 	rp.mux.HandleFunc("GET /v1/healthz", rp.handleHealthz)

@@ -58,17 +58,17 @@ type dataPlane struct {
 	dirty bool
 }
 
+// feedCapacity bounds the locator delta feed ring; a client further behind
+// than this must refetch the full snapshot.
+const feedCapacity = 1024
+
 // newDataPlane wires the delivery and event sinks into the server and
 // caches the initial snapshot. Called from New before the round driver
 // starts, on the soon-to-be owner goroutine.
 func newDataPlane(g *Gateway, srv *cm.Server) (*dataPlane, error) {
-	capacity := g.cfg.FeedCapacity
-	if capacity == 0 {
-		capacity = 1024
-	}
 	dp := &dataPlane{
 		g:        g,
-		feed:     dataplane.NewFeed(capacity),
+		feed:     dataplane.NewFeed(feedCapacity),
 		sessions: make(map[int]*dataplane.Session),
 	}
 	srv.SetDeliverySink(dp)

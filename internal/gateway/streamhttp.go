@@ -23,8 +23,8 @@ const maxDeltaWait = 30 * time.Second
 // handleStream serves a session's playback as a chunked stream of CRC-framed
 // blocks, paced by the round driver: one data frame per round while the
 // client keeps up, then one end frame saying why the stream finished (done,
-// stopped, or evicted for falling behind). Exempt from the request deadline
-// (see Handler); the response lives as long as the session plays.
+// stopped, or evicted for falling behind). Only the attach is a command under
+// RequestTimeout; the response lives as long as the session plays.
 func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 	id, err := pathInt(r, "id")
 	if err != nil {
@@ -39,10 +39,8 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	// Attach through the mailbox so registration is serialized with Tick:
 	// delivery starts with the next round's block, never between a state
-	// check and the map insert. Admission gets a bounded deadline even
-	// though the stream itself has none.
-	actx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
-	defer cancel()
+	// check and the map insert. The attach is bounded by RequestTimeout like
+	// any command; the stream itself has no deadline.
 	// The discard hook compensates an attach that lands after this handler
 	// has already reported a timeout: without it the phantom consumer holds
 	// ErrStreamAttached against every reconnect until eviction. Detach only
@@ -52,7 +50,7 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 	discard := func(v any) {
 		g.dp.detach(id, v.(*dataplane.Session))
 	}
-	v, err := g.execDiscard(actx, false, func(s *cm.Server) (any, error) {
+	v, err := g.execDiscard(r.Context(), false, func(s *cm.Server) (any, error) {
 		st, err := s.Stream(id)
 		if err != nil {
 			return nil, err
@@ -143,9 +141,7 @@ func (g *Gateway) stopAbandonedStream(id int, sess *dataplane.Session) {
 	if sess.Closed() {
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.RequestTimeout)
-	defer cancel()
-	_, _ = g.exec(ctx, false, func(s *cm.Server) (any, error) {
+	_, _ = g.exec(context.Background(), false, func(s *cm.Server) (any, error) {
 		g.dp.closeStream(id, dataplane.CloseStopped)
 		return nil, s.StopStream(id)
 	})

@@ -28,10 +28,6 @@ func HalfOffset(n int) int {
 	return (n + 1) / 2
 }
 
-// NextOffset places the mirror on the next disk — the classic chained
-// declustering layout, usable as an alternative OffsetFunc.
-func NextOffset(int) int { return 1 }
-
 // Mirrored derives primary and mirror locations for blocks placed by an
 // underlying strategy.
 type Mirrored struct {
@@ -51,9 +47,6 @@ func New(strat placement.Strategy, offset OffsetFunc) (*Mirrored, error) {
 	return &Mirrored{strat: strat, offset: offset}, nil
 }
 
-// Strategy returns the underlying placement strategy.
-func (m *Mirrored) Strategy() placement.Strategy { return m.strat }
-
 // N returns the current disk count.
 func (m *Mirrored) N() int { return m.strat.N() }
 
@@ -72,9 +65,6 @@ func (m *Mirrored) effectiveOffset() (int, error) {
 	}
 	return off, nil
 }
-
-// Primary returns the block's primary disk.
-func (m *Mirrored) Primary(b placement.BlockRef) int { return m.strat.Disk(b) }
 
 // Mirror returns the block's mirror disk: (primary + f(N)) mod N.
 func (m *Mirrored) Mirror(b placement.BlockRef) (int, error) {

@@ -39,9 +39,6 @@ func TestNewValidation(t *testing.T) {
 	if m.N() != 4 {
 		t.Fatalf("N = %d", m.N())
 	}
-	if m.Strategy().Name() != "scaddar" {
-		t.Fatal("strategy accessor broken")
-	}
 }
 
 func TestHalfOffset(t *testing.T) {

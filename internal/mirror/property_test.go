@@ -56,7 +56,7 @@ func TestPropertyCopiesNeverCoLocate(t *testing.T) {
 	for _, offset := range []struct {
 		name string
 		fn   OffsetFunc
-	}{{"half", HalfOffset}, {"next", NextOffset}} {
+	}{{"half", HalfOffset}, {"next", func(int) int { return 1 }}} {
 		t.Run(offset.name, func(t *testing.T) {
 			strat := newWalkStrategy(t, 4)
 			m, err := New(strat, offset.fn)

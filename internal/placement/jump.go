@@ -36,12 +36,14 @@ func (s *Jump) N() int { return s.n }
 
 // Disk computes the jump-hash bucket of the block's key.
 func (s *Jump) Disk(b BlockRef) int {
-	return jumpHash(s.x0(b), s.n)
+	return JumpHash(s.x0(b), s.n)
 }
 
-// jumpHash is the Lamping-Veach loop: the key doubles as the LCG state, and
-// the bucket "jumps" forward with geometrically increasing strides.
-func jumpHash(key uint64, buckets int) int {
+// JumpHash is the Lamping-Veach loop: the key doubles as the LCG state, and
+// the bucket "jumps" forward with geometrically increasing strides. It
+// returns a bucket in [0, buckets); buckets must be positive. The cluster
+// router places objects on shards with it (cluster.RouteSlot).
+func JumpHash(key uint64, buckets int) int {
 	var b, j int64 = -1, 0
 	for j < int64(buckets) {
 		b = j

@@ -28,15 +28,15 @@ func TestNewJumpValidation(t *testing.T) {
 func TestJumpHashKnownProperties(t *testing.T) {
 	// Single bucket: everything lands on 0.
 	for key := uint64(0); key < 100; key++ {
-		if got := jumpHash(key*2654435761, 1); got != 0 {
-			t.Fatalf("jumpHash(_, 1) = %d", got)
+		if got := JumpHash(key*2654435761, 1); got != 0 {
+			t.Fatalf("JumpHash(_, 1) = %d", got)
 		}
 	}
 	// Range check across bucket counts.
 	for _, n := range []int{1, 2, 7, 100} {
 		for key := uint64(1); key < 2000; key *= 3 {
-			if got := jumpHash(key, n); got < 0 || got >= n {
-				t.Fatalf("jumpHash(%d, %d) = %d out of range", key, n, got)
+			if got := JumpHash(key, n); got < 0 || got >= n {
+				t.Fatalf("JumpHash(%d, %d) = %d out of range", key, n, got)
 			}
 		}
 	}
@@ -47,9 +47,9 @@ func TestJumpHashKnownProperties(t *testing.T) {
 // or jumps to a new bucket.
 func TestJumpMonotoneGrowth(t *testing.T) {
 	for key := uint64(1); key < 100000; key = key*5 + 1 {
-		prev := jumpHash(key, 8)
+		prev := JumpHash(key, 8)
 		for n := 9; n <= 16; n++ {
-			cur := jumpHash(key, n)
+			cur := JumpHash(key, n)
 			if cur != prev && cur < n-1 {
 				// moved, but not to the newest bucket added at this step
 				if cur < 8 || cur < prev {

@@ -273,60 +273,3 @@ type truncatedIndexed struct{ Truncated }
 func (t *truncatedIndexed) At(i uint64) uint64 {
 	return t.src.(Indexed).At(i) >> (t.src.Bits() - t.bits)
 }
-
-// Kind names a generator family for NewByKind.
-type Kind string
-
-// Generator kinds accepted by NewByKind.
-const (
-	KindSplitMix64     Kind = "splitmix64"
-	KindXorshift64Star Kind = "xorshift64star"
-	KindPCG32          Kind = "pcg32"
-	KindLCG64          Kind = "lcg64"
-)
-
-// NewByKind constructs a source of the named family, truncated to the given
-// width. It reports an error for unknown kinds or impossible widths, which
-// makes it convenient for wiring CLI flags.
-func NewByKind(kind Kind, seed uint64, bits uint) (Source, error) {
-	var src Source
-	switch kind {
-	case KindSplitMix64:
-		src = NewSplitMix64(seed)
-	case KindXorshift64Star:
-		src = NewXorshift64Star(seed)
-	case KindPCG32:
-		src = NewPCG32(seed)
-	case KindLCG64:
-		src = NewLCG64(seed)
-	default:
-		return nil, &UnknownKindError{Kind: kind}
-	}
-	if bits > src.Bits() {
-		return nil, &WidthError{Kind: kind, Requested: bits, Native: src.Bits()}
-	}
-	if bits == 0 {
-		bits = src.Bits()
-	}
-	return Truncate(src, bits), nil
-}
-
-// UnknownKindError reports a generator family name that NewByKind does not
-// recognize.
-type UnknownKindError struct{ Kind Kind }
-
-func (e *UnknownKindError) Error() string {
-	return "prng: unknown generator kind " + string(e.Kind)
-}
-
-// WidthError reports a truncation width exceeding the generator's native
-// output width.
-type WidthError struct {
-	Kind      Kind
-	Requested uint
-	Native    uint
-}
-
-func (e *WidthError) Error() string {
-	return "prng: " + string(e.Kind) + " cannot produce the requested width"
-}

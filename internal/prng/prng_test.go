@@ -175,31 +175,6 @@ func TestTruncatePanics(t *testing.T) {
 	}
 }
 
-func TestNewByKind(t *testing.T) {
-	for _, kind := range []Kind{KindSplitMix64, KindXorshift64Star, KindPCG32, KindLCG64} {
-		src, err := NewByKind(kind, 1, 0)
-		if err != nil {
-			t.Fatalf("NewByKind(%s): %v", kind, err)
-		}
-		if src.Bits() == 0 {
-			t.Fatalf("NewByKind(%s): zero width", kind)
-		}
-	}
-	if _, err := NewByKind("nope", 1, 0); err == nil {
-		t.Fatal("unknown kind accepted")
-	}
-	if _, err := NewByKind(KindPCG32, 1, 64); err == nil {
-		t.Fatal("64-bit truncation of a 32-bit source accepted")
-	}
-	src, err := NewByKind(KindSplitMix64, 9, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src.Bits() != 32 {
-		t.Fatalf("width = %d, want 32", src.Bits())
-	}
-}
-
 func TestCachedMatchesSequential(t *testing.T) {
 	direct := NewXorshift64Star(3)
 	want := make([]uint64, 30)

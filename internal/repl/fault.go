@@ -34,9 +34,11 @@ type FaultConfig struct {
 	// DropRate closes the connection instead of forwarding a chunk.
 	DropRate float64
 	// StallRate pauses forwarding for StallFor before a chunk.
+	//unreached:testsupport the chaos harness stalls; examples/replication only drops
 	StallRate float64
 	// StallFor is the stall duration; 0 means 3s (enough to trip a 2s read
 	// timeout).
+	//unreached:testsupport set with StallRate
 	StallFor time.Duration
 	// TruncateRate forwards a partial chunk (at least 1 byte short) and
 	// then closes the connection.
@@ -44,6 +46,7 @@ type FaultConfig struct {
 	// DuplicateRate forwards a chunk twice.
 	DuplicateRate float64
 	// Logf, when non-nil, receives one line per injected fault.
+	//unreached:testsupport a failing chaos seed prints its schedule through it
 	Logf func(format string, args ...any)
 }
 

@@ -41,14 +41,18 @@ type FollowerConfig struct {
 	// Factory builds per-object generators for locator snapshots. Required.
 	Factory scaddar.SourceFactory
 	// DialTimeout bounds each connection attempt; 0 means 2s.
+	//unreached:testsupport this and the four timing fields below: the repl and gateway tests run reconnects in milliseconds
 	DialTimeout time.Duration
 	// ReadTimeout bounds each frame read; 0 means 2s. Size it to at least
 	// three leader heartbeat intervals or healthy idle connections churn.
+	//unreached:testsupport see DialTimeout
 	ReadTimeout time.Duration
 	// BackoffBase is the first reconnect delay; 0 means 50ms. Each failed
 	// attempt doubles it (with jitter) up to BackoffCap, 0 meaning 2s.
+	//unreached:testsupport see DialTimeout
 	BackoffBase time.Duration
 	// BackoffCap caps the reconnect delay.
+	//unreached:testsupport see DialTimeout
 	BackoffCap time.Duration
 	// MaxLagEvents is the staleness budget: reads fail with cm.ErrStaleRead
 	// while the replica trails the leader's durable frontier by more than
@@ -56,6 +60,7 @@ type FollowerConfig struct {
 	MaxLagEvents uint64
 	// Seed drives the reconnect jitter; 0 picks a fixed default. Chaos
 	// tests pin it for reproducible schedules.
+	//unreached:testsupport see DialTimeout
 	Seed uint64
 	// Registry, when non-nil, receives the follower's metrics.
 	Registry *obs.Registry

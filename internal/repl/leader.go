@@ -24,6 +24,11 @@ import (
 	"scaddar/internal/store"
 )
 
+// writeTimeout bounds each frame batch's network write. A follower that
+// cannot drain the stream that long is disconnected (it will reconnect and
+// resume).
+const writeTimeout = 10 * time.Second
+
 // LeaderConfig configures a journal-shipping leader.
 type LeaderConfig struct {
 	// Store is the open journal to serve. Required.
@@ -31,10 +36,6 @@ type LeaderConfig struct {
 	// Heartbeat is how often an idle connection receives a durable-frontier
 	// frame; 0 means 500ms. Followers size their read timeouts from it.
 	Heartbeat time.Duration
-	// WriteTimeout bounds each frame batch's network write; 0 means 10s. A
-	// follower that cannot drain the stream that long is disconnected (it
-	// will reconnect and resume).
-	WriteTimeout time.Duration
 	// Registry, when non-nil, receives the leader's metrics.
 	Registry *obs.Registry
 	// Logf, when non-nil, receives connection-lifecycle log lines.
@@ -122,9 +123,6 @@ func NewLeader(cfg LeaderConfig) (*Leader, error) {
 	}
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = 500 * time.Millisecond
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 10 * time.Second
 	}
 	id, err := parseJournalID(cfg.Store.JournalID())
 	if err != nil {
@@ -261,7 +259,7 @@ func (cw *connWriter) flush() error {
 // serveConn speaks the protocol at one follower until the connection or
 // the leader dies. A nil return is a clean disconnect.
 func (l *Leader) serveConn(conn net.Conn, lc *leaderConn) error {
-	conn.SetReadDeadline(time.Now().Add(l.cfg.WriteTimeout))
+	conn.SetReadDeadline(time.Now().Add(writeTimeout))
 	fromLSN, clientID, err := readHandshake(conn)
 	if err != nil {
 		return err
@@ -285,7 +283,7 @@ func (l *Leader) serveConn(conn net.Conn, lc *leaderConn) error {
 		}
 	}
 
-	cw := &connWriter{conn: conn, w: bufio.NewWriter(conn), timeout: l.cfg.WriteTimeout}
+	cw := &connWriter{conn: conn, w: bufio.NewWriter(conn), timeout: writeTimeout}
 	reader := l.cfg.Store.NewTailReader(fromLSN)
 	defer func() { // reader is reassigned by snapshot splices; nil after one that failed
 		if reader != nil {

@@ -33,6 +33,8 @@ func NewArray(n0 int) (*Array, error) {
 
 // MustNewArray is NewArray for statically valid arguments; it panics on
 // error.
+//
+//unreached:testsupport the paper's worked removal example is written with it
 func MustNewArray(n0 int) *Array {
 	a, err := NewArray(n0)
 	if err != nil {

@@ -39,6 +39,8 @@ func NewBudget(bits uint, n0 int) (*Budget, error) {
 
 // MustNewBudget is NewBudget for statically valid arguments; it panics on
 // error.
+//
+//unreached:testsupport the budget tests build theirs with it
 func MustNewBudget(bits uint, n0 int) *Budget {
 	b, err := NewBudget(bits, n0)
 	if err != nil {
@@ -182,6 +184,8 @@ func (b *Budget) RangeAfter() *big.Int {
 
 // BudgetFor builds a Budget that has already recorded every operation of a
 // History, pairing an existing log with the Section 4.3 analysis.
+//
+//unreached:testsupport only TestBudgetFor calls it: it goes when that test may (CHANGES.md, PR 23)
 func BudgetFor(src prng.Source, h *History) (*Budget, error) {
 	b, err := NewBudget(src.Bits(), h.N0())
 	if err != nil {

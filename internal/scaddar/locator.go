@@ -3,7 +3,6 @@ package scaddar
 import (
 	"fmt"
 
-	"scaddar/internal/par"
 	"scaddar/internal/prng"
 )
 
@@ -42,9 +41,6 @@ func NewLocator(hist *History, factory SourceFactory) (*Locator, error) {
 	hist.Compile()
 	return &Locator{hist: hist, factory: factory, seqs: make(map[uint64]prng.Indexed)}, nil
 }
-
-// History returns the underlying operation log.
-func (l *Locator) History() *History { return l.hist }
 
 // Bits returns the generator width, or 0 if no sequence has been created yet.
 func (l *Locator) Bits() uint { return l.bits }
@@ -91,91 +87,4 @@ func (l *Locator) DiskAt(seed uint64, block uint64, j int) (int, error) {
 		return 0, err
 	}
 	return l.hist.DiskAt(x0, j), nil
-}
-
-// Layout returns the logical disk of every block of an object with nblocks
-// blocks, in block order. It is the bulk form RF() uses when recomputing
-// placements after an addition. The object's random numbers are drawn
-// serially (sequential generators memoize under the hood), then the
-// compiled chain sweeps them across GOMAXPROCS workers; the result is
-// identical to per-block Disk calls.
-func (l *Locator) Layout(seed uint64, nblocks int) ([]int, error) {
-	seq, err := l.sequence(seed)
-	if err != nil {
-		return nil, err
-	}
-	chain := l.hist.Compile()
-	xs := make([]uint64, nblocks)
-	for i := range xs {
-		xs[i] = seq.At(uint64(i))
-	}
-	disks := make([]int, nblocks)
-	par.Ranges(nblocks, func(lo, hi int) {
-		chain.LocateBatch(xs[lo:hi], disks[lo:hi])
-	})
-	return disks, nil
-}
-
-// LoadVector counts the blocks of the given objects per logical disk —
-// the E[n_d] estimate the paper's Section 5 evaluates. Objects are given as
-// (seed, nblocks) pairs. The sweep runs on the compiled chain with
-// per-worker accumulators merged in worker order, so the counts match the
-// serial loop exactly.
-func (l *Locator) LoadVector(objects map[uint64]int) ([]int, error) {
-	n := l.hist.N()
-	total := 0
-	for _, nblocks := range objects {
-		total += nblocks
-	}
-	xs := make([]uint64, 0, total)
-	for seed, nblocks := range objects {
-		seq, err := l.sequence(seed)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < nblocks; i++ {
-			xs = append(xs, seq.At(uint64(i)))
-		}
-	}
-	chain := l.hist.Compile()
-	counts := make([]int, n)
-	workers := par.Workers()
-	if len(xs) < par.MinParallel || workers < 2 {
-		var disks [batchChunk]int
-		for base := 0; base < len(xs); base += batchChunk {
-			m := len(xs) - base
-			if m > batchChunk {
-				m = batchChunk
-			}
-			chain.LocateBatch(xs[base:base+m], disks[:m])
-			for _, d := range disks[:m] {
-				counts[d]++
-			}
-		}
-		return counts, nil
-	}
-	locals := make([][]int, workers)
-	par.RangesN(workers, workers, func(lo, hi int) {
-		for w := lo; w < hi; w++ {
-			local := make([]int, n)
-			var disks [batchChunk]int
-			for base := w * len(xs) / workers; base < (w+1)*len(xs)/workers; base += batchChunk {
-				m := (w+1)*len(xs)/workers - base
-				if m > batchChunk {
-					m = batchChunk
-				}
-				chain.LocateBatch(xs[base:base+m], disks[:m])
-				for _, d := range disks[:m] {
-					local[d]++
-				}
-			}
-			locals[w] = local
-		}
-	})
-	for _, local := range locals {
-		for d, c := range local {
-			counts[d] += c
-		}
-	}
-	return counts, nil
 }

@@ -59,54 +59,6 @@ func TestLocatorDiskAt(t *testing.T) {
 	}
 }
 
-func TestLocatorLayout(t *testing.T) {
-	h := MustNewHistory(5)
-	l, err := NewLocator(h, splitMixFactory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout, err := l.Layout(9, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(layout) != 100 {
-		t.Fatalf("layout length %d, want 100", len(layout))
-	}
-	for i, d := range layout {
-		got, err := l.Disk(9, uint64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != d {
-			t.Fatalf("layout[%d] = %d, Disk = %d", i, d, got)
-		}
-	}
-}
-
-func TestLocatorLoadVector(t *testing.T) {
-	h := MustNewHistory(5)
-	h.Add(1)
-	l, err := NewLocator(h, splitMixFactory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	objects := map[uint64]int{1: 300, 2: 500, 3: 200}
-	loads, err := l.LoadVector(objects)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loads) != 6 {
-		t.Fatalf("load vector length %d, want 6", len(loads))
-	}
-	total := 0
-	for _, c := range loads {
-		total += c
-	}
-	if total != 1000 {
-		t.Fatalf("total load %d, want 1000", total)
-	}
-}
-
 func TestLocatorBits(t *testing.T) {
 	h := MustNewHistory(4)
 	l, err := NewLocator(h, splitMixFactory)

@@ -242,6 +242,8 @@ type Histogram struct {
 }
 
 // NewHistogram creates a histogram with the given bounds and bin count.
+//
+//unreached:testsupport only its own tests call it (everything else uses obs.Histogram): it goes when they may (CHANGES.md, PR 23)
 func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
 	if bins <= 0 {
 		return nil, errors.New("stats: histogram needs at least one bin")
@@ -286,6 +288,8 @@ func (h *Histogram) Total() int {
 // Quantile returns the q-th sample quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics (type-7, the default of R and
 // NumPy). It reports an error for an empty sample or q outside [0,1].
+//
+//unreached:testsupport see NewHistogram
 func Quantile(xs []float64, q float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, errors.New("stats: quantile of empty sample")

@@ -13,11 +13,10 @@ package store
 // or below it is reflected in the state), cross-checked against the
 // filename, followed by the replication epoch at that LSN (the running
 // count of scaling-operation events since the journal's birth — what
-// follower replicas fence reads on; version 2 added it). Function-typed
-// config fields (MirrorOffset, the placement X0 generator) cannot be
-// persisted: stores refuse configs with a custom mirror offset, and
-// recovery takes the generator factory as an argument — it must match what
-// the original server used.
+// follower replicas fence reads on; version 2 added it). The placement X0
+// generator is a function and cannot be persisted: recovery takes the
+// generator factory as an argument — it must match what the original server
+// used.
 
 import (
 	"encoding/binary"
@@ -37,9 +36,6 @@ const (
 
 // encodeCheckpoint renders a complete checkpoint file.
 func encodeCheckpoint(lsn, epoch uint64, cfg cm.Config, md *cm.Metadata) ([]byte, error) {
-	if cfg.MirrorOffset != nil {
-		return nil, fmt.Errorf("store: cannot persist a custom MirrorOffset function")
-	}
 	payload := binary.AppendUvarint(nil, lsn)
 	payload = binary.AppendUvarint(payload, epoch)
 	payload = binary.AppendUvarint(payload, uint64(cfg.Round))

@@ -41,6 +41,7 @@ type Config struct {
 	// Dir is the data directory (created if missing, unless ReadOnly).
 	Dir string
 	// SegmentBytes is the journal segment rotation threshold; 0 means 1 MiB.
+	//unreached:testsupport the store, repl and gateway tests rotate after a few records
 	SegmentBytes int64
 	// SyncEvery is the group-commit batch: an fsync runs once that many
 	// records have accumulated (and always on Sync). 0 means 1 — every

@@ -14,6 +14,7 @@ type SessionConfig struct {
 	// BlocksPer is each object's block count (for seek positions).
 	BlocksPer int
 	// ZipfS is the popularity exponent.
+	//unreached:testsupport DefaultSession picks it; the generator's tests vary it
 	ZipfS float64
 	// Streams is the number of admissions.
 	Streams int
@@ -21,6 +22,7 @@ type SessionConfig struct {
 	Rounds int
 	// VCRJumpPerMille and VCRStopPerMille inject viewer actions before
 	// random ticks.
+	//unreached:testsupport DefaultSession picks them; the generator's tests vary them
 	VCRJumpPerMille, VCRStopPerMille int
 	// ScaleUpAt, if positive, inserts a scale-up of ScaleUpCount disks
 	// before that round, with a Finish once drained (the generator inserts

@@ -29,14 +29,12 @@ package scaddar
 import (
 	"bufio"
 	"io"
-	"os"
 
 	"scaddar/internal/binproto"
 	"scaddar/internal/cluster"
 	"scaddar/internal/cm"
 	"scaddar/internal/dataplane"
 	"scaddar/internal/disk"
-	"scaddar/internal/fsio"
 	"scaddar/internal/gateway"
 	"scaddar/internal/hetero"
 	"scaddar/internal/mirror"
@@ -44,7 +42,6 @@ import (
 	"scaddar/internal/parity"
 	"scaddar/internal/placement"
 	"scaddar/internal/prng"
-	"scaddar/internal/reorg"
 	"scaddar/internal/repl"
 	"scaddar/internal/scaddar"
 	"scaddar/internal/stats"
@@ -59,18 +56,6 @@ import (
 // persistent state besides per-object seeds.
 type History = scaddar.History
 
-// Op is one recorded scaling operation.
-type Op = scaddar.Op
-
-// OpKind distinguishes additions from removals.
-type OpKind = scaddar.OpKind
-
-// Scaling operation kinds.
-const (
-	OpAdd    = scaddar.OpAdd
-	OpRemove = scaddar.OpRemove
-)
-
 // DiskArray couples a History with stable physical disk identities.
 type DiskArray = scaddar.Array
 
@@ -83,14 +68,6 @@ type Budget = scaddar.Budget
 // Locator is the complete access function AF(): seed + block index + log →
 // disk.
 type Locator = scaddar.Locator
-
-// CompiledChain is a History's REMAP chain lowered to straight-line
-// arithmetic: per-operation multiply-shift reciprocals replace every div/mod
-// and flat survivor-rank tables replace the per-removal scan, so Locate,
-// Final, Moved, and LocateBatch run allocation-free. Obtain one with
-// History.Compile; it caches per history version and is invalidated (and
-// transparently recompiled) when the history records another operation.
-type CompiledChain = scaddar.CompiledChain
 
 // SourceFactory builds the per-object generator p_r(s_m).
 type SourceFactory = scaddar.SourceFactory
@@ -153,9 +130,6 @@ func ForecastPlan(hist *History, bits uint, eps float64, plan []PlannedOp) (*For
 
 // Source is a deterministic b-bit pseudo-random stream.
 type Source = prng.Source
-
-// Indexed is a Source with O(1) access to its i-th value.
-type Indexed = prng.Indexed
 
 // NewSplitMix64 returns the default counter-based 64-bit generator.
 func NewSplitMix64(seed uint64) *prng.SplitMix64 { return prng.NewSplitMix64(seed) }
@@ -220,7 +194,7 @@ func NewJumpStrategy(n0 int, x0 X0Func) (*placement.Jump, error) {
 	return placement.NewJump(n0, x0)
 }
 
-// ---- Continuous-media server (internal/cm, internal/disk, internal/reorg) ----
+// ---- Continuous-media server (internal/cm, internal/disk) ----
 
 // Server is the online continuous-media server simulator.
 type Server = cm.Server
@@ -229,14 +203,8 @@ type Server = cm.Server
 // target.
 type ServerConfig = cm.Config
 
-// Stream is one playback session.
-type Stream = cm.Stream
-
 // ServerMetrics aggregates server activity.
 type ServerMetrics = cm.Metrics
-
-// DiskProfile describes a disk model.
-type DiskProfile = disk.Profile
 
 // Disk profiles of the paper's hardware era plus a modern comparator.
 var (
@@ -244,9 +212,6 @@ var (
 	ProfileBarracuda180 = disk.Barracuda180
 	ProfileModern       = disk.Modern
 )
-
-// Plan is an executable block-movement plan for one scaling operation.
-type Plan = reorg.Plan
 
 // DefaultServerConfig returns a paper-era server configuration.
 func DefaultServerConfig() ServerConfig { return cm.DefaultConfig() }
@@ -268,10 +233,6 @@ type GatewayConfig = gateway.Config
 // GatewayStatus is the owner-published status view (the /v1/status body).
 type GatewayStatus = gateway.Status
 
-// LocatorSnapshot is an immutable, concurrency-safe view of the server's
-// block placement, including in-flight migration state.
-type LocatorSnapshot = cm.LocatorSnapshot
-
 // NewGateway wraps a server (objects already loaded) in a gateway and
 // starts its round driver. The gateway takes ownership of the server.
 func NewGateway(srv *Server, cfg GatewayConfig) (*Gateway, error) { return gateway.New(srv, cfg) }
@@ -285,10 +246,6 @@ type BinClient = binproto.Client
 // BinClientConfig tunes DialBin.
 type BinClientConfig = binproto.ClientConfig
 
-// BinClientPool is a fixed set of BinClient connections handed out
-// round-robin, for callers that want more than one pipe per server.
-type BinClientPool = binproto.Pool
-
 // BinResult is one lookup's outcome within a LocateBatch response.
 type BinResult = binproto.Result
 
@@ -296,22 +253,9 @@ type BinResult = binproto.Result
 // lookup request carries.
 type BlockAddr = cm.BlockAddr
 
-// BinEpochInfo is the answer to a binary epoch probe.
-type BinEpochInfo = binproto.EpochInfo
-
-// BinServerConfig tunes a standalone binary protocol server. A Gateway has
-// one of its own, over its snapshot, registry and lifecycle: Gateway.ServeBin
-// gives it a listener, and its HTTP port upgrades to it (docs/PROTOCOL.md §1.1).
-type BinServerConfig = binproto.ServerConfig
-
 // DialBin connects and handshakes with a binary lookup listener (the
 // dedicated one: Gateway.ServeBin, or the serve -bin-addr / cluster -bin flags).
 func DialBin(addr string, cfg BinClientConfig) (*BinClient, error) { return binproto.Dial(addr, cfg) }
-
-// DialBinPool opens size binary protocol connections to one address.
-func DialBinPool(addr string, size int, cfg BinClientConfig) (*BinClientPool, error) {
-	return binproto.DialPool(addr, size, cfg)
-}
 
 // ---- Observability (internal/obs) ----
 
@@ -322,29 +266,9 @@ func DialBinPool(addr string, size int, cfg BinClientConfig) (*BinClientPool, er
 // it replaces.
 type MetricsRegistry = obs.Registry
 
-// Counter is a monotonically increasing metric cell. All methods are safe
-// for concurrent use and allocation-free.
-type Counter = obs.Counter
-
-// Gauge is a set-to-current-value metric cell holding a float64.
-type Gauge = obs.Gauge
-
 // Histogram is a fixed-bucket histogram; Observe is lock-free and
 // allocation-free, suitable for request hot paths.
 type Histogram = obs.Histogram
-
-// HistogramSnapshot is a point-in-time copy of a histogram with quantile
-// estimation, merging, and mean.
-type HistogramSnapshot = obs.HistogramSnapshot
-
-// TraceRing is a bounded, overwrite-oldest ring of trace spans; attach one
-// to a gateway (GatewayConfig.TraceRing) or a store to record the server's
-// event history.
-type TraceRing = obs.Ring
-
-// TraceSpan is one recorded span: a durable server event with its round,
-// object, disk, and payload size.
-type TraceSpan = obs.Span
 
 // MetricSample is one parsed sample from a Prometheus text exposition.
 type MetricSample = obs.Sample
@@ -358,9 +282,6 @@ type MetricSet = obs.MetricSet
 // debug listener.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// NewTraceRing returns a trace ring holding the most recent capacity spans.
-func NewTraceRing(capacity int) *TraceRing { return obs.NewRing(capacity) }
-
 // NewMetricSet wraps parsed samples for name/label lookup.
 func NewMetricSet(samples []MetricSample) *MetricSet { return obs.NewMetricSet(samples) }
 
@@ -368,20 +289,11 @@ func NewMetricSet(samples []MetricSample) *MetricSet { return obs.NewMetricSet(s
 // /v1/metrics body) into samples.
 func ParseMetricsText(r io.Reader) ([]MetricSample, error) { return obs.ParseText(r) }
 
-// LatencyBuckets returns the exponential bucket bounds (in seconds) the
-// built-in latency histograms use, from 10µs to ~80s.
-func LatencyBuckets() []float64 { return obs.LatencyBuckets() }
-
 // ExpBuckets returns n exponentially spaced histogram bucket bounds
 // starting at lo, each factor times the previous.
 func ExpBuckets(lo, factor float64, n int) []float64 { return obs.ExpBuckets(lo, factor, n) }
 
-// ServerEventSpan converts a journaled server event to the trace span the
-// live event stream and crash-recovery replay both record, so a replayed
-// history retraces identically.
-func ServerEventSpan(ev ServerEvent) TraceSpan { return cm.EventSpan(ev) }
-
-// ---- Durable state (internal/store, internal/fsio) ----
+// ---- Durable state (internal/store) ----
 
 // Store is the durable state store: every server mutation is journaled to a
 // CRC-framed write-ahead log, periodic checkpoints serialize the full
@@ -395,19 +307,6 @@ type Store = store.Store
 // StoreConfig locates and tunes a durable state directory.
 type StoreConfig = store.Config
 
-// StoreStatus is a point-in-time view of journal health and position.
-type StoreStatus = store.Status
-
-// RecoveryInfo reports what recovery found: checkpoint LSN, events
-// replayed, and any torn tail or dropped files.
-type RecoveryInfo = store.RecoveryInfo
-
-// ServerEvent is one journaled state-changing server event.
-type ServerEvent = cm.Event
-
-// EventSink receives server events as they are committed.
-type EventSink = cm.EventSink
-
 // Durable-store sentinel errors.
 var (
 	ErrNoCheckpoint = store.ErrNoCheckpoint
@@ -418,13 +317,6 @@ var (
 // directory. Use Store.Bootstrap for a fresh server and Store.Recover to
 // rebuild one after a restart or crash.
 func OpenStore(cfg StoreConfig) (*Store, error) { return store.Open(cfg) }
-
-// WriteFileAtomic writes data to path via a temp file, fsync, rename, and
-// directory fsync, so a crash never leaves a torn file under the final
-// name.
-func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
-	return fsio.WriteFileAtomic(path, data, perm)
-}
 
 // ---- Replication (internal/repl) ----
 
@@ -437,9 +329,6 @@ type ReplicationLeader = repl.Leader
 // ReplicationLeaderConfig configures the streaming side of a leader.
 type ReplicationLeaderConfig = repl.LeaderConfig
 
-// ReplicationLeaderStatus reports the leader's followers and frontier.
-type ReplicationLeaderStatus = repl.LeaderStatus
-
 // Follower tails a leader's journal, applies events to a local replica
 // server, and serves lock-free epoch-fenced reads from its own locator
 // snapshot.
@@ -447,12 +336,6 @@ type Follower = repl.Follower
 
 // FollowerConfig configures a follower replica.
 type FollowerConfig = repl.FollowerConfig
-
-// FollowerStatus reports a follower's position, lag, and connection state.
-type FollowerStatus = repl.FollowerStatus
-
-// FollowerView is a follower's immutable published read state.
-type FollowerView = repl.View
 
 // NetworkFaultInjector is a seeded TCP proxy that drops, stalls,
 // truncates, and duplicates leader-to-follower traffic — the chaos
@@ -500,17 +383,6 @@ const (
 	RedundancyNone   = cm.RedundancyNone
 	RedundancyMirror = cm.RedundancyMirror
 	RedundancyParity = cm.RedundancyParity
-)
-
-// DiskHealth is a disk's position in the failure lifecycle.
-type DiskHealth = disk.Health
-
-// Disk health states: serving normally, failed (contents gone), or
-// rebuilding onto a replacement.
-const (
-	DiskHealthy    = disk.Healthy
-	DiskFailed     = disk.Failed
-	DiskRebuilding = disk.Rebuilding
 )
 
 // FaultInjector schedules deterministic disk failures, repairs, and
@@ -584,9 +456,6 @@ func NewHeteroMapping(physicals []HeteroPhysical) (*HeteroMapping, error) {
 // scaling operations, round ticks).
 type Trace = trace.Trace
 
-// TraceEvent is one step of a session.
-type TraceEvent = trace.Event
-
 // TraceResult summarizes a replay.
 type TraceResult = trace.Result
 
@@ -644,15 +513,6 @@ const (
 // refreshed by feed deltas instead of per-block server round trips.
 type StreamClientLocator = dataplane.ClientLocator
 
-// StreamLocatorSnapshot is the full locator baseline served at
-// GET /v1/locator/snapshot.
-type StreamLocatorSnapshot = dataplane.Snapshot
-
-// StreamLocatorDelta is one entry of the locator delta feed
-// (StreamClientLocator.Follow subscribes to it): moved-block batches during a reorganization, or a fresh snapshot at epoch
-// boundaries.
-type StreamLocatorDelta = dataplane.Delta
-
 // ErrStreamSnapshotRequired reports a client locator that has fallen off
 // the bounded delta feed and must re-fetch the full snapshot.
 var ErrStreamSnapshotRequired = dataplane.ErrSnapshotRequired
@@ -697,30 +557,6 @@ type ClusterRouter = cluster.Router
 // ClusterRouterConfig tunes the router: manifest path, per-shard and
 // topology-operation deadlines, and the health-probe interval.
 type ClusterRouterConfig = cluster.RouterConfig
-
-// ClusterShardInfo describes one shard in the cluster manifest.
-type ClusterShardInfo = cluster.ShardInfo
-
-// ClusterManifest is the durable topology record the router journals every
-// shard operation through; on restart it is the recovery contract.
-type ClusterManifest = cluster.Manifest
-
-// ClusterPendingOp marks an in-flight topology operation inside the
-// manifest, so a crashed migration resumes instead of vanishing.
-type ClusterPendingOp = cluster.PendingOp
-
-// ClusterMigrationStats reports how many objects a topology operation
-// moved, against the jump-hash ideal fraction.
-type ClusterMigrationStats = cluster.MigrationStats
-
-// ClusterTopologyView is the live topology document served at
-// GET /v1/cluster/shards.
-type ClusterTopologyView = cluster.TopologyView
-
-// ClusterMoveResult reports a cross-shard object move (POST
-// /v1/cluster/objects/{id}/move): source and destination shard, and whether
-// the object is now pinned against jump-hash placement.
-type ClusterMoveResult = cluster.MoveResult
 
 // ClusterShardHeader is the response header the router stamps with the ID
 // of the shard that answered a proxied request.
