@@ -64,9 +64,10 @@ lint:
 # TestTracedRunRecordsSpans wants a "gateway.http_read" span (and its two
 # shadow children) on lookup_routed, which the benchmark opens when the
 # sampled request's path arrives at a shard's HTTP handler — and a routed
-# read now reaches the shard as a binary frame on an upgraded connection
-# (EXPERIMENTS E26: the budget's gateway row reads 0, the shard's share sits
-# in the cluster row). It is not skipped: the failure is three "no ... span"
+# read never arrives there: since PR 24 the router answers it from its view
+# of the shard (EXPERIMENTS E28), and the hop that remains as the fallback is
+# a binary frame on an upgraded connection (E26: the budget's gateway row
+# reads 0). It is not skipped: the failure is three "no ... span"
 # lines for lookup_routed and nothing else; the lines after it are run by
 # hand until then (ROADMAP item 3b).
 verify: lint
@@ -109,7 +110,10 @@ bench:
 # checkpoint / metadata decoder under it, the binary-protocol frame handler
 # (hostile frames against a live server; the connection must survive or die
 # per spec, never panic), the four replication payloads, the chunk stream
-# reader, the segment record and index.idx loader, the router's shard-reply
+# reader, the segment record and index.idx loader, the locator feed's two
+# JSON replies as a follower applies them (arbitrary snapshot and delta-page
+# bytes: no panic, no disk outside the array, an unhealthy-disk entry out of
+# range refused like a PreOf one), the router's shard-reply
 # reader (arbitrary shard bytes: no panic, no body over the 8 MiB cap or
 # under a HEAD, no kept connection after an error) and its reader of an
 # upgraded connection (the 101, the handshake, the reply frame: no answer
@@ -117,7 +121,7 @@ bench:
 # envelope (internal/frame: its three readers agree on every input, none
 # over-allocates for a forged length) and the payload cursor every decoder
 # above is written on (random read sequences against encoding/binary).
-# Twelve targets.
+# Thirteen targets.
 fuzz:
 	$(GO) test ./internal/scaddar/ -fuzz FuzzCodec -fuzztime 20s
 	$(GO) test ./internal/scaddar/ -fuzz FuzzCompiledChain -fuzztime 20s
@@ -127,6 +131,7 @@ fuzz:
 	$(GO) test ./internal/repl/ -fuzz FuzzReplPayload -fuzztime 20s
 	$(GO) test ./internal/dataplane/ -fuzz FuzzChunkFrame -fuzztime 20s
 	$(GO) test ./internal/dataplane/ -fuzz FuzzSegmentRecord -fuzztime 20s
+	$(GO) test ./internal/dataplane/ -fuzz FuzzLocatorFeed -fuzztime 20s
 	$(GO) test ./internal/cluster/ -fuzz FuzzShardResponse -fuzztime 20s
 	$(GO) test ./internal/cluster/ -fuzz FuzzShardBinReply -fuzztime 20s
 	$(GO) test ./internal/frame/ -fuzz FuzzFrame -fuzztime 20s

@@ -127,7 +127,7 @@ func main() {
 	loc := scaddar.NewStreamClientLocator(factory)
 	followCtx, stopFollow := context.WithCancel(context.Background())
 	defer stopFollow()
-	followed, err := loc.Follow(followCtx, hc, base)
+	followed, err := loc.FollowHTTP(followCtx, hc, base)
 	if err != nil {
 		log.Fatal(err)
 	}

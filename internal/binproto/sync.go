@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
+	"sync"
 
 	"scaddar/internal/frame"
 )
@@ -16,6 +18,28 @@ type Location struct {
 	Healthy, Reorganizing bool   // the disk's health; FlagReorganizing
 	Code                  uint8  // zero, or the error code of a refusal
 	Msg                   string // the refusal's message, verbatim
+}
+
+// readReplies pools the scratch WriteReadReply builds a body in; the longest
+// (three ten-digit numbers, two "false") is 96 bytes: none grows.
+var readReplies = sync.Pool{New: func() any { b := make([]byte, 0, 128); return &b }}
+
+// WriteReadReply writes the JSON body of an answered block read — GET
+// /v1/objects/{object}/blocks/{block} resolved to loc — in one Write. It is
+// the reply's only encoder: the gateway's handler and the cluster router,
+// which answers in a shard's stead, both call it, so the two cannot differ by
+// a byte.
+func WriteReadReply(w io.Writer, object, block int, loc Location) error {
+	bp := readReplies.Get().(*[]byte)
+	b := strconv.AppendInt(append((*bp)[:0], `{"object":`...), int64(object), 10)
+	b = strconv.AppendInt(append(b, `,"block":`...), int64(block), 10)
+	b = strconv.AppendInt(append(b, `,"disk":`...), int64(loc.Disk), 10)
+	b = strconv.AppendBool(append(b, `,"healthy":`...), loc.Healthy)
+	b = strconv.AppendBool(append(b, `,"reorganizing":`...), loc.Reorganizing)
+	_, err := w.Write(append(b, "}\n"...))
+	*bp = b[:0]
+	readReplies.Put(bp)
+	return err
 }
 
 // SyncConn is the synchronous client: one request at a time, written and

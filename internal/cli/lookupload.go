@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -148,15 +149,16 @@ func (l *load) dashTick() func(time.Duration) {
 			return
 		}
 		ms := obs.NewMetricSet(samples)
-		// A router's page carries its own count of what it routed, per shard; a
-		// shard sees a routed read as a binary lookup, not in gateway_reads_total.
-		counter := "gateway_reads_total"
+		// A router's page carries its own counts, per shard: the reads it
+		// answered from its view of the shard, and what it sent there — which a
+		// shard sees as a binary lookup, not in gateway_reads_total.
+		counters := []string{"gateway_reads_total"}
 		if opts.cluster {
-			counter = "cluster_routed_total"
+			counters = []string{"cluster_reads_local_total", "cluster_routed_total"}
 		}
 		var reads float64
 		for _, s := range samples {
-			if s.Name == counter {
+			if slices.Contains(counters, s.Name) {
 				reads += s.Value
 			}
 		}

@@ -5,7 +5,7 @@ package cli
 // chunked stream, exactly the way a population of viewers would:
 //
 //   - every client shares ONE dataplane.ClientLocator kept current by a
-//     single feed subscription (ClientLocator.Follow: the full snapshot once,
+//     single feed subscription (ClientLocator.FollowHTTP: the full snapshot once,
 //     then long-polled deltas) — ten thousand sessions tracking a live
 //     reorganization cost the server one feed, not 10k lookups/round;
 //   - every received chunk is CRC-checked by the wire framing and verified
@@ -37,7 +37,7 @@ func (l *load) streamLoad() error {
 	// One feed subscription keeps the shared locator current for everyone.
 	followCtx, stopFollow := context.WithCancel(context.Background())
 	defer stopFollow()
-	followed, err := loc.Follow(followCtx, streams, opts.addr)
+	followed, err := loc.FollowHTTP(followCtx, streams, opts.addr)
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"scaddar/internal/obs"
 	"scaddar/internal/placement"
 	"scaddar/internal/prng"
+	"scaddar/internal/scaddar"
 )
 
 func testFactory(seed uint64) prng.Source { return prng.NewSplitMix64(seed) }
@@ -25,39 +27,77 @@ type testShard struct {
 	srv *httptest.Server
 }
 
-// newTestShard boots an empty shard gateway on a loopback HTTP server.
-func newTestShard(t testing.TB) *testShard { return newTestShardWith(t, nil) }
+// stop closes the shard, gateway first: that answers the poll a router's
+// follower has parked on it, which httptest's Close would otherwise sit out.
+func (sh *testShard) stop() {
+	sh.g.Close()
+	sh.srv.Close()
+}
 
-// newTestShardWith boots a shard whose HTTP handler is optionally wrapped
-// (fault injection for the fan-out tests).
+// shardOpts shapes a test shard; the zero value is newTestShard's.
+type shardOpts struct {
+	n0    int                             // disks; zero means 4
+	round time.Duration                   // round period; zero means 2ms
+	cm    func(*cm.Config)                // adjusts the server's config
+	wrap  func(http.Handler) http.Handler // wraps the HTTP handler (fault injection)
+	addr  string                          // listens here instead of on a fresh loopback port
+	// factory is the generator family the shard is built over; nil means
+	// testFactory, the SplitMix64 the router's views assume.
+	factory scaddar.SourceFactory
+}
+
+// newTestShard boots an empty shard gateway on a loopback HTTP server.
+func newTestShard(t testing.TB) *testShard { return bootShard(t, shardOpts{}) }
+
+// newTestShardWith boots a shard whose HTTP handler is wrapped (fault
+// injection for the fan-out tests).
 func newTestShardWith(t testing.TB, wrap func(http.Handler) http.Handler) *testShard {
+	return bootShard(t, shardOpts{wrap: wrap})
+}
+
+// bootShard boots an empty shard gateway and serves it over HTTP.
+func bootShard(t testing.TB, o shardOpts) *testShard {
 	t.Helper()
-	strat, err := placement.NewScaddar(4, placement.NewX0Func(testFactory))
+	if o.n0 == 0 {
+		o.n0 = 4
+	}
+	if o.round == 0 {
+		o.round = 2 * time.Millisecond
+	}
+	if o.factory == nil {
+		o.factory = testFactory
+	}
+	strat, err := placement.NewScaddar(o.n0, placement.NewX0Func(o.factory))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := cm.NewServer(cm.DefaultConfig(), strat)
+	cfg := cm.DefaultConfig()
+	if o.cm != nil {
+		o.cm(&cfg)
+	}
+	srv, err := cm.NewServer(cfg, strat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := gateway.New(srv, gateway.Config{
-		Factory:  testFactory,
-		Round:    2 * time.Millisecond,
-		Registry: obs.NewRegistry(),
-	})
+	g, err := gateway.New(srv, gateway.Config{Factory: o.factory, Round: o.round, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var h http.Handler = g.Handler()
-	if wrap != nil {
-		h = wrap(h)
+	if o.wrap != nil {
+		h = o.wrap(h)
 	}
-	hs := httptest.NewServer(h)
-	t.Cleanup(func() {
-		hs.Close()
-		g.Close()
-	})
-	return &testShard{g: g, srv: hs}
+	hs := httptest.NewUnstartedServer(h)
+	if o.addr != "" {
+		hs.Listener.Close()
+		if hs.Listener, err = net.Listen("tcp", o.addr); err != nil {
+			t.Fatalf("listen on %s again: %v", o.addr, err)
+		}
+	}
+	hs.Start()
+	sh := &testShard{g: g, srv: hs}
+	t.Cleanup(sh.stop)
+	return sh
 }
 
 // testCluster is a router fronting k in-process shards.
@@ -102,6 +142,54 @@ func (c *testCluster) addShard(t testing.TB) (ShardInfo, MigrationStats) {
 		t.Fatalf("AddShard: %v", err)
 	}
 	return info, stats
+}
+
+// settle waits for one feed delivery: until the router's view of every shard
+// reflects the shard's own feed position and, where it has anything to
+// answer, serves. A test calls it after changing a shard behind the router's
+// back — a direct request, a round — and before asserting what a routed read
+// says: a change made through the router needs no such wait (the floor).
+func (c *testCluster) settle(t testing.TB) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for _, slot := range c.router.topo.Load().slots {
+		var sh *testShard
+		for _, cand := range c.shards {
+			if cand.srv.URL == slot.url {
+				sh = cand
+			}
+		}
+		if sh == nil {
+			t.Fatalf("settle: no test shard at %s", slot.url)
+		}
+		for slot.loc.Pos() != sh.g.Feed().Pos() || slot.view.Load() == nil && len(slot.loc.Objects()) > 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("settle: shard %d view %s at %v, the shard's feed at %v",
+					slot.id, slot.viewState.Load(), slot.loc.Pos(), sh.g.Feed().Pos())
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+	}
+}
+
+// localReads sums cluster_reads_local_total over the shards.
+func (c *testCluster) localReads() (n uint64) {
+	for _, slot := range c.router.topo.Load().slots {
+		n += slot.readsLocal.Value()
+	}
+	return n
+}
+
+// awaitDown waits for the router to mark a shard down and fails the test if
+// that takes longer than within.
+func (c *testCluster) awaitDown(t testing.TB, slot int, within time.Duration) {
+	t.Helper()
+	sh := c.router.topo.Load().slots[slot]
+	for start := time.Now(); sh.healthy.Load(); time.Sleep(time.Millisecond) {
+		if time.Since(start) > within {
+			t.Fatalf("shard %d still marked healthy %s after it died", sh.id, within)
+		}
+	}
 }
 
 // seedObject loads one object through the router's admin surface.

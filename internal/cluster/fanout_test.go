@@ -246,10 +246,46 @@ func TestFanoutDeadlineIndependent(t *testing.T) {
 	}
 }
 
+// TestSilentShardLosesLease is the lease of a view: a shard that goes silent
+// without closing anything — new requests hang, connections stay open — is
+// answered for from its view no longer than a hop to it would have taken to
+// time out. The follower's parked poll may still be answered once after the
+// stall begins (it was past the stalling wrapper already), so the bound is
+// that poll's wait plus one ShardTimeout for the next to time out, which
+// marks the shard down; from then on its reads answer 503 at once.
+func TestSilentShardLosesLease(t *testing.T) {
+	c, slow := newSlowCluster(t)
+	c.settle(t)
+	held := -1
+	for id := 0; id < 24 && held < 0; id++ {
+		if RouteSlot(id, 3) == 2 {
+			held = id
+		}
+	}
+	path := fmt.Sprintf("/v1/objects/%d/blocks/0", held)
+	before := c.localReads()
+	if rec := c.do(t, http.MethodGet, path, nil); rec.Code != http.StatusOK || c.localReads() != before+1 {
+		t.Fatalf("read before the stall: %d, %d answered locally; want 200 from the view", rec.Code, c.localReads()-before)
+	}
+	const shardTimeout = 100 * time.Millisecond
+	slow.delay.Store(int64(5 * time.Second))
+	start := time.Now()
+	c.awaitDown(t, 2, shardTimeout/2+shardTimeout+150*time.Millisecond) // the bound, and scheduling slack
+	lost := time.Since(start)
+	before = c.localReads()
+	rec := c.do(t, http.MethodGet, path, nil)
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" || c.localReads() != before {
+		t.Fatalf("read after the lease ran out: %d (Retry-After %q), %d answered locally; want an immediate 503",
+			rec.Code, rec.Header().Get("Retry-After"), c.localReads()-before)
+	}
+	t.Logf("silent shard marked down %s after it stalled (ShardTimeout %s)", lost, shardTimeout)
+}
+
 // TestDeadlinePerHopAndPerOperation is the router's deadline contract now
-// that Handler adds none of its own. A data-path request to a shard that has
-// stopped answering costs one ShardTimeout, answers 503 and marks the shard
-// down. A topology operation is bounded by OpTimeout and by nothing shorter:
+// that Handler adds none of its own. A data-path request that reaches a shard
+// which has stopped answering — here a read past the object's extent, which
+// the view leaves to the shard — costs one ShardTimeout, answers 503 and marks
+// the shard down. A topology operation is bounded by OpTimeout and by nothing shorter:
 // it rides out a shard that stalls several ShardTimeouts and then answers,
 // and ends in 504 at OpTimeout against one that never does.
 func TestDeadlinePerHopAndPerOperation(t *testing.T) {
@@ -265,8 +301,11 @@ func TestDeadlinePerHopAndPerOperation(t *testing.T) {
 	}
 
 	slow.delay.Store(int64(1500 * time.Millisecond))
+	// The stall is in front of the shard's HTTP handler: a connection the
+	// view's self-check already upgraded would carry the read past it.
+	c.router.topo.Load().slots[2].closeIdle()
 	start := time.Now()
-	rec := c.do(t, http.MethodGet, fmt.Sprintf("/v1/objects/%d/blocks/0", onSlow[0]), nil)
+	rec := c.do(t, http.MethodGet, fmt.Sprintf("/v1/objects/%d/blocks/4", onSlow[0]), nil)
 	if took := time.Since(start); rec.Code != http.StatusServiceUnavailable || took < 100*time.Millisecond || took > time.Second {
 		t.Fatalf("read from a stalled shard: %d after %s, want 503 after one 100ms ShardTimeout: %s", rec.Code, took, rec.Body)
 	}

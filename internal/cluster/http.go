@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"scaddar/internal/binproto"
@@ -199,13 +198,11 @@ func (r *Router) movedFrom(object int, sh *shard) bool {
 	return cur != nil && cur != sh
 }
 
-// readBodies pools the scratch a routed read's JSON body is appended into;
-// the longest (three ten-digit numbers, two "false") is 96 bytes: none grows.
-var readBodies = sync.Pool{New: func() any { b := make([]byte, 0, 128); return &b }}
-
-// handleRead answers the hot-path block lookup: the owning shard is asked
-// with one binary exchange ((*shard).locate) and the reply rebuilt here is the
-// one its own HTTP handler would have written (TestRoutedReadMatchesDirect).
+// handleRead answers the hot-path block lookup: from the router's view of the
+// owning shard when its four conditions hold (answer), otherwise by asking the
+// shard with one binary exchange ((*shard).locate). Either way the reply built
+// here is the one the shard's own HTTP handler would have written, by the
+// encoder it writes it with (TestRoutedReadMatchesDirect).
 func (r *Router) handleRead(w http.ResponseWriter, req *http.Request) {
 	id, err := pathInt(req, "id")
 	if err != nil {
@@ -233,6 +230,10 @@ func (r *Router) handleRead(w http.ResponseWriter, req *http.Request) {
 			loc.Code, loc.Msg = binproto.ErrCodeOutOfRange,
 				fmt.Sprintf("%v: object %d has no block %d", cm.ErrBlockOutOfRange, id, idx)
 		default:
+			var local bool
+			if loc, local = r.answer(sh, id, idx); local {
+				break
+			}
 			start := time.Now()
 			loc, err = sh.locate(req.Context(), uint32(id), uint32(idx))
 			if err = r.account(sh, start, err); err != nil {
@@ -264,20 +265,11 @@ func (r *Router) handleRead(w http.ResponseWriter, req *http.Request) {
 			writeJSON(w, status, map[string]string{"error": loc.Msg})
 			return
 		}
-		bp := readBodies.Get().(*[]byte)
-		b := strconv.AppendInt(append((*bp)[:0], `{"object":`...), int64(id), 10)
-		b = strconv.AppendInt(append(b, `,"block":`...), int64(idx), 10)
-		b = strconv.AppendInt(append(b, `,"disk":`...), int64(loc.Disk), 10)
-		b = strconv.AppendBool(append(b, `,"healthy":`...), loc.Healthy)
-		b = strconv.AppendBool(append(b, `,"reorganizing":`...), loc.Reorganizing)
-		b = append(b, "}\n"...)
 		h["Content-Type"] = jsonContentType
 		w.WriteHeader(status)
 		if req.Method != http.MethodHead {
-			_, _ = w.Write(b)
+			_ = binproto.WriteReadReply(w, id, idx, loc)
 		}
-		*bp = b
-		readBodies.Put(bp)
 		return
 	}
 }
@@ -580,8 +572,18 @@ type ShardView struct {
 	ConnRetries int64 `json:"connRetries"`
 	// ConnsIdle counts pooled connections waiting for a request right now.
 	ConnsIdle int `json:"connsIdle"`
-	// ConnsBusy counts requests in flight to this shard right now.
+	// ConnsBusy counts requests in flight to this shard right now, the
+	// follower's parked poll included.
 	ConnsBusy int `json:"connsBusy"`
+	// ReadsLocal counts block reads answered from the router's view of the
+	// shard, without the hop.
+	ReadsLocal int64 `json:"readsLocal"`
+	// ViewState is the view's state: syncing, serving, dropped or refused.
+	ViewState string `json:"viewState"`
+	// ViewIncarnation is the incarnation of the feed the view follows.
+	ViewIncarnation uint64 `json:"viewIncarnation"`
+	// ViewSeq is the feed sequence the view reflects.
+	ViewSeq uint64 `json:"viewSeq"`
 }
 
 // TopologyView is the payload of GET /v1/cluster/shards.
@@ -610,11 +612,14 @@ func (r *Router) topologyView() TopologyView {
 			OldBuckets: p.oldBuckets, NewBuckets: p.newBuckets}
 	}
 	for i, s := range t.slots {
+		pos := s.loc.Pos()
 		out.Shards[i] = ShardView{
 			ID: s.id, URL: s.url, State: s.State().String(), Healthy: s.healthy.Load(),
 			Routed: int64(s.routed.Value()), RoutedErrors: int64(s.routedErrs.Value()),
 			Dials: int64(s.dials.Value()), ConnRetries: int64(s.connRetries.Value()),
 			ConnsIdle: len(s.idle) + len(s.binIdle), ConnsBusy: int(s.busy.Load()),
+			ReadsLocal: int64(s.readsLocal.Value()), ViewState: s.viewState.Load().(string),
+			ViewIncarnation: pos.ID, ViewSeq: pos.Seq,
 		}
 	}
 	return out

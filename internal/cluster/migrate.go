@@ -91,6 +91,7 @@ func (r *Router) AddShard(ctx context.Context, url string) (ShardInfo, Migration
 		pending: &pendingOp{kind: "add", oldBuckets: t.buckets, newBuckets: t.buckets + 1, target: sh},
 		pins:    t.pins,
 	}
+	r.follow(sh)
 	r.publish(nt)
 	if err := r.saveLocked(); err != nil {
 		return ShardInfo{}, stats, err
@@ -198,6 +199,7 @@ func (r *Router) RemoveShard(id int) error {
 	}
 	slots := append(append([]*shard(nil), t.slots[:idx]...), t.slots[idx+1:]...)
 	r.publish(&topology{version: t.version + 1, slots: slots, buckets: t.buckets, pins: t.pins})
+	t.slots[idx].unfollow()
 	t.slots[idx].closePool()
 	return r.saveLocked()
 }

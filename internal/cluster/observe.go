@@ -36,11 +36,23 @@ type routerMetrics struct {
 
 	pins        *obs.Gauge
 	objectMoves *obs.Counter
+
+	// The shards' views (view.go): where block reads were answered, and what
+	// keeping the views current costs.
+	readsLocal    *obs.CounterVec
+	forwarded     [fwdReasons]*obs.Counter
+	viewSeq       *obs.GaugeVec
+	viewSyncs     *obs.CounterVec
+	viewRefused   *obs.CounterVec
+	viewApply     *obs.Histogram
+	viewPageBytes *obs.Histogram
 }
 
 // newRouterMetrics registers the router's metric families in reg.
 func newRouterMetrics(reg *obs.Registry) *routerMetrics {
-	return &routerMetrics{
+	forwarded := reg.NewCounterVec("cluster_reads_forwarded_total",
+		"Block reads sent to their shard because its view could not answer (label: why — no_view, lease, miss, behind).", "reason")
+	m := &routerMetrics{
 		reg: reg,
 		routed: reg.NewCounterVec("cluster_routed_total",
 			"Requests routed to each shard (label: shard ID).", "shard"),
@@ -76,7 +88,23 @@ func newRouterMetrics(reg *obs.Registry) *routerMetrics {
 			"Objects pinned to an explicit shard, overriding jump-hash placement."),
 		objectMoves: reg.NewCounter("cluster_object_moves_total",
 			"Completed cross-shard object moves via the move API."),
+		readsLocal: reg.NewCounterVec("cluster_reads_local_total",
+			"Block reads answered from the router's view of the shard, without the hop (label: shard ID).", "shard"),
+		viewSeq: reg.NewGaugeVec("cluster_view_seq",
+			"Feed sequence the router's view of each shard reflects.", "shard"),
+		viewSyncs: reg.NewCounterVec("cluster_view_resyncs_total",
+			"Full locator snapshots a shard's follower installed, the first included (label: shard ID).", "shard"),
+		viewRefused: reg.NewCounterVec("cluster_view_refused_total",
+			"Self-checks a shard's view failed: its answers differed from the shard's own, or the hop that asks failed (label: shard ID).", "shard"),
+		viewApply: reg.NewHistogram("cluster_view_apply_seconds",
+			"Time from a delta page's last byte to the view reflecting it.", obs.LatencyBuckets()),
+		viewPageBytes: reg.NewHistogram("cluster_view_page_bytes",
+			"Body size of the delta pages the followers applied: the price of the JSON feed.", obs.SizeBuckets()),
 	}
+	for i, label := range fwdReasonLabels {
+		m.forwarded[i] = forwarded.With(label)
+	}
+	return m
 }
 
 // shardLabel renders a shard ID as its metric label.

@@ -9,35 +9,11 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"scaddar/internal/cm"
-	"scaddar/internal/gateway"
-	"scaddar/internal/placement"
 )
 
 // stillShard boots a shard whose round driver never ticks within a test, so
 // a migration it starts stays pending and a session it admits keeps playing.
-func stillShard(t *testing.T) *testShard {
-	t.Helper()
-	strat, err := placement.NewScaddar(4, placement.NewX0Func(testFactory))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := cm.NewServer(cm.DefaultConfig(), strat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := gateway.New(srv, gateway.Config{Factory: testFactory, Round: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(g.Handler())
-	t.Cleanup(func() {
-		hs.Close()
-		g.Close()
-	})
-	return &testShard{g: g, srv: hs}
-}
+func stillShard(t *testing.T) *testShard { return bootShard(t, shardOpts{round: time.Hour}) }
 
 // httpReply is what the differential test compares of one reply.
 type httpReply struct {
@@ -66,12 +42,13 @@ func fetch(t *testing.T, method, url string) httpReply {
 		shard: resp.Header.Get(ShardHeader), retryAfter: resp.Header.Get("Retry-After") != "", body: string(body)}
 }
 
-// TestRoutedReadMatchesDirect is the contract of the binary hop: for one
-// gateway asked both ways over real sockets, the reply the router rebuilds
-// from an OpLocate answer — or words itself, where the wire's u32 fields
-// cannot carry the question — is the reply the shard's own handler writes:
-// status, Content-Type, Retry-After presence, body bytes. Every routed reply
-// that names an object carries the shard stamp.
+// TestRoutedReadMatchesDirect is the contract of the routed read: for one
+// gateway asked both ways over real sockets, the reply the router builds —
+// from its view of the shard, from an OpLocate answer when the view is shut
+// and every read takes the hop, or in its own words where the wire's u32
+// fields cannot carry the question — is the reply the shard's own handler
+// writes: status, Content-Type, Retry-After presence, body bytes. Every routed
+// reply that names an object carries the shard stamp.
 func TestRoutedReadMatchesDirect(t *testing.T) {
 	sh := stillShard(t)
 	r := routerOver(t, sh.srv.URL)
@@ -100,23 +77,36 @@ func TestRoutedReadMatchesDirect(t *testing.T) {
 		}
 	}
 	const big = 1 << 32
+	slot := r.topo.Load().slots[0]
 	cases := func(state, okBody string) {
-		check(state+": block", "GET", "/v1/objects/7/blocks/3", 200, okBody, false)
-		check(state+": HEAD", "HEAD", "/v1/objects/7/blocks/3", 200, "", false)
-		check(state+": unknown object", "GET", "/v1/objects/8/blocks/0", 404, "unknown object", false)
-		check(state+": past the extent", "GET", "/v1/objects/7/blocks/64", 404, "no block 64", false)
-		check(state+": idx -1", "GET", "/v1/objects/7/blocks/-1", 404, "no block -1", false)
-		check(state+": idx 2^32", "GET", fmt.Sprintf("/v1/objects/7/blocks/%d", big), 404, "no block 4294967296", false)
-		check(state+": id 2^32", "GET", fmt.Sprintf("/v1/objects/%d/blocks/0", big), 404, "object 4294967296", false)
-		check(state+": id -1", "GET", "/v1/objects/-1/blocks/0", 404, "object -1", false)
-		check(state+": bad id", "GET", "/v1/objects/seven/blocks/0", 400, `bad id \"seven\"`, false)
-		check(state+": bad idx", "GET", "/v1/objects/7/blocks/three", 400, `bad idx \"three\"`, false)
-		// The one place the text differs (docs/PROTOCOL.md §10: message text
-		// is not contractual): an index the wire cannot carry, of an object
-		// the shard does not hold. The router cannot know the second half
-		// without the hop it is sparing, and says "out of range" where the
-		// shard, which looks the object up first, says "unknown object".
-		check(state+": idx 2^32 of an unknown object", "GET", fmt.Sprintf("/v1/objects/8/blocks/%d", big), 404, "", true)
+		t.Helper()
+		c.settle(t) // the state was set on the shard directly: one feed delivery
+		// Once with the view serving — the block and its HEAD are answered from
+		// it, everything else is the shard's to answer — and once with it shut.
+		for _, via := range []string{"view", "hop"} {
+			state, local := state+" by "+via, slot.readsLocal.Value()
+			check(state+": block", "GET", "/v1/objects/7/blocks/3", 200, okBody, false)
+			check(state+": HEAD", "HEAD", "/v1/objects/7/blocks/3", 200, "", false)
+			check(state+": unknown object", "GET", "/v1/objects/8/blocks/0", 404, "unknown object", false)
+			check(state+": past the extent", "GET", "/v1/objects/7/blocks/64", 404, "no block 64", false)
+			check(state+": idx -1", "GET", "/v1/objects/7/blocks/-1", 404, "no block -1", false)
+			check(state+": idx 2^32", "GET", fmt.Sprintf("/v1/objects/7/blocks/%d", big), 404, "no block 4294967296", false)
+			check(state+": id 2^32", "GET", fmt.Sprintf("/v1/objects/%d/blocks/0", big), 404, "object 4294967296", false)
+			check(state+": id -1", "GET", "/v1/objects/-1/blocks/0", 404, "object -1", false)
+			check(state+": bad id", "GET", "/v1/objects/seven/blocks/0", 400, `bad id \"seven\"`, false)
+			check(state+": bad idx", "GET", "/v1/objects/7/blocks/three", 400, `bad idx \"three\"`, false)
+			// The one place the text differs (docs/PROTOCOL.md §10: message text
+			// is not contractual): an index the wire cannot carry, of an object
+			// the shard does not hold. The router cannot know the second half
+			// without the hop it is sparing, and says "out of range" where the
+			// shard, which looks the object up first, says "unknown object".
+			check(state+": idx 2^32 of an unknown object", "GET", fmt.Sprintf("/v1/objects/8/blocks/%d", big), 404, "", true)
+			if got, want := slot.readsLocal.Value()-local, map[string]uint64{"view": 2, "hop": 0}[via]; got != want {
+				t.Errorf("%s: %d reads answered from the view, want %d", state, got, want)
+			}
+			slot.view.Store(nil)
+		}
+		slot.view.Store(slot.loc)
 	}
 	cases("healthy", `"healthy":true,"reorganizing":false`)
 

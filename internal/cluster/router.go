@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"scaddar/internal/dataplane"
 	"scaddar/internal/obs"
 )
 
@@ -54,6 +55,24 @@ type shard struct {
 	state   atomic.Int32 // ShardState
 	healthy atomic.Bool
 
+	// The shard's view (view.go). follow sets loc, the follower's locator, and
+	// unfollow, which stops it, before the handle is published. view is loc
+	// while reads may be answered from it; viewState the follower's last
+	// transition (syncing, then serving, dropped or refused); floor the newest
+	// feed position the shard has told this router of; lease how long after
+	// born (follow's start, read on the monotonic clock) a view may be served.
+	loc       *dataplane.ClientLocator
+	unfollow  func()
+	born      time.Time
+	view      atomic.Pointer[dataplane.ClientLocator]
+	viewState atomic.Value // string
+	floor     atomic.Pointer[dataplane.FeedPos]
+	lease     atomic.Int64
+
+	readsLocal  *obs.Counter
+	viewSeq     *obs.Gauge
+	viewSyncs   *obs.Counter
+	viewRefused *obs.Counter
 	routed      *obs.Counter
 	routedErrs  *obs.Counter
 	fanoutErrs  *obs.Counter
@@ -251,6 +270,10 @@ func (r *Router) newShard(id int, base string, st ShardState) (*shard, error) {
 		shardHdr:    []string{label},
 		idle:        make(chan *shardConn, maxIdleConns),
 		binIdle:     make(chan *shardConn, maxIdleConns),
+		readsLocal:  r.m.readsLocal.With(label),
+		viewSeq:     r.m.viewSeq.With(label),
+		viewSyncs:   r.m.viewSyncs.With(label),
+		viewRefused: r.m.viewRefused.With(label),
 		routed:      r.m.routed.With(label),
 		routedErrs:  r.m.routedErrs.With(label),
 		fanoutErrs:  r.m.fanoutErrs.With(label),
@@ -291,6 +314,9 @@ func (r *Router) restore(man *Manifest) error {
 		}
 	}
 	r.nextID = man.NextID
+	for _, s := range slots {
+		r.follow(s)
+	}
 	r.publish(t)
 	r.logf("cluster: restored topology v%d: %d shards, %d routing slots, pending=%v",
 		man.Version, len(man.Shards), man.Buckets, man.Pending != nil)
@@ -353,13 +379,14 @@ func (r *Router) Topology() Manifest {
 	return *r.manifestLocked()
 }
 
-// Close stops the prober and background reconciliation and closes the idle
-// shard connections. It does not touch the shards — they are independent
-// processes with their own lifecycles.
+// Close stops the prober, background reconciliation and the shards' followers
+// and closes the idle shard connections. It does not touch the shards — they
+// are independent processes with their own lifecycles.
 func (r *Router) Close() {
 	r.stopOnce.Do(func() { close(r.stop) })
 	<-r.proberEnd
 	for _, s := range r.topo.Load().slots {
+		s.unfollow()
 		s.closePool()
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
+	"time"
 )
 
 // TestClusterRoutesReads seeds objects through the router and checks every
@@ -294,12 +295,20 @@ func TestPendingOpResume(t *testing.T) {
 }
 
 // TestDownShardBackpressure stops one shard and checks its keys answer
-// 503+Retry-After while other shards' keys keep serving.
+// 503+Retry-After while other shards' keys keep serving. The 503s begin when
+// the router marks the shard down, and here that is at once: closing the
+// server breaks the follower's connection — its parked poll is answered with
+// "Connection: close" and the dial of the next one is refused — which marks
+// the shard down as a failed hop would. No read has to time out first, and
+// none is answered from the dead shard's view meanwhile: awaitDown's bound is
+// far inside the one-second ShardTimeout a silent shard's lease would run
+// (TestSilentShardLosesLease).
 func TestDownShardBackpressure(t *testing.T) {
 	c := newTestCluster(t, 3, nil)
 	const n = 30
 	c.seedObjects(t, n, 4)
 	c.shards[1].srv.Close()
+	c.awaitDown(t, 1, 250*time.Millisecond)
 	saw503, saw200 := false, false
 	for id := 0; id < n; id++ {
 		rec := c.do(t, http.MethodGet, fmt.Sprintf("/v1/objects/%d/blocks/0", id), nil)

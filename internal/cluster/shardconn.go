@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"scaddar/internal/binproto"
+	"scaddar/internal/dataplane"
 )
 
 // The shard-call primitives. Every request the router sends a shard goes to
@@ -43,12 +44,15 @@ var (
 	errStaleConn = errors.New("cluster: pooled shard connection was closed")
 )
 
-// shardReply is one buffered shard response.
+// shardReply is one buffered shard response. feed is the position the shard
+// stamped on it (dataplane.FeedHeader), which call has folded into the shard's
+// floor; the zero ID no feed has means no stamp.
 type shardReply struct {
 	status      int
 	contentType string
 	retryAfter  string
 	body        []byte
+	feed        dataplane.FeedPos
 }
 
 // shardConn is one persistent connection to a shard: plain HTTP/1.1, or,
@@ -69,6 +73,7 @@ func (s *shard) call(ctx context.Context, method, path string, body []byte) (rep
 			return shardReply{}, fmt.Errorf("cluster: request path %q has a control byte or space", path)
 		}
 	}
+	before := s.floor.Load()
 	err = s.roundTrip(ctx, s.idle, method == http.MethodGet, func(c *shardConn) (replied, keep bool, err error) {
 		b := append(c.req[:0], method...)
 		b = append(b, ' ')
@@ -101,6 +106,9 @@ func (s *shard) call(ctx context.Context, method, path string, body []byte) (rep
 	})
 	if err != nil {
 		return shardReply{}, err
+	}
+	if rep.feed.ID != 0 {
+		s.heard(before, rep.feed)
 	}
 	return rep, nil
 }
@@ -256,6 +264,9 @@ func readReply(br *bufio.Reader, method string) (rep shardReply, keep bool, err 
 	// the connection, and Close would drain an oversized one.
 	rep = shardReply{status: resp.StatusCode,
 		contentType: resp.Header.Get("Content-Type"), retryAfter: resp.Header.Get("Retry-After")}
+	if stamp := resp.Header[dataplane.FeedHeader]; len(stamp) == 1 { // FeedHeader is in canonical form
+		rep.feed, _ = dataplane.ParseFeedPos(stamp[0]) // unreadable is unstamped
+	}
 	if resp.ContentLength > maxReplyBytes && req == nil {
 		return shardReply{}, false, errReplyTooLarge // refused on the header, before any of it is read
 	}

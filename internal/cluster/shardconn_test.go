@@ -464,9 +464,10 @@ func TestShardConnectionsClosed(t *testing.T) {
 	}
 	pooled := 0
 	for _, s := range c.router.topo.Load().slots {
+		// The one busy connection carries the follower's parked poll.
 		idle, busy := len(s.idle)+len(s.binIdle), s.busy.Load()
-		if len(s.idle) == 0 || len(s.binIdle) == 0 || busy != 0 {
-			t.Fatalf("shard %d: idle=%d+%d busy=%d before closing, want a warm idle pool of both kinds",
+		if len(s.idle) == 0 || len(s.binIdle) == 0 || busy > 1 {
+			t.Fatalf("shard %d: idle=%d+%d busy=%d before closing, want a warm idle pool of both kinds and the follower's poll",
 				s.id, len(s.idle), len(s.binIdle), busy)
 		}
 		pooled += idle
@@ -537,39 +538,59 @@ func (w *nullWriter) Header() http.Header         { return w.h }
 func (w *nullWriter) WriteHeader(status int)      { w.status = status }
 func (w *nullWriter) Write(p []byte) (int, error) { return len(p), nil }
 
-// routedReadAllocs is the router-side allocation count of one routed read,
-// Handler() to the last Write (with a timeout context and a request copy per
-// request in Handler: 12; over HTTP on the pooled connections: 25; through
-// the http.Client before that: 69). None of the four is the hop's own. By a
-// rate-1 memory profile: ServeMux matching two (the wildcard values), and
-// context.AfterFunc for the poison two (its context and its stop function —
-// this request's context cannot be cancelled; one that can, as under a live
-// http.Server, also grows a done channel and a children map and entry). The
-// pin holds under -race too, which is how `make verify` and CI run it: there
-// sync.Pool drops a quarter of its Puts and a fresh body scratch
-// (readBodies) is two allocations, a mean of 4.47 that AllocsPerRun floors
-// to 4; a fifth allocation per read reads 5.
-const routedReadAllocs = 4
+// routedReadAllocs is the router-side allocation count of one routed read
+// that takes the hop, Handler() to the last Write (with a timeout context and a
+// request copy per request in Handler: 12; over HTTP on the pooled
+// connections: 25; through the http.Client before that: 69). None of the four
+// is the hop's own. By a rate-1 memory profile: ServeMux matching two (the
+// wildcard values), and context.AfterFunc for the poison two (its context and
+// its stop function — this request's context cannot be cancelled; one that
+// can, as under a live http.Server, also grows a done channel and a children
+// map and entry). The pin holds under -race too, which is how `make verify`
+// and CI run it: there sync.Pool drops a quarter of its Puts and a fresh body
+// scratch (binproto's readReplies) is two allocations, a mean of 4.47 that
+// AllocsPerRun floors to 4; a fifth allocation per read reads 5.
+//
+// localReadAllocs is the same count for a read answered from the shard's
+// view: the mux's two and nothing else — no connection, so no poison; the
+// view's lookup, the four conditions and the counters allocate nothing.
+const routedReadAllocs, localReadAllocs = 4, 2
 
-// TestRoutedReadAllocs keeps the routed read's diet from regressing. The
-// stub's upgraded connections allocate nothing per frame, so the count taken
-// across it is the router's alone.
+// TestRoutedReadAllocs keeps the routed read's diet from regressing, on both
+// of its paths. The stub serves no feed, so every read of it takes the hop,
+// and its upgraded connections allocate nothing per frame, so the count taken
+// across it is the router's alone; the real gateway's view answers the read in
+// the handler, with its metrics on.
 func TestRoutedReadAllocs(t *testing.T) {
 	st := startStub(t, "127.0.0.1:0", func(w http.ResponseWriter, req *http.Request) { joinReply(w, req) }, onDisk1)
-	h := routerOver(t, st.url()).Handler()
-	req := httptest.NewRequest(http.MethodGet, stubRead, nil)
-	w := &nullWriter{h: make(http.Header)}
-	got := testing.AllocsPerRun(500, func() {
-		clear(w.h)
-		h.ServeHTTP(w, req)
-	})
-	if w.status != http.StatusOK || w.h.Get(ShardHeader) != "0" || w.h.Get("Content-Type") != "application/json" {
-		t.Fatalf("routed read: status %d headers %v", w.status, w.h)
+	sh := bootShard(t, shardOpts{round: time.Hour})
+	c := &testCluster{router: routerOver(t, sh.srv.URL), shards: []*testShard{sh}}
+	c.seedObject(t, 7, 8)
+	c.settle(t)
+	for _, tc := range []struct {
+		path  string
+		h     http.Handler
+		pin   float64
+		local uint64
+	}{{"hop", routerOver(t, st.url()).Handler(), routedReadAllocs, 0}, {"view", c.router.Handler(), localReadAllocs, 501}} {
+		req := httptest.NewRequest(http.MethodGet, stubRead, nil)
+		w := &nullWriter{h: make(http.Header)}
+		before := c.localReads()
+		got := testing.AllocsPerRun(500, func() {
+			clear(w.h)
+			tc.h.ServeHTTP(w, req)
+		})
+		if w.status != http.StatusOK || w.h.Get(ShardHeader) != "0" || w.h.Get("Content-Type") != "application/json" {
+			t.Fatalf("routed read by the %s: status %d headers %v", tc.path, w.status, w.h)
+		}
+		if local := c.localReads() - before; local != tc.local {
+			t.Errorf("routed read by the %s: %d reads answered from the view, want %d", tc.path, local, tc.local)
+		}
+		if got > tc.pin {
+			t.Errorf("routed read by the %s allocates %.0f times on the router side, pinned at %.0f", tc.path, got, tc.pin)
+		}
+		t.Logf("routed read by the %s: %.0f router-side allocations", tc.path, got)
 	}
-	if got > routedReadAllocs {
-		t.Errorf("routed read allocates %.0f times on the router side, pinned at %d", got, routedReadAllocs)
-	}
-	t.Logf("routed read: %.0f router-side allocations", got)
 }
 
 // replyCases are the reply shapes readReply has to tell apart; they seed

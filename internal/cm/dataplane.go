@@ -320,6 +320,8 @@ type LocatorState struct {
 	// PreOf translates post-removal logical indices to pre-removal ones
 	// while a scale-down drain is in flight; nil otherwise.
 	PreOf []int
+	// Unhealthy lists the logical disks that are failed or rebuilding.
+	Unhealthy []int
 	// view is the pending set Pending and Reorganizing were taken from.
 	view reorg.PendingView
 }
@@ -337,16 +339,29 @@ func (s *Server) LocatorStateExport() (*LocatorState, error) {
 		return nil, err
 	}
 	ls := &LocatorState{
-		History: hist,
-		Bits:    sc.Bits(),
-		Epoch:   sc.Epoch(),
-		N:       s.N(),
-		Objects: s.Catalog(),
+		History:   hist,
+		Bits:      sc.Bits(),
+		Epoch:     sc.Epoch(),
+		N:         s.N(),
+		Objects:   s.Catalog(),
+		Unhealthy: s.UnhealthyDisks(),
 	}
 	if s.migration != nil && s.removalPreOf != nil {
 		ls.PreOf = append([]int(nil), s.removalPreOf...)
 	}
 	return ls.AsOf(s.PendingView()), nil
+}
+
+// UnhealthyDisks lists the logical disks that are failed or rebuilding, in
+// ascending order; nil while every disk is healthy. Owner goroutine only.
+func (s *Server) UnhealthyDisks() []int {
+	var out []int
+	for i := 0; i < s.array.N(); i++ {
+		if d, err := s.array.Disk(i); err == nil && d.Health() != disk.Healthy {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // PendingView returns the in-flight migration's pending set as of now (the

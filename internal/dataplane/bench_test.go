@@ -136,7 +136,7 @@ func BenchmarkDeltaFeed(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		seq := f.Publish(Delta{Kind: DeltaMoves, Moves: moves})
-		got, _, err := f.Since(seq - 1)
+		got, _, err := f.Since(FeedPos{Seq: seq - 1})
 		if err != nil {
 			b.Fatalf("since %d: %v", seq-1, err)
 		}
@@ -161,7 +161,7 @@ func BenchmarkDeltaFeedFanout(b *testing.B) {
 			defer wg.Done()
 			var after uint64
 			for ctx.Err() == nil {
-				deltas, seq, err := f.Wait(ctx, after)
+				deltas, seq, err := f.Wait(ctx, FeedPos{Seq: after})
 				if err != nil {
 					return
 				}

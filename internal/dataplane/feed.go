@@ -3,6 +3,9 @@ package dataplane
 import (
 	"context"
 	"errors"
+	"math/rand/v2"
+	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -49,6 +52,39 @@ type MovedBlock struct {
 	Index int `json:"index"`
 }
 
+// FeedPos is a position in one gateway process's feed. A restarted gateway's
+// feed starts again at sequence 0 under a new incarnation, so sequences of
+// different incarnations do not compare: a cursor from another is a resync.
+type FeedPos struct {
+	// ID is the feed's incarnation; zero means "whichever is serving".
+	ID uint64
+	// Seq is the sequence number within that incarnation.
+	Seq uint64
+}
+
+// FeedHeader is the response header a gateway stamps on the reply to every
+// mutating request with a feed position that includes the mutation: a server
+// that forwarded the request (the cluster router) need never answer from a
+// view older than it, and needs no extra exchange to know.
+const FeedHeader = "X-Scaddar-Feed"
+
+// String renders the position as FeedHeader carries it: "<incarnation>-<seq>".
+func (p FeedPos) String() string {
+	return strconv.FormatUint(p.ID, 10) + "-" + strconv.FormatUint(p.Seq, 10)
+}
+
+// ParseFeedPos inverts String; ok is false for anything else, the empty
+// header of a reply that was not stamped included.
+func ParseFeedPos(s string) (FeedPos, bool) {
+	id, seq, _ := strings.Cut(s, "-")
+	a, err1 := strconv.ParseUint(id, 10, 64)
+	b, err2 := strconv.ParseUint(seq, 10, 64)
+	if err1 != nil || err2 != nil {
+		return FeedPos{}, false
+	}
+	return FeedPos{ID: a, Seq: b}, true
+}
+
 // Snapshot is the full client-side locator state at one feed sequence
 // number. History is the scaddar operation-log binary codec; together with
 // Epoch and Bits it reconstructs the placement function exactly as
@@ -56,6 +92,8 @@ type MovedBlock struct {
 type Snapshot struct {
 	// Seq is the feed sequence this snapshot reflects.
 	Seq uint64 `json:"seq"`
+	// Incarnation identifies the feed Seq counts in (FeedPos.ID).
+	Incarnation uint64 `json:"incarnation,omitempty"`
 	// N is the logical disk count.
 	N int `json:"n"`
 	// Epoch counts complete redistributions.
@@ -73,6 +111,10 @@ type Snapshot struct {
 	// PreOf translates post-removal logical indices to the pre-removal
 	// numbering while a scale-down drain is in flight.
 	PreOf []int `json:"preOf,omitempty"`
+	// Unhealthy lists the logical disks that are failed or rebuilding — the
+	// "healthy" field of a block-read reply, for a server answering from the
+	// snapshot.
+	Unhealthy []int `json:"unhealthy,omitempty"`
 }
 
 // Delta kinds.
@@ -96,15 +138,27 @@ type Delta struct {
 	Snapshot *Snapshot `json:"snapshot,omitempty"`
 }
 
-// ErrDeltaGone is returned by Since when the requested sequence has been
-// evicted from the bounded feed ring — the client must refetch the full
-// snapshot.
+// DeltaPage is the payload of the delta long-poll (GET /v1/locator/deltas).
+type DeltaPage struct {
+	// Deltas are the feed entries after the requested sequence, in order.
+	Deltas []Delta `json:"deltas"`
+	// Seq is the newest published sequence; poll again with after=Seq.
+	Seq uint64 `json:"seq"`
+	// Incarnation identifies the feed the sequences count in.
+	Incarnation uint64 `json:"incarnation,omitempty"`
+}
+
+// ErrDeltaGone is returned by Since when the feed cannot be continued from
+// the requested position — it has been evicted from the bounded ring, lies
+// beyond what this feed has published, or belongs to another incarnation —
+// and the client must refetch the full snapshot.
 var ErrDeltaGone = errors.New("dataplane: delta sequence no longer retained")
 
 // Feed is a bounded, sequence-numbered delta log with long-poll support.
 // Publish is called by the owner goroutine; Since and Wait are safe for any
 // number of concurrent readers.
 type Feed struct {
+	id    uint64 // incarnation: fixed at NewFeed
 	mu    sync.Mutex
 	ring  []Delta
 	cap   int
@@ -114,12 +168,14 @@ type Feed struct {
 	wake chan struct{}
 }
 
-// NewFeed creates a feed retaining up to capacity deltas (minimum 16).
+// NewFeed creates a feed retaining up to capacity deltas (minimum 16), under
+// a fresh random incarnation: non-zero, and 53 bits so that it survives a JSON
+// reader that holds numbers as float64.
 func NewFeed(capacity int) *Feed {
 	if capacity < 16 {
 		capacity = 16
 	}
-	return &Feed{cap: capacity, start: 1, wake: make(chan struct{})}
+	return &Feed{id: rand.Uint64()>>11 | 1, cap: capacity, start: 1, wake: make(chan struct{})}
 }
 
 // Publish appends a delta, stamping and returning its sequence number.
@@ -141,40 +197,46 @@ func (f *Feed) Publish(d Delta) uint64 {
 }
 
 // Seq returns the last published sequence number.
-func (f *Feed) Seq() uint64 {
+func (f *Feed) Seq() uint64 { return f.Pos().Seq }
+
+// Pos returns the feed's incarnation and last published sequence number.
+func (f *Feed) Pos() FeedPos {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.seq
+	return FeedPos{ID: f.id, Seq: f.seq}
 }
 
-// Since returns every retained delta with sequence greater than after,
-// plus the latest sequence. If after predates the ring, ErrDeltaGone tells
-// the client to refetch the snapshot.
-func (f *Feed) Since(after uint64) ([]Delta, uint64, error) {
+// Since returns every retained delta with sequence greater than after.Seq,
+// plus the latest sequence. ErrDeltaGone tells the client to refetch the
+// snapshot: after predates the ring, names another incarnation (a zero ID
+// names none), or lies beyond the newest sequence — a cursor this feed never
+// issued, which it would otherwise serve its own deltas once it passed it.
+func (f *Feed) Since(after FeedPos) ([]Delta, uint64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if after+1 < f.start {
+	if f.gone(after) {
 		return nil, f.seq, ErrDeltaGone
 	}
-	if after >= f.seq {
-		return nil, f.seq, nil
-	}
-	from := int(after + 1 - f.start)
-	out := make([]Delta, f.seq-after)
-	copy(out, f.ring[from:])
+	out := make([]Delta, f.seq-after.Seq)
+	copy(out, f.ring[after.Seq+1-f.start:])
 	return out, f.seq, nil
 }
 
+// gone reports whether the feed cannot be continued from after. mu held.
+func (f *Feed) gone(after FeedPos) bool {
+	return after.ID != 0 && after.ID != f.id || after.Seq > f.seq || after.Seq+1 < f.start
+}
+
 // Wait blocks until a delta newer than after is available or the context
-// ends, then behaves like Since. A long-poll handler calls it with the
-// request context.
-func (f *Feed) Wait(ctx context.Context, after uint64) ([]Delta, uint64, error) {
+// ends, then behaves like Since; a position Since refuses is refused at once.
+// A long-poll handler calls it with the request context.
+func (f *Feed) Wait(ctx context.Context, after FeedPos) ([]Delta, uint64, error) {
 	for {
 		f.mu.Lock()
 		wake := f.wake
-		ready := f.seq > after || after+1 < f.start
+		parked := !f.gone(after) && after.Seq == f.seq
 		f.mu.Unlock()
-		if ready {
+		if !parked {
 			return f.Since(after)
 		}
 		select {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
@@ -12,6 +13,7 @@ import (
 
 	"scaddar/internal/disk"
 	"scaddar/internal/frame"
+	"scaddar/internal/scaddar"
 )
 
 // golden reads one committed golden file.
@@ -122,6 +124,81 @@ func FuzzSegmentRecord(f *testing.F) {
 			size, known := covered[e.seg]
 			if !known || e.off < 0 || e.n < 0 || e.off+frame.HeaderLen+int64(e.n) > size || size > 4096 {
 				t.Fatalf("accepted entry %+v for block %d: segment covered to %d (known %v)", e, disk.BlockID(bid), size, known)
+			}
+		}
+	})
+}
+
+// FuzzLocatorFeed reads arbitrary bytes as the two replies of the locator feed
+// the way a follower does — a snapshot body, then a delta page, through the
+// decoders Follow calls — and then asks the locator where blocks are. Neither
+// decoder panics or hangs; whatever they installed, Locate and Answer agree
+// and name a disk in [0, N) or none; a snapshot or an embedded one that lists
+// an unhealthy disk, a pre-removal index or a pending source outside the array
+// is refused; and a locator that took nothing answers nothing.
+func FuzzLocatorFeed(f *testing.F) {
+	hist, err := scaddar.MustNewHistory(3).MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	grown := scaddar.MustNewHistory(3)
+	if _, err := grown.Add(2); err != nil {
+		f.Fatal(err)
+	}
+	grownHist, err := grown.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	snap := Snapshot{Seq: 4, Incarnation: 99, N: 3, Bits: 64, History: hist, Unhealthy: []int{1},
+		Objects: []ObjectInfo{{ID: 0, Seed: 42, Blocks: 8}, {ID: 5, Seed: 43, Blocks: 3}},
+		Pending: []PendingBlock{{Object: 0, Index: 1, From: 2}}, Reorganizing: true}
+	after := Snapshot{N: 5, Bits: 64, History: grownHist, Objects: snap.Objects, Unhealthy: []int{4}}
+	encode := func(v any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	page := DeltaPage{Seq: 6, Incarnation: 99, Deltas: []Delta{
+		{Seq: 5, Kind: DeltaMoves, Moves: []MovedBlock{{Object: 0, Index: 1}}}, {Seq: 6, Kind: DeltaSnapshot, Snapshot: &after}}}
+	f.Add(encode(snap), encode(page))
+	f.Add(encode(snap), encode(DeltaPage{Seq: 4, Incarnation: 99, Deltas: []Delta{}}))
+	f.Add(encode(snap), encode(DeltaPage{Seq: 9, Incarnation: 98, Deltas: page.Deltas}))        // another incarnation's page
+	f.Add(encode(snap), encode(DeltaPage{Seq: 9, Deltas: []Delta{{Seq: 9, Kind: DeltaMoves}}})) // a gap
+	hostile := snap
+	hostile.Unhealthy = []int{3}
+	f.Add(encode(hostile), encode(page))
+	hostile = after
+	hostile.PreOf = []int{0, 1, 2, 3, 9}
+	f.Add(encode(snap), encode(DeltaPage{Seq: 5, Deltas: []Delta{{Seq: 5, Kind: DeltaSnapshot, Snapshot: &hostile}}}))
+	f.Add([]byte(`{"n":1e9,"bits":64,"unhealthy":[999999999]}`), []byte(`{"deltas":[{"seq":1,"kind":"snapshot"}]}`))
+	f.Add([]byte(`null`), []byte(`[]`))
+
+	f.Fuzz(func(t *testing.T, snapBody, pageBody []byte) {
+		loc := NewClientLocator(splitMix)
+		snapErr := loc.applySnapshot(snapBody)
+		if snapErr != nil {
+			if a, ok := loc.Answer(0, 0); ok || a.Pos != (FeedPos{}) {
+				t.Fatalf("the snapshot was refused (%v) and the locator answers %+v", snapErr, a)
+			}
+		}
+		_, pageErr := loc.applyPage(pageBody)
+		if snapErr != nil && pageErr == nil && loc.Seq() != 0 {
+			t.Fatalf("a page moved a locator without a snapshot to %+v", loc.Pos())
+		}
+		n := loc.N()
+		objs := loc.Objects()
+		for _, o := range objs[:min(8, len(objs))] {
+			for _, idx := range [...]int{-1, 0, o.Blocks / 2, o.Blocks - 1, o.Blocks} {
+				d, err := loc.Locate(o.ID, idx)
+				a, ok := loc.Answer(o.ID, idx)
+				if ok != (err == nil) || ok && (a.Disk != d || d < 0 || d >= n) {
+					t.Fatalf("object %d block %d of %d on %d disks: Locate = %d, %v; Answer = %+v, %v", o.ID, idx, o.Blocks, n, d, err, a, ok)
+				}
+				if in := idx >= 0 && idx < o.Blocks; ok && !in {
+					t.Fatalf("object %d has %d blocks and block %d is on disk %d", o.ID, o.Blocks, idx, d)
+				}
 			}
 		}
 	})

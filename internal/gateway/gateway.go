@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -213,9 +212,11 @@ type Gateway struct {
 	status atomic.Pointer[Status]
 
 	draining atomic.Bool
-	stop     chan struct{} // closed by Shutdown/Close to end the owner loop
-	closed   chan struct{} // closed by the owner loop on exit
-	stopOnce sync.Once
+	// halting ends, by haltNow from Shutdown/Close, when the owner loop is to
+	// stop — and with it everything that waits on the loop's output.
+	halting context.Context
+	haltNow context.CancelFunc
+	closed  chan struct{} // closed by the owner loop on exit
 
 	// bin is the gateway's one binary lookup server (bin.go), closed after the
 	// round driver stops; binAddr the advertised address of its listener.
@@ -283,12 +284,12 @@ func New(srv *cm.Server, cfg Config) (*Gateway, error) {
 		srv:    srv,
 		round:  cfg.Round,
 		cmds:   make(chan command, cfg.MailboxDepth),
-		stop:   make(chan struct{}),
 		closed: make(chan struct{}),
 		reg:    reg,
 		trace:  trace,
 		m:      newGwMetrics(reg),
 	}
+	g.halting, g.haltNow = context.WithCancel(context.Background())
 	// Wire the server and store into the shared registry and ring. The
 	// gateway owns the server from here on, so installing the observer now
 	// is safe; registration is idempotent, so adopting a registry another
@@ -339,7 +340,7 @@ func (g *Gateway) run() {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-g.stop:
+		case <-g.halting.Done():
 			return
 		case <-ticker.C:
 			g.tick()
@@ -367,7 +368,9 @@ func (g *Gateway) tick() {
 			g.logf("gateway: reorganization complete, %d disks", g.srv.N())
 		}
 	}
-	if g.inFlight || g.srv.Degraded() {
+	// A degraded snapshot is rebuilt too: the round that ends a rebuild leaves
+	// the server healthy and the published health vector saying otherwise.
+	if g.inFlight || g.srv.Degraded() || g.snap.Load().Degraded() {
 		g.republish()
 	}
 	g.dp.flush()
@@ -646,7 +649,7 @@ func (g *Gateway) Close() {
 }
 
 func (g *Gateway) halt() {
-	g.stopOnce.Do(func() { close(g.stop) })
+	g.haltNow()
 	<-g.closed
 	g.bin.Close()
 }

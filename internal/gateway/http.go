@@ -95,7 +95,7 @@ func (g *Gateway) handleAdminAddObject(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	_, err := g.exec(r.Context(), true, func(s *cm.Server) (any, error) {
+	_, err := g.mutate(w, r, func(s *cm.Server) (any, error) {
 		obj := workload.Object{
 			ID: req.ID, Seed: req.Seed, Blocks: req.Blocks,
 			BlockBytes: req.BlockBytes, BitrateBitsPerSec: req.BitrateBitsPerSec,
@@ -134,7 +134,7 @@ func (g *Gateway) handleAdminRemoveObject(w http.ResponseWriter, r *http.Request
 		return
 	}
 	force := r.URL.Query().Get("force") == "1"
-	v, err := g.exec(r.Context(), true, func(s *cm.Server) (any, error) {
+	v, err := g.mutate(w, r, func(s *cm.Server) (any, error) {
 		stopped := 0
 		if force {
 			stopped = s.StopObjectStreams(id)
@@ -169,6 +169,20 @@ func (g *Gateway) handleReplication(w http.ResponseWriter, r *http.Request) {
 // RequestTimeout is applied (exec); reads, scrapes, streams, long-polls and
 // upgraded connections never enter it.
 func (g *Gateway) Handler() http.Handler { return g.mux }
+
+// mutate is exec for a handler that changes placement, the catalogue or a
+// disk's health: execute has flushed the command into the locator feed by the
+// time it returns, and the reply is stamped with a feed position that includes
+// it (dataplane.FeedHeader) — the floor of a router that forwarded the request.
+func (g *Gateway) mutate(w http.ResponseWriter, r *http.Request, fn func(*cm.Server) (any, error)) (any, error) {
+	v, err := g.exec(r.Context(), true, fn)
+	w.Header().Set(dataplane.FeedHeader, g.dp.feed.Pos().String())
+	return v, err
+}
+
+// jsonContentType is the preallocated Content-Type value of a block-read
+// reply; shared, never written through.
+var jsonContentType = []string{"application/json"}
 
 // writeJSON writes v as a JSON response with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -319,15 +333,6 @@ func (g *Gateway) handleObjects(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, g.snap.Load().Objects())
 }
 
-// readResponse is the payload of the hot-path lookup endpoint.
-type readResponse struct {
-	Object       int  `json:"object"`
-	Block        int  `json:"block"`
-	Disk         int  `json:"disk"`
-	Healthy      bool `json:"healthy"`
-	Reorganizing bool `json:"reorganizing"`
-}
-
 // handleRead is the concurrent read path: no mailbox, no locks — one
 // atomic pointer load, a catalogue probe and the compiled chain
 // (cm.LocatorSnapshot.Locate). Its latency is recorded
@@ -356,13 +361,9 @@ func (g *Gateway) handleRead(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.m.reads.Inc()
-	writeJSON(w, http.StatusOK, readResponse{
-		Object:       id,
-		Block:        idx,
-		Disk:         d,
-		Healthy:      sn.Healthy(d),
-		Reorganizing: sn.Reorganizing(),
-	})
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	_ = binproto.WriteReadReply(w, id, idx, binproto.Location{Disk: d, Healthy: sn.Healthy(d), Reorganizing: sn.Reorganizing()})
 	t3 := time.Now()
 	g.m.observeRead(t1.Sub(t0), t2.Sub(t1), t3.Sub(t2))
 }
@@ -562,7 +563,7 @@ func (g *Gateway) handleScale(w http.ResponseWriter, r *http.Request) {
 			map[string]string{"error": `specify exactly one of "add", "remove", or "redistribute"`})
 		return
 	}
-	v, err := g.exec(r.Context(), true, func(s *cm.Server) (any, error) {
+	v, err := g.mutate(w, r, func(s *cm.Server) (any, error) {
 		var (
 			plan *reorg.Plan
 			op   string
@@ -612,7 +613,7 @@ func (g *Gateway) handleDiskOp(w http.ResponseWriter, r *http.Request, verb stri
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	_, err = g.exec(r.Context(), true, func(s *cm.Server) (any, error) {
+	_, err = g.mutate(w, r, func(s *cm.Server) (any, error) {
 		return nil, op(s, id)
 	})
 	if err != nil {

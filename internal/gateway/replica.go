@@ -115,12 +115,17 @@ func (rp *Replica) handleObjects(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, v.Snap.Objects())
 }
 
-// replicaReadResponse is readResponse plus the replica's position: the
-// applied LSN the answer is valid at and the lag behind the leader.
+// replicaReadResponse is the gateway's block-read reply plus the replica's
+// position: the applied LSN the answer is valid at and the lag behind the
+// leader.
 type replicaReadResponse struct {
-	readResponse
-	AppliedLSN uint64 `json:"appliedLsn"`
-	LagEvents  uint64 `json:"lagEvents"`
+	Object       int    `json:"object"`
+	Block        int    `json:"block"`
+	Disk         int    `json:"disk"`
+	Healthy      bool   `json:"healthy"`
+	Reorganizing bool   `json:"reorganizing"`
+	AppliedLSN   uint64 `json:"appliedLsn"`
+	LagEvents    uint64 `json:"lagEvents"`
 }
 
 func (rp *Replica) handleRead(w http.ResponseWriter, r *http.Request) {
@@ -141,14 +146,12 @@ func (rp *Replica) handleRead(w http.ResponseWriter, r *http.Request) {
 	}
 	v := rp.cfg.Follower.View()
 	writeJSON(w, http.StatusOK, replicaReadResponse{
-		readResponse: readResponse{
-			Object:       id,
-			Block:        idx,
-			Disk:         d,
-			Healthy:      v.Snap.Healthy(d),
-			Reorganizing: v.Snap.Reorganizing(),
-		},
-		AppliedLSN: lsn,
-		LagEvents:  v.Lag(),
+		Object:       id,
+		Block:        idx,
+		Disk:         d,
+		Healthy:      v.Snap.Healthy(d),
+		Reorganizing: v.Snap.Reorganizing(),
+		AppliedLSN:   lsn,
+		LagEvents:    v.Lag(),
 	})
 }

@@ -25,6 +25,7 @@ package gateway
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -77,32 +78,34 @@ func newDataPlane(g *Gateway, srv *cm.Server) (*dataPlane, error) {
 	if dp.base, err = srv.LocatorStateExport(); err != nil {
 		return nil, err
 	}
-	dp.publish(0)
+	dp.publish(dp.feed.Pos())
 	return dp, nil
 }
 
 // publish re-points the snapshot endpoint at {base, the migration's pending
-// set as of now, seq} and returns the builder. Rounds that only move blocks
+// set as of now, pos} and returns the builder. Rounds that only move blocks
 // change nothing else, so this tuple — O(1) on the owner goroutine — is all a
 // round publishes; the wire snapshot, pending list and all, is built off the
 // owner by the first fetch that wants it, once per sequence. Owner only.
-func (dp *dataPlane) publish(seq uint64) func() *dataplane.Snapshot {
+func (dp *dataPlane) publish(pos dataplane.FeedPos) func() *dataplane.Snapshot {
 	base, view := dp.base, dp.g.srv.PendingView()
-	build := sync.OnceValue(func() *dataplane.Snapshot { return wireSnapshot(base.AsOf(view), seq) })
+	build := sync.OnceValue(func() *dataplane.Snapshot { return wireSnapshot(base.AsOf(view), pos) })
 	dp.wire.Store(&build)
 	return build
 }
 
 // wireSnapshot converts a locator state into the wire snapshot.
-func wireSnapshot(ls *cm.LocatorState, seq uint64) *dataplane.Snapshot {
+func wireSnapshot(ls *cm.LocatorState, pos dataplane.FeedPos) *dataplane.Snapshot {
 	snap := &dataplane.Snapshot{
-		Seq:          seq,
+		Seq:          pos.Seq,
+		Incarnation:  pos.ID,
 		N:            ls.N,
 		Epoch:        ls.Epoch,
 		Bits:         ls.Bits,
 		Reorganizing: ls.Reorganizing,
 		History:      ls.History,
 		PreOf:        ls.PreOf,
+		Unhealthy:    ls.Unhealthy,
 	}
 	snap.Objects = make([]dataplane.ObjectInfo, len(ls.Objects))
 	for i, o := range ls.Objects {
@@ -276,7 +279,8 @@ func (dp *dataPlane) onEvent(ev cm.Event) {
 // freshly connecting client starts at the current sequence instead of
 // replaying the whole drain — which is also what keeps long migrations from
 // outrunning the bounded feed ring and forcing ErrDeltaGone resyncs. Only an
-// epoch or catalog boundary pays for a full export: its delta carries one.
+// epoch or catalog boundary, or a disk changing health (compared, not evented:
+// a rebuild can end without one), pays for a full export: its delta carries one.
 func (dp *dataPlane) flush() {
 	moved := len(dp.moves) > 0
 	if moved {
@@ -284,9 +288,9 @@ func (dp *dataPlane) flush() {
 		dp.g.m.deltasPublished.Inc()
 		dp.moves = nil
 	}
-	if !dp.dirty {
+	if !dp.dirty && slices.Equal(dp.base.Unhealthy, dp.g.srv.UnhealthyDisks()) {
 		if moved {
-			dp.publish(dp.feed.Seq())
+			dp.publish(dp.feed.Pos())
 		}
 		return
 	}
@@ -299,7 +303,9 @@ func (dp *dataPlane) flush() {
 	// Stamped with the sequence Publish is about to assign (flush is the
 	// feed's only publisher) and built before it goes in: once the delta is
 	// in the ring, concurrent pollers encode the shared snapshot.
-	snap := dp.publish(dp.feed.Seq() + 1)()
+	next := dp.feed.Pos()
+	next.Seq++
+	snap := dp.publish(next)()
 	dp.feed.Publish(dataplane.Delta{Kind: dataplane.DeltaSnapshot, Snapshot: snap})
 	dp.g.m.deltasPublished.Inc()
 }

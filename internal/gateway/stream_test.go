@@ -337,10 +337,9 @@ func TestLocatorDeltaTracking(t *testing.T) {
 	// has been applied.
 	deadline := time.Now().Add(30 * time.Second)
 	after := loc.Seq()
-	for loc.N() != 6 || loc.Reorganizing() || loc.PendingCount() > 0 {
+	for loc.N() != 6 || loc.PendingCount() > 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("reorg never converged: n=%d reorg=%v pending=%d",
-				loc.N(), loc.Reorganizing(), loc.PendingCount())
+			t.Fatalf("reorg never converged: n=%d pending=%d", loc.N(), loc.PendingCount())
 		}
 		resp, err := http.Get(fmt.Sprintf("%s/v1/locator/deltas?after=%d", ts.URL, after))
 		if err != nil {
@@ -350,7 +349,7 @@ func TestLocatorDeltaTracking(t *testing.T) {
 			resp.Body.Close()
 			t.Fatalf("deltas: status %d", resp.StatusCode)
 		}
-		var dr deltaResponse
+		var dr dataplane.DeltaPage
 		if err := json.NewDecoder(resp.Body).Decode(&dr); err != nil {
 			t.Fatal(err)
 		}

@@ -156,40 +156,43 @@ func (g *Gateway) handleLocatorSnapshot(w http.ResponseWriter, r *http.Request) 
 	writeJSON(w, http.StatusOK, g.LocatorSnapshotWire())
 }
 
-// deltaResponse is the payload of the locator delta long-poll.
-type deltaResponse struct {
-	// Deltas are the feed entries after the requested sequence, in order.
-	Deltas []dataplane.Delta `json:"deltas"`
-	// Seq is the newest published sequence; poll again with after=Seq.
-	Seq uint64 `json:"seq"`
-}
-
 // handleLocatorDeltas long-polls the locator feed: ?after=N parks until a
-// delta newer than N exists (bounded by maxDeltaWait and the client's own
-// context), then returns everything newer. 410 Gone when N has fallen out of
-// the bounded ring — the client refetches the snapshot and resubscribes.
+// delta newer than N exists, then returns everything newer. The park is
+// bounded by maxDeltaWait, by ?wait=<milliseconds> when that is shorter (a
+// follower that reads liveness off the poll asks for one inside its own
+// timeout), by the client's context, and by the round driver stopping: nothing
+// is published after it, so a parked poll is answered with what it has instead
+// of holding the HTTP server's shutdown, and a later one is refused like any
+// request to a stopped gateway. 410 Gone when the feed cannot be continued from
+// N (dataplane.ErrDeltaGone; ?incarnation= names the feed N counts in): the
+// client refetches the snapshot and resubscribes.
 func (g *Gateway) handleLocatorDeltas(w http.ResponseWriter, r *http.Request) {
-	after, err := queryUint(r, "after")
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	g.m.deltaPolls.Inc()
-	ctx, cancel := context.WithTimeout(r.Context(), maxDeltaWait)
-	defer cancel()
-	deltas, seq, derr := g.dp.feed.Wait(ctx, after)
-	if derr != nil {
-		if errors.Is(derr, dataplane.ErrDeltaGone) {
-			writeJSON(w, http.StatusGone, map[string]any{"error": derr.Error(), "seq": seq})
+	var q [3]uint64
+	for i, name := range [...]string{"incarnation", "after", "wait"} {
+		var err error
+		if q[i], err = queryUint(r, name); err != nil {
+			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 			return
 		}
-		g.writeError(w, derr)
+	}
+	g.m.deltaPolls.Inc()
+	wait := maxDeltaWait
+	if q[2] > 0 && q[2] < uint64(maxDeltaWait/time.Millisecond) {
+		wait = time.Duration(q[2]) * time.Millisecond
+	}
+	if g.halting.Err() != nil {
+		g.writeError(w, ErrDraining)
 		return
 	}
-	if deltas == nil {
-		deltas = []dataplane.Delta{}
+	ctx, cancel := context.WithTimeout(r.Context(), wait)
+	defer cancel()
+	defer context.AfterFunc(g.halting, cancel)()
+	deltas, seq, err := g.dp.feed.Wait(ctx, dataplane.FeedPos{ID: q[0], Seq: q[1]})
+	if err != nil {
+		writeJSON(w, http.StatusGone, map[string]any{"error": err.Error(), "seq": seq})
+		return
 	}
-	writeJSON(w, http.StatusOK, deltaResponse{Deltas: deltas, Seq: seq})
+	writeJSON(w, http.StatusOK, dataplane.DeltaPage{Deltas: deltas, Seq: seq, Incarnation: g.dp.feed.Pos().ID})
 }
 
 // queryUint parses an optional unsigned query parameter (absent means 0).
