@@ -120,8 +120,10 @@ bench:
 # the bytes do not spell out, no kept connection after an error), the shared
 # envelope (internal/frame: its three readers agree on every input, none
 # over-allocates for a forged length) and the payload cursor every decoder
-# above is written on (random read sequences against encoding/binary).
-# Thirteen targets.
+# above is written on (random read sequences against encoding/binary) — and
+# one that reads no bytes from outside: the disk inventory's paged bitmap
+# against a plain map under the same Store / Remove / Has / Blocks / Fail
+# script, over the three ID shapes the module mints. Fourteen targets.
 fuzz:
 	$(GO) test ./internal/scaddar/ -fuzz FuzzCodec -fuzztime 20s
 	$(GO) test ./internal/scaddar/ -fuzz FuzzCompiledChain -fuzztime 20s
@@ -136,6 +138,7 @@ fuzz:
 	$(GO) test ./internal/cluster/ -fuzz FuzzShardBinReply -fuzztime 20s
 	$(GO) test ./internal/frame/ -fuzz FuzzFrame -fuzztime 20s
 	$(GO) test ./internal/frame/ -fuzz FuzzCursor -fuzztime 20s
+	$(GO) test ./internal/disk/ -fuzz FuzzInventory -fuzztime 20s
 
 clean:
 	$(GO) clean ./...

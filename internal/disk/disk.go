@@ -209,7 +209,7 @@ type PayloadFactory func(diskID int) (PayloadStore, error)
 type Disk struct {
 	id      int
 	profile Profile
-	blocks  map[BlockID]struct{}
+	blocks  inventory
 	health  Health
 	payload PayloadStore
 
@@ -221,7 +221,7 @@ type Disk struct {
 
 // New creates an empty disk with the given stable identity and profile.
 func New(id int, profile Profile) *Disk {
-	return &Disk{id: id, profile: profile, blocks: make(map[BlockID]struct{})}
+	return &Disk{id: id, profile: profile, blocks: newInventory()}
 }
 
 // ID returns the disk's stable identity.
@@ -231,7 +231,7 @@ func (d *Disk) ID() int { return d.id }
 func (d *Disk) Profile() Profile { return d.profile }
 
 // Len returns the number of blocks stored.
-func (d *Disk) Len() int { return len(d.blocks) }
+func (d *Disk) Len() int { return d.blocks.n }
 
 // Health returns the disk's current health state.
 func (d *Disk) Health() Health { return d.health }
@@ -245,7 +245,7 @@ func (d *Disk) Fail() ([]BlockID, error) {
 		return nil, fmt.Errorf("%w: disk %d is already failed", ErrBadHealthTransition, d.id)
 	}
 	lost := d.Blocks()
-	d.blocks = make(map[BlockID]struct{})
+	d.blocks = newInventory() // the old pages are released with the old map
 	d.health = Failed
 	if d.payload != nil {
 		if err := d.payload.Wipe(); err != nil {
@@ -281,10 +281,7 @@ func (d *Disk) FinishRebuild() error {
 }
 
 // Has reports whether the block is stored on this disk.
-func (d *Disk) Has(b BlockID) bool {
-	_, ok := d.blocks[b]
-	return ok
-}
+func (d *Disk) Has(b BlockID) bool { return d.blocks.has(b) }
 
 // Store places a block on the disk. Storing a block twice is an error — it
 // would mask accounting bugs in the reorganization engine.
@@ -292,27 +289,25 @@ func (d *Disk) Store(b BlockID) error {
 	if d.health == Failed {
 		return fmt.Errorf("%w: disk %d cannot store block %d", ErrDiskFailed, d.id, b)
 	}
-	if _, ok := d.blocks[b]; ok {
+	if !d.blocks.add(b) {
 		return fmt.Errorf("disk %d: block %d already stored", d.id, b)
 	}
-	d.blocks[b] = struct{}{}
 	d.writes++
 	return nil
 }
 
 // Remove deletes a block from the disk.
 func (d *Disk) Remove(b BlockID) error {
-	if _, ok := d.blocks[b]; !ok {
+	if !d.blocks.remove(b) {
 		return fmt.Errorf("disk %d: block %d not stored", d.id, b)
 	}
-	delete(d.blocks, b)
 	return nil
 }
 
 // Read records a block read for round accounting and reports whether the
 // block was present.
 func (d *Disk) Read(b BlockID) bool {
-	if _, ok := d.blocks[b]; !ok {
+	if !d.blocks.has(b) {
 		return false
 	}
 	d.reads++
@@ -339,14 +334,9 @@ func (d *Disk) ResetRound() {
 	d.reads, d.writes, d.migrated = 0, 0, 0
 }
 
-// Blocks returns the stored block IDs in unspecified order.
-func (d *Disk) Blocks() []BlockID {
-	out := make([]BlockID, 0, len(d.blocks))
-	for b := range d.blocks {
-		out = append(out, b)
-	}
-	return out
-}
+// Blocks returns the stored block IDs in ascending order, the same on every
+// run: Fail's lost-block list, and what is planned from it, is reproducible.
+func (d *Disk) Blocks() []BlockID { return d.blocks.ids() }
 
 // Array is an ordered collection of disks addressed by logical index, with
 // stable per-disk identities preserved across removals — the physical layer

@@ -257,6 +257,8 @@ func (dp *dataPlane) closeAll(reason dataplane.CloseReason) {
 func (dp *dataPlane) onEvent(ev cm.Event) {
 	switch ev.Kind {
 	case cm.EventBlocksMigrated:
+		// Sized to the event: the feed ring keeps the slice, capacity and all.
+		dp.moves = slices.Grow(dp.moves, len(ev.Moves))
 		for _, m := range ev.Moves {
 			dp.moves = append(dp.moves, dataplane.MovedBlock{Object: m.Object, Index: int(m.Index)})
 		}
