@@ -121,9 +121,12 @@ bench:
 # envelope (internal/frame: its three readers agree on every input, none
 # over-allocates for a forged length) and the payload cursor every decoder
 # above is written on (random read sequences against encoding/binary) — and
-# one that reads no bytes from outside: the disk inventory's paged bitmap
+# two that read no bytes from outside: the disk inventory's paged bitmap
 # against a plain map under the same Store / Remove / Has / Blocks / Fail
-# script, over the three ID shapes the module mints. Fourteen targets.
+# script, over the three ID shapes the module mints, and the locator feed's
+# retention under a script of publishes and a follower that polls at
+# arbitrary lags (it ends where a follower that saw every delta does, and is
+# refused only out of a ring that begins with a moves delta). Fifteen targets.
 fuzz:
 	$(GO) test ./internal/scaddar/ -fuzz FuzzCodec -fuzztime 20s
 	$(GO) test ./internal/scaddar/ -fuzz FuzzCompiledChain -fuzztime 20s
@@ -134,6 +137,7 @@ fuzz:
 	$(GO) test ./internal/dataplane/ -fuzz FuzzChunkFrame -fuzztime 20s
 	$(GO) test ./internal/dataplane/ -fuzz FuzzSegmentRecord -fuzztime 20s
 	$(GO) test ./internal/dataplane/ -fuzz FuzzLocatorFeed -fuzztime 20s
+	$(GO) test ./internal/dataplane/ -fuzz FuzzFeedLag -fuzztime 20s
 	$(GO) test ./internal/cluster/ -fuzz FuzzShardResponse -fuzztime 20s
 	$(GO) test ./internal/cluster/ -fuzz FuzzShardBinReply -fuzztime 20s
 	$(GO) test ./internal/frame/ -fuzz FuzzFrame -fuzztime 20s

@@ -17,7 +17,6 @@ import (
 	"scaddar/internal/experiments"
 	"scaddar/internal/placement"
 	"scaddar/internal/prng"
-	"scaddar/internal/reorg"
 	iscaddar "scaddar/internal/scaddar"
 )
 
@@ -296,25 +295,6 @@ func BenchmarkStrategyDisk(b *testing.B) {
 				b.Fatal("impossible")
 			}
 		})
-	}
-}
-
-// BenchmarkPlanAdd measures RF() plan construction for a 20k-block server.
-func BenchmarkPlanAdd(b *testing.B) {
-	blocks := experiments.BlockUniverse(20, 1000)
-	x0 := experiments.X0FuncBits(64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		strat, err := placement.NewScaddar(8, x0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, err := reorg.PlanAdd(strat, blocks, 2); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

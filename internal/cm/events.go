@@ -97,8 +97,8 @@ func IsEpochEvent(k EventKind) bool {
 }
 
 // BlockPos identifies one block by catalog coordinates. Events use it
-// instead of placement references because seeds are already durable in the
-// catalog and plan ordering is not deterministic across restarts.
+// instead of placement references (seeds are already durable in the catalog)
+// and of plan positions (a journal replays whatever order its writer planned in).
 type BlockPos struct {
 	// Object is the owning object's catalog ID.
 	Object int

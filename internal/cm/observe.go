@@ -62,6 +62,9 @@ type Observer struct {
 	// reorganization moves vs. rebuild I/Os.
 	roundMoves      *obs.Histogram
 	roundRebuildIOs *obs.Histogram
+	// What a scaling operation cost before its first move, and what it planned.
+	planSeconds *obs.Histogram
+	planMoves   *obs.Counter
 
 	// prevDisks tracks the last published array width so per-disk gauge
 	// children are pruned when a scale-down shrinks the array.
@@ -106,6 +109,8 @@ func NewObserver(reg *obs.Registry) *Observer {
 
 		roundMoves:      reg.NewHistogram("cm_round_moves", "Reorganization moves executed per round while a migration is active.", obs.SizeBuckets()),
 		roundRebuildIOs: reg.NewHistogram("cm_round_rebuild_ios", "Rebuild I/Os executed per round while a rebuild is active.", obs.SizeBuckets()),
+		planSeconds:     reg.NewHistogram("cm_plan_seconds", "Wall-clock time from the start of planning a scaling operation or complete redistribution to its migration being installed.", obs.LatencyBuckets()),
+		planMoves:       reg.NewCounter("cm_plan_moves_total", "Moves planned by scaling operations and complete redistributions."),
 	}
 }
 

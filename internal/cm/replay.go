@@ -22,8 +22,9 @@ import (
 )
 
 // ReplayMigratedBlocks re-executes the journaled subset of pending
-// reorganization moves. The blocks are identified by catalog coordinates
-// because the plan's move ordering is not deterministic across restarts.
+// reorganization moves, by catalog coordinates and not by plan position: a
+// plan repeats across restarts (the planner walks the catalogue by object ID),
+// but a journal written by a build whose plans did not must still replay.
 func (s *Server) ReplayMigratedBlocks(moves []BlockPos) error {
 	if s.migration == nil {
 		return fmt.Errorf("cm: replay: no reorganization in flight")

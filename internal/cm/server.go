@@ -550,15 +550,15 @@ func (s *Server) Objects() int { return len(s.objects) }
 // TotalBlocks returns the number of blocks stored across the array.
 func (s *Server) TotalBlocks() int { return s.array.TotalBlocks() }
 
-// allBlocks enumerates every loaded block as a placement reference.
-func (s *Server) allBlocks() []placement.BlockRef {
-	var blocks []placement.BlockRef
-	for _, obj := range s.objects {
+// eachBlock is the planners' reorg.Source: every loaded block, objects in
+// ascending ID order — s.objects is a map, the planner walks the catalogue
+// twice, and in this order a plan's move list repeats from run to run.
+func (s *Server) eachBlock(yield func(placement.BlockRef)) {
+	for _, obj := range s.Catalog() {
 		for i := 0; i < obj.Blocks; i++ {
-			blocks = append(blocks, placement.BlockRef{Seed: obj.Seed, Index: uint64(i)})
+			yield(placement.BlockRef{Seed: obj.Seed, Index: uint64(i)})
 		}
 	}
-	return blocks
 }
 
 // locate returns the logical disk a block must be read from right now:
@@ -1110,9 +1110,10 @@ func (s *Server) reorgIdle() error {
 
 // startMigration is the tail every reorganization shares: install the plan's
 // executor, charge the randomness budget for the strategy's new disk count
-// (a complete redistribution resets it instead), and journal the start
-// event — last, so sinks observe the server with the migration in place.
-func (s *Server) startMigration(plan *reorg.Plan, ev Event) (*reorg.Plan, error) {
+// (a complete redistribution resets it instead), report what the operation
+// cost since planning began, and journal the start event — last, so sinks
+// observe the server with the migration in place.
+func (s *Server) startMigration(begun time.Time, plan *reorg.Plan, ev Event) (*reorg.Plan, error) {
 	exec, err := s.newExecutor(plan)
 	if err != nil {
 		return nil, err
@@ -1126,6 +1127,10 @@ func (s *Server) startMigration(plan *reorg.Plan, ev Event) (*reorg.Plan, error)
 		if err := account(s.strat.N()); err != nil {
 			return nil, err
 		}
+	}
+	if s.obsv != nil {
+		s.obsv.planSeconds.ObserveDuration(time.Since(begun))
+		s.obsv.planMoves.Add(uint64(len(plan.Moves)))
 	}
 	s.emit(ev)
 	return plan, nil
@@ -1165,7 +1170,8 @@ func (s *Server) scaleUp(count int, profile *disk.Profile) (*reorg.Plan, error) 
 		}
 		added = *profile
 	}
-	plan, err := reorg.PlanAdd(s.strat, s.allBlocks(), count)
+	start := time.Now()
+	plan, err := reorg.PlanAddFrom(s.strat, s.eachBlock, count)
 	if err != nil {
 		return nil, err
 	}
@@ -1175,7 +1181,7 @@ func (s *Server) scaleUp(count int, profile *disk.Profile) (*reorg.Plan, error) 
 	if err := s.attachAddedPayloads(s.N() - count); err != nil {
 		return nil, err
 	}
-	return s.startMigration(plan, Event{Kind: EventScaleUpStarted, Count: count, Profile: profile})
+	return s.startMigration(start, plan, Event{Kind: EventScaleUpStarted, Count: count, Profile: profile})
 }
 
 // ScaleDown starts draining the disks at the given logical indices. Blocks
@@ -1186,23 +1192,14 @@ func (s *Server) ScaleDown(indices ...int) (*reorg.Plan, error) {
 	if err := s.reorgIdle(); err != nil {
 		return nil, err
 	}
-	plan, err := reorg.PlanRemove(s.strat, s.allBlocks(), indices...)
+	start := time.Now()
+	plan, err := reorg.PlanRemoveFrom(s.strat, s.eachBlock, indices...)
 	if err != nil {
 		return nil, err
 	}
 	s.pendingRemoval = append([]int(nil), indices...)
-	// Build the post-removal -> pre-removal logical translation used by
-	// locate() while the drain is in flight.
-	sorted := append([]int(nil), indices...)
-	sort.Ints(sorted)
-	surv := placement.SurvivorMap(plan.NBefore, sorted)
-	s.removalPreOf = make([]int, plan.NAfter)
-	for old, nw := range surv {
-		if nw >= 0 {
-			s.removalPreOf[nw] = old
-		}
-	}
-	return s.startMigration(plan, Event{Kind: EventScaleDownStarted, Disks: append([]int(nil), indices...)})
+	s.removalPreOf = plan.PreOf // locate() reads through it while the drain is in flight
+	return s.startMigration(start, plan, Event{Kind: EventScaleDownStarted, Disks: append([]int(nil), indices...)})
 }
 
 // NeedsRedistribution reports whether the configured unfairness tolerance
@@ -1230,11 +1227,12 @@ func (s *Server) FullRedistribute() (*reorg.Plan, error) {
 	if !ok {
 		return nil, fmt.Errorf("cm: strategy %q does not support full redistribution", s.strat.Name())
 	}
-	plan, err := reorg.PlanRebaseline(rb, s.allBlocks())
+	start := time.Now()
+	plan, err := reorg.PlanRebaseline(rb, s.eachBlock)
 	if err != nil {
 		return nil, err
 	}
-	return s.startMigration(plan, Event{Kind: EventRedistributeStarted})
+	return s.startMigration(start, plan, Event{Kind: EventRedistributeStarted})
 }
 
 // CompleteScaleDown detaches the drained disks of a ScaleDown. It fails if

@@ -1,6 +1,8 @@
 package cm
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +10,7 @@ import (
 	"scaddar/internal/disk"
 	"scaddar/internal/placement"
 	"scaddar/internal/prng"
+	"scaddar/internal/reorg"
 	"scaddar/internal/stats"
 	"scaddar/internal/workload"
 )
@@ -648,5 +651,70 @@ func TestObjectAccessors(t *testing.T) {
 	}
 	if srv.Strategy().Name() != "scaddar" {
 		t.Fatal("strategy accessor wrong")
+	}
+}
+
+// TestPlanOrderRepeats loads two servers with the same objects in opposite
+// orders and plans the same operations on both: the move lists must be one
+// list, order included, and ascending by object. The planner walks the
+// catalogue twice and pairs the walks by position, and the catalogue is a Go
+// map: enumerated in map order the two walks disagree with each other, let
+// alone with another server.
+func TestPlanOrderRepeats(t *testing.T) {
+	const n, blocks = 12, 400 // more than one planner run
+	a, b := newServer(t, 6), newServer(t, 6)
+	for i := 0; i < n; i++ {
+		if err := a.AddObject(testObject(i, blocks)); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.AddObject(testObject(n-1-i, blocks)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain := func(srv *Server) {
+		t.Helper()
+		for srv.Reorganizing() {
+			if err := srv.Tick(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, op := range []struct {
+		name string
+		plan func(*Server) (*reorg.Plan, error)
+	}{
+		{"scale-up", func(s *Server) (*reorg.Plan, error) { return s.ScaleUp(2) }},
+		{"scale-down", func(s *Server) (*reorg.Plan, error) { return s.ScaleDown(1, 6) }},
+		{"full redistribution", func(s *Server) (*reorg.Plan, error) { return s.FullRedistribute() }},
+	} {
+		pa, err := op.plan(a)
+		if err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		pb, err := op.plan(b)
+		if err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		if len(pa.Moves) == 0 || !slices.Equal(pa.Moves, pb.Moves) {
+			t.Fatalf("%s: %d and %d moves, not one list", op.name, len(pa.Moves), len(pb.Moves))
+		}
+		if !slices.IsSortedFunc(pa.Moves, func(x, y reorg.Move) int {
+			return cmp.Or(cmp.Compare(a.seedOf[x.Block.Seed], a.seedOf[y.Block.Seed]), cmp.Compare(x.Block.Index, y.Block.Index))
+		}) {
+			t.Errorf("%s: the plan is not in catalogue order", op.name)
+		}
+		drain(a)
+		drain(b)
+		if op.name == "scale-down" {
+			if err := a.CompleteScaleDown(); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.CompleteScaleDown(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := a.VerifyIntegrity(); err != nil {
+			t.Fatalf("after the %s: %v", op.name, err)
+		}
 	}
 }

@@ -146,6 +146,40 @@ func BenchmarkDeltaFeed(b *testing.B) {
 	}
 }
 
+// BenchmarkFeedPublish is the owner goroutine's cost of one delta on a ring
+// already at capacity. moves: a long drain's steady state — the oldest delta
+// is dropped, and the ring slides once per capacity's worth of drops rather
+// than at each. snapshot: an epoch boundary on a full ring — everything before
+// the delta is dropped and cleared at once.
+func BenchmarkFeedPublish(b *testing.B) {
+	moves := make([]MovedBlock, 264) // a round's worth on the benchmark's array
+	snap := &Snapshot{Objects: make([]ObjectInfo, 128), Pending: make([]PendingBlock, 25000)}
+	fill := func(f *Feed) {
+		for i := 0; i < 1024; i++ {
+			f.Publish(Delta{Kind: DeltaMoves, Moves: moves})
+		}
+	}
+	b.Run("moves", func(b *testing.B) {
+		f := NewFeed(1024)
+		fill(f)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f.Publish(Delta{Kind: DeltaMoves, Moves: moves})
+		}
+	})
+	b.Run("snapshot", func(b *testing.B) {
+		f := NewFeed(1024)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fill(f)
+			b.StartTimer()
+			f.Publish(Delta{Kind: DeltaSnapshot, Snapshot: snap})
+		}
+	})
+}
+
 // BenchmarkDeltaFeedFanout is BenchmarkDeltaFeed with 64 parked long-poll
 // followers: each publish must wake every waiter, which is the fan-out the
 // snapshot+delta protocol pays instead of 10k per-block lookups.

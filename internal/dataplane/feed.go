@@ -156,14 +156,18 @@ var ErrDeltaGone = errors.New("dataplane: delta sequence no longer retained")
 
 // Feed is a bounded, sequence-numbered delta log with long-poll support.
 // Publish is called by the owner goroutine; Since and Wait are safe for any
-// number of concurrent readers.
+// number of concurrent readers. A snapshot delta supersedes everything before
+// it (a follower installs one at whatever sequence it arrives), so the ring
+// begins at the newest; after it, capacity bounds the ring, oldest first out.
 type Feed struct {
 	id    uint64 // incarnation: fixed at NewFeed
 	mu    sync.Mutex
-	ring  []Delta
+	ring  []Delta // retained: ring[head:], the slots before head cleared
+	head  int
 	cap   int
-	start uint64 // seq of ring[0]; 1-based
+	start uint64 // seq of ring[head]; 1-based
 	seq   uint64 // last published seq
+	bytes int    // deltaBytes over ring[head:]
 	// wake is closed and replaced on every publish (broadcast idiom).
 	wake chan struct{}
 }
@@ -178,17 +182,36 @@ func NewFeed(capacity int) *Feed {
 	return &Feed{id: rand.Uint64()>>11 | 1, cap: capacity, start: 1, wake: make(chan struct{})}
 }
 
+// deltaBytes estimates what a retained delta references: 16 bytes a move, 24
+// a pending block, 32 a catalogue row.
+func deltaBytes(d Delta) int {
+	if d.Snapshot != nil {
+		return len(d.Snapshot.Pending)*24 + len(d.Snapshot.Objects)*32
+	}
+	return len(d.Moves) * 16
+}
+
 // Publish appends a delta, stamping and returning its sequence number.
 func (f *Feed) Publish(d Delta) uint64 {
 	f.mu.Lock()
 	f.seq++
 	d.Seq = f.seq
-	f.ring = append(f.ring, d)
-	if len(f.ring) > f.cap {
-		drop := len(f.ring) - f.cap
-		f.ring = append(f.ring[:0], f.ring[drop:]...)
-		f.start += uint64(drop)
+	switch {
+	case d.Kind == DeltaSnapshot:
+		clear(f.ring) // unreferenced at once, not when the slot is overwritten
+		f.ring, f.head, f.start, f.bytes = f.ring[:0], 0, d.Seq, 0
+	case len(f.ring)-f.head == f.cap:
+		f.bytes -= deltaBytes(f.ring[f.head])
+		f.ring[f.head] = Delta{}
+		f.head, f.start = f.head+1, f.start+1
+		if f.head == f.cap { // slide once per capacity's worth of drops, not at each
+			n := copy(f.ring, f.ring[f.head:])
+			clear(f.ring[n:])
+			f.ring, f.head = f.ring[:n], 0
+		}
 	}
+	f.ring = append(f.ring, d)
+	f.bytes += deltaBytes(d)
 	wake := f.wake
 	f.wake = make(chan struct{})
 	f.mu.Unlock()
@@ -206,9 +229,18 @@ func (f *Feed) Pos() FeedPos {
 	return FeedPos{ID: f.id, Seq: f.seq}
 }
 
+// Retained returns how many deltas the ring holds and their deltaBytes.
+func (f *Feed) Retained() (deltas, bytes int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.ring) - f.head, f.bytes
+}
+
 // Since returns every retained delta with sequence greater than after.Seq,
-// plus the latest sequence. ErrDeltaGone tells the client to refetch the
-// snapshot: after predates the ring, names another incarnation (a zero ID
+// plus the latest sequence; a cursor older than a ring that begins with a
+// snapshot delta gets the whole ring, a page that starts above after.Seq+1.
+// ErrDeltaGone tells the client to refetch the snapshot: after fell out of a
+// ring that begins with a moves delta, names another incarnation (a zero ID
 // names none), or lies beyond the newest sequence — a cursor this feed never
 // issued, which it would otherwise serve its own deltas once it passed it.
 func (f *Feed) Since(after FeedPos) ([]Delta, uint64, error) {
@@ -217,14 +249,16 @@ func (f *Feed) Since(after FeedPos) ([]Delta, uint64, error) {
 	if f.gone(after) {
 		return nil, f.seq, ErrDeltaGone
 	}
-	out := make([]Delta, f.seq-after.Seq)
-	copy(out, f.ring[after.Seq+1-f.start:])
+	live := f.ring[f.head+int(max(after.Seq+1, f.start)-f.start):]
+	out := make([]Delta, len(live))
+	copy(out, live)
 	return out, f.seq, nil
 }
 
 // gone reports whether the feed cannot be continued from after. mu held.
 func (f *Feed) gone(after FeedPos) bool {
-	return after.ID != 0 && after.ID != f.id || after.Seq > f.seq || after.Seq+1 < f.start
+	return after.ID != 0 && after.ID != f.id || after.Seq > f.seq ||
+		after.Seq+1 < f.start && f.ring[f.head].Kind != DeltaSnapshot
 }
 
 // Wait blocks until a delta newer than after is available or the context

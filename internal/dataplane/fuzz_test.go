@@ -203,3 +203,92 @@ func FuzzLocatorFeed(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFeedLag runs a script of publishes against a feed of capacity 16 — moves
+// deltas that retire pending blocks, snapshot deltas that install the 3- or the
+// 5-disk array with a fresh pending set — past two followers: one polls after
+// every publish, the other only where the script says so. Whatever the lags,
+// the second ends where the first does, and where a locator given the
+// snapshot served at the head does. It may be refused (and then resyncs from
+// that snapshot) only when it fell out of a ring that begins with a moves
+// delta: never while fewer than 16 deltas follow the newest snapshot delta.
+func FuzzFeedLag(f *testing.F) {
+	f.Add([]byte{0, 4, 1, 8, 3})                             // moves, snapshot, moves, moves, poll: a page that begins above after+1
+	f.Add([]byte{1, 1, 3, 1, 1, 1, 2, 6, 1, 3})              // two snapshot deltas between polls
+	f.Add(append(bytes.Repeat([]byte{0}, 40), 3))            // out of a moves-headed ring: the one 410
+	f.Add(append([]byte{2}, bytes.Repeat([]byte{5}, 15)...)) // a full ring with the snapshot delta still at its head
+	f.Fuzz(func(t *testing.T, script []byte) {
+		feed := NewFeed(16)
+		// served is what a snapshot fetch is answered with: the newest snapshot
+		// delta's state less the blocks moved since, at the feed's position.
+		served := wireSnapshot(t)
+		sinceSnapshot := 0 // deltas published after the newest snapshot delta; the initial state counts as one
+		fetch := func() *Snapshot {
+			snap := *served
+			pos := feed.Pos()
+			snap.Seq, snap.Incarnation, snap.Reorganizing = pos.Seq, pos.ID, len(snap.Pending) > 0
+			return &snap
+		}
+		poll := func(loc *ClientLocator, mayRefuse bool) {
+			page, _, err := feed.Since(loc.Pos())
+			if err != nil {
+				if !mayRefuse {
+					t.Fatalf("cursor %+v refused with %d deltas since the newest snapshot delta: %v", loc.Pos(), sinceSnapshot, err)
+				}
+				if err := loc.ApplySnapshot(fetch()); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			for _, d := range page {
+				if err := loc.Apply(d); err != nil {
+					t.Fatalf("applying delta %d (%s) at %+v: %v", d.Seq, d.Kind, loc.Pos(), err)
+				}
+			}
+		}
+		eager, lagging := NewClientLocator(splitMix), NewClientLocator(splitMix)
+		for _, loc := range []*ClientLocator{eager, lagging} {
+			if err := loc.ApplySnapshot(fetch()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, op := range script[:min(len(script), 256)] {
+			switch {
+			case op%4 == 3:
+				poll(lagging, sinceSnapshot >= 16)
+				continue
+			case op%4 == 2:
+				pending := []int{0}
+				for idx := 1; idx < 7; idx++ {
+					if op>>2>>(idx-1)&1 != 0 {
+						pending = append(pending, idx)
+					}
+				}
+				if served = grownSnapshot(t, pending...); op&128 != 0 { // back to three disks
+					served.N, served.History = 3, wireSnapshot(t).History
+				}
+				feed.Publish(Delta{Kind: DeltaSnapshot, Snapshot: fetch()})
+				sinceSnapshot = 0
+			default:
+				k := min(int(op>>2)%3, len(served.Pending))
+				var moves []MovedBlock
+				for _, p := range served.Pending[:k] {
+					moves = append(moves, MovedBlock{Object: p.Object, Index: p.Index})
+				}
+				next := *served
+				next.Pending = served.Pending[k:]
+				served = &next
+				feed.Publish(Delta{Kind: DeltaMoves, Moves: moves})
+				sinceSnapshot++
+			}
+			poll(eager, false)
+		}
+		poll(lagging, sinceSnapshot >= 16)
+		sameLocator(t, "the lagging follower", lagging, eager)
+		bootstrapped := NewClientLocator(splitMix)
+		if err := bootstrapped.ApplySnapshot(fetch()); err != nil {
+			t.Fatal(err)
+		}
+		sameLocator(t, "a follower bootstrapped at the head", bootstrapped, eager)
+	})
+}

@@ -214,3 +214,91 @@ func TestHealthFollowsRebuild(t *testing.T) {
 		t.Errorf("a follower at the head answers %+v, %v; want disk %d healthy at %+v", a, ok, d, g.Feed().Pos())
 	}
 }
+
+// gatedDeltas is an http.RoundTripper that holds every delta poll until the
+// test lets one through: a follower behind it is as far behind as the test
+// wants.
+type gatedDeltas struct {
+	next http.RoundTripper
+	pass chan struct{}
+}
+
+func (g gatedDeltas) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Path == "/v1/locator/deltas" {
+		select {
+		case <-g.pass:
+		case <-r.Context().Done():
+			return nil, r.Context().Err()
+		}
+	}
+	return g.next.RoundTrip(r)
+}
+
+// TestFollowerBehindSnapshotNeverResyncs holds a FollowHTTP client one page
+// behind a gateway across an object load, a scale-up and a scale-down: each
+// poll it is allowed finds its cursor older than the ring (which begins at the
+// newest snapshot delta), is answered with the ring, and leaves the follower
+// agreeing with the gateway's own locator on every block — without a 410, so
+// without a resync. Truncating the ring and keeping the 410 (ROADMAP's dead
+// end) resynced it at each of the three.
+func TestFollowerBehindSnapshotNeverResyncs(t *testing.T) {
+	g, ts := newStreamGateway(t, 4, 2, 200, nil)
+	gate := gatedDeltas{next: http.DefaultTransport, pass: make(chan struct{})}
+	loc := dataplane.NewClientLocator(testFactory)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	resyncs, err := loc.FollowHTTP(ctx, &http.Client{Transport: gate}, ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong := 0
+	catchUp := func(what string) {
+		t.Helper()
+		page, _, err := g.Feed().Since(loc.Pos())
+		if err != nil || len(page) == 0 || page[0].Kind != dataplane.DeltaSnapshot || page[0].Seq <= loc.Seq()+1 {
+			t.Fatalf("after %s the follower at %d is not behind the ring: %d deltas, %v", what, loc.Seq(), len(page), err)
+		}
+		gate.pass <- struct{}{}
+		head := g.Feed().Pos() // idle rounds publish nothing: the feed stands still
+		deadline := time.Now().Add(10 * time.Second)
+		for loc.Pos() != head {
+			if time.Now().After(deadline) {
+				t.Fatalf("after %s the follower stands at %+v, the feed at %+v", what, loc.Pos(), head)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		sn := g.Snapshot()
+		for _, o := range loc.Objects() {
+			for idx := 0; idx < o.Blocks; idx++ {
+				want, werr := sn.Locate(o.ID, idx)
+				if got, err := loc.Locate(o.ID, idx); err != nil || werr != nil || got != want {
+					wrong++
+				}
+			}
+		}
+		if len(loc.Objects()) != len(sn.Objects()) || loc.N() != sn.N() {
+			t.Errorf("after %s the follower holds %d objects on %d disks, the gateway %d on %d", what, len(loc.Objects()), loc.N(), len(sn.Objects()), sn.N())
+		}
+	}
+	h := g.Handler()
+	for _, obj := range []int{77, 78} { // two snapshot deltas: the first alone is the follower's next
+		if rec, _ := doJSON(t, h, "POST", "/v1/admin/objects", map[string]any{"id": obj, "seed": 7000 + obj, "blocks": 40, "bitrateBitsPerSec": 1 << 20}); rec.Code != http.StatusCreated {
+			t.Fatalf("add object %d: %d %s", obj, rec.Code, rec.Body)
+		}
+	}
+	catchUp("two object loads")
+	if rec, _ := doJSON(t, h, "POST", "/v1/scale", map[string]any{"add": 2}); rec.Code != http.StatusAccepted {
+		t.Fatalf("scale up: %d %s", rec.Code, rec.Body)
+	}
+	waitStatus(t, g, "scale-up drain", func(st Status) bool { return !st.Reorganizing && st.Disks == 6 })
+	catchUp("a scale-up")
+	if rec, _ := doJSON(t, h, "POST", "/v1/scale", map[string]any{"remove": []int{1, 4}}); rec.Code != http.StatusAccepted {
+		t.Fatalf("scale down: %d %s", rec.Code, rec.Body)
+	}
+	waitStatus(t, g, "scale-down drain", func(st Status) bool { return !st.Reorganizing && st.Disks == 4 })
+	catchUp("a scale-down")
+	cancel()
+	if n := resyncs(); n != 0 || wrong != 0 {
+		t.Errorf("%d resyncs and %d wrong Locates, want none of either", n, wrong)
+	}
+}

@@ -378,6 +378,9 @@ func (g *Gateway) tick() {
 	g.publishStatus()
 	g.m.poolBuffers.SetInt(int(bufpool.InUse()))
 	g.m.poolBytes.SetInt(int(bufpool.InUseBytes()))
+	deltas, bytes := g.dp.feed.Retained()
+	g.m.feedDeltas.SetInt(deltas)
+	g.m.feedBytes.SetInt(bytes)
 }
 
 // syncStore is the journal's group-commit point: every event this round

@@ -35,8 +35,11 @@ type gwMetrics struct {
 
 	// The payload pool's gauges as of the end of the last round: what the
 	// chunks in flight through this process's sessions pin (internal/bufpool).
+	// And the locator feed's: what its ring retains.
 	poolBuffers *obs.Gauge
 	poolBytes   *obs.Gauge
+	feedDeltas  *obs.Gauge
+	feedBytes   *obs.Gauge
 
 	readTotal     *obs.Histogram
 	readAdmission *obs.Histogram
@@ -72,6 +75,8 @@ func newGwMetrics(reg *obs.Registry) *gwMetrics {
 
 		poolBuffers: reg.NewGauge("bufpool_in_use_buffers", "Pooled payload buffers referenced at the end of the last round."),
 		poolBytes:   reg.NewGauge("bufpool_in_use_bytes", "Backing capacity of the pooled payload buffers referenced at the end of the last round."),
+		feedDeltas:  reg.NewGauge("gateway_locator_feed_retained_deltas", "Deltas the locator feed's ring retained at the end of the last round: the newest snapshot delta and what followed it, up to the ring's capacity."),
+		feedBytes:   reg.NewGauge("gateway_locator_feed_retained_bytes", "Estimated bytes those deltas reference: 16 a move, 24 a pending block, 32 a catalogue row."),
 
 		readTotal: reg.NewHistogram("gateway_read_seconds",
 			"End-to-end read-path latency (all phases).", obs.LatencyBuckets()),

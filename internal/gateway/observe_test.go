@@ -125,6 +125,19 @@ func TestMetricsEndpointUnderScaleUp(t *testing.T) {
 		t.Errorf("cm_events_total{kind=scale-up-started} = %g (found %v), want 1", v, ok)
 	}
 
+	// The operation was planned once, and drained exactly what was planned.
+	if h, ok := ms.Histogram("cm_plan_seconds", "", ""); !ok || h.Count != 1 || h.Sum <= 0 {
+		t.Errorf("cm_plan_seconds = %d observations summing to %g (found %v), want the one scale-up", h.Count, h.Sum, ok)
+	}
+	if v := want("cm_plan_moves_total"); v == 0 || v != want("cm_blocks_migrated_total") {
+		t.Errorf("cm_plan_moves_total = %g, cm_blocks_migrated_total = %g; want them equal", v, want("cm_blocks_migrated_total"))
+	}
+	// The drain's last delivery is a snapshot delta, and the feed's ring
+	// begins at it: one delta, nothing pending, three catalogue rows.
+	if n, b := want("gateway_locator_feed_retained_deltas"), want("gateway_locator_feed_retained_bytes"); n != 1 || b != 3*32 {
+		t.Errorf("the feed retains %g deltas and %g bytes after the drain, want 1 and 96", n, b)
+	}
+
 	// Per-disk load gauges cover all six disks and add up to the total.
 	var loadSum float64
 	for d := 0; d < 6; d++ {

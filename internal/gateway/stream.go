@@ -59,8 +59,8 @@ type dataPlane struct {
 	dirty bool
 }
 
-// feedCapacity bounds the locator delta feed ring; a client further behind
-// than this must refetch the full snapshot.
+// feedCapacity bounds the locator delta feed ring after its newest snapshot
+// delta; a client a long drain leaves further behind must refetch the snapshot.
 const feedCapacity = 1024
 
 // newDataPlane wires the delivery and event sinks into the server and

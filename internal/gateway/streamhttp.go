@@ -157,7 +157,9 @@ func (g *Gateway) handleLocatorSnapshot(w http.ResponseWriter, r *http.Request) 
 }
 
 // handleLocatorDeltas long-polls the locator feed: ?after=N parks until a
-// delta newer than N exists, then returns everything newer. The park is
+// delta newer than N exists, then returns everything newer the feed retains —
+// a page may begin with a snapshot delta at a sequence above N+1, which the
+// ring begins at and which supersedes what came before it. The park is
 // bounded by maxDeltaWait, by ?wait=<milliseconds> when that is shorter (a
 // follower that reads liveness off the poll asks for one inside its own
 // timeout), by the client's context, and by the round driver stopping: nothing

@@ -90,33 +90,31 @@ type BatchStrategy interface {
 }
 
 // Snapshot records the disk of every block under a strategy, for measuring
-// movement across a scaling operation. Strategies that implement
-// BatchStrategy resolve the sweep in bulk (compiled and parallel for
-// SCADDAR); the result is identical to the serial per-block loop.
+// movement across a scaling operation.
 func Snapshot(s Strategy, blocks []BlockRef) []int {
 	disks := make([]int, len(blocks))
+	SnapshotInto(s, blocks, disks)
+	return disks
+}
+
+// SnapshotInto is Snapshot into a buffer the caller reuses, at least as long
+// as blocks. A BatchStrategy resolves the sweep in bulk (compiled and parallel
+// for SCADDAR); the result is identical to the serial per-block loop.
+func SnapshotInto(s Strategy, blocks []BlockRef, disks []int) {
 	if bs, ok := s.(BatchStrategy); ok {
 		bs.DiskBatch(blocks, disks)
-		return disks
+		return
 	}
 	for i, b := range blocks {
 		disks[i] = s.Disk(b)
 	}
-	return disks
 }
 
-// LoadVector counts blocks per logical disk under a strategy, using the
-// bulk path when the strategy provides one.
+// LoadVector counts blocks per logical disk under a strategy.
 func LoadVector(s Strategy, blocks []BlockRef) []int {
 	counts := make([]int, s.N())
-	if bs, ok := s.(BatchStrategy); ok {
-		for _, d := range Snapshot(bs, blocks) {
-			counts[d]++
-		}
-		return counts
-	}
-	for _, b := range blocks {
-		counts[s.Disk(b)]++
+	for _, d := range Snapshot(s, blocks) {
+		counts[d]++
 	}
 	return counts
 }

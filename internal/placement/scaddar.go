@@ -2,6 +2,7 @@ package placement
 
 import (
 	"fmt"
+	"math/bits"
 
 	"scaddar/internal/par"
 	"scaddar/internal/prng"
@@ -105,36 +106,42 @@ func (s *Scaddar) Disk(b BlockRef) int { return s.hist.Locate(s.blockX0(b)) }
 
 // DiskBatch resolves many blocks at once (placement.BatchStrategy): the
 // per-object random numbers are drawn serially (the X0 source memoizes per
-// seed and is not concurrency-safe), then the compiled REMAP chain sweeps
-// the batch across GOMAXPROCS workers in disjoint ranges, so the output is
-// byte-identical to per-block Disk calls regardless of core count.
+// seed and is not concurrency-safe) and parked in out, which is as wide; the
+// compiled REMAP chain then sweeps them, across GOMAXPROCS workers in
+// disjoint ranges when the batch is worth it. Only that fan-out allocates, and
+// the output is byte-identical to per-block Disk calls at any core count.
 func (s *Scaddar) DiskBatch(blocks []BlockRef, out []int) {
 	if len(out) < len(blocks) {
 		panic("placement: DiskBatch output shorter than input")
 	}
 	chain := s.hist.Compile()
-	if len(blocks) < par.MinParallel || par.Workers() < 2 {
-		// Serial: stream through a stack chunk, no per-call allocation.
-		var xs [256]uint64
-		for base := 0; base < len(blocks); base += len(xs) {
-			n := len(blocks) - base
-			if n > len(xs) {
-				n = len(xs)
-			}
-			for i := 0; i < n; i++ {
-				xs[i] = s.blockX0(blocks[base+i])
-			}
-			chain.LocateBatch(xs[:n], out[base:base+n])
+	if bits.UintSize < 64 { // an int cannot park an X0
+		for i, b := range blocks {
+			out[i] = chain.Locate(s.blockX0(b))
 		}
 		return
 	}
-	xs := make([]uint64, len(blocks))
 	for i, b := range blocks {
-		xs[i] = s.blockX0(b)
+		out[i] = int(s.blockX0(b))
 	}
-	par.Ranges(len(xs), func(lo, hi int) {
-		chain.LocateBatch(xs[lo:hi], out[lo:hi])
-	})
+	if len(blocks) < par.MinParallel || par.Workers() < 2 {
+		remapParked(chain, out[:len(blocks)])
+		return
+	}
+	par.Ranges(len(blocks), func(lo, hi int) { remapParked(chain, out[lo:hi]) })
+}
+
+// remapParked replaces each X0 parked in out by its disk, a stack chunk at a time.
+func remapParked(chain *scaddar.CompiledChain, out []int) {
+	var xs [256]uint64
+	for len(out) > 0 {
+		n := min(len(xs), len(out))
+		for i := range xs[:n] {
+			xs[i] = uint64(out[i])
+		}
+		chain.LocateBatch(xs[:n], out[:n])
+		out = out[n:]
+	}
 }
 
 // Rebaseline performs the complete redistribution the paper recommends once

@@ -22,6 +22,7 @@ package reorg
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"scaddar/internal/disk"
@@ -46,6 +47,9 @@ type Plan struct {
 	// Blocks is the total number of blocks considered, for movement-
 	// fraction reporting.
 	Blocks int
+	// PreOf, in a removal's plan only, maps the strategy's post-removal
+	// logical indices to the pre-removal numbering the moves are in.
+	PreOf []int
 }
 
 // MoveFraction returns the fraction of all blocks the plan relocates.
@@ -62,23 +66,86 @@ func (p *Plan) OptimalFraction() float64 {
 	return placement.OptimalMoveFraction(p.NBefore, p.NAfter)
 }
 
+// Source enumerates the blocks a plan covers, one call of yield per block, so
+// that planning holds no copy of them. Every call must yield the same blocks in
+// the same order: the planner pairs a walk before the operation with one after.
+type Source func(yield func(placement.BlockRef))
+
+// sliceSource is the Source of a block list already in memory.
+func sliceSource(blocks []placement.BlockRef) Source {
+	return func(yield func(placement.BlockRef)) {
+		for _, b := range blocks {
+			yield(b)
+		}
+	}
+}
+
+// runLen is how many blocks the planner resolves at a time: enough for
+// SCADDAR's bulk sweep to fan out, little beside an int32 per block.
+const runLen = 4096
+
+// planFrom is the one planner. It records every block's disk as an int32,
+// lets mutate change the strategy (removing the disks named, if any), then
+// walks src again and emits a Move wherever the disk differs. What it holds
+// while it runs is 4 bytes a block and 32 a move; only the moves outlive it.
+func planFrom(s placement.Strategy, src Source, removed []int, mutate func() error) (*Plan, error) {
+	plan := &Plan{NBefore: s.N()}
+	src(func(placement.BlockRef) { plan.Blocks++ })
+	before := make([]int32, plan.Blocks)
+	refs := make([]placement.BlockRef, min(runLen, plan.Blocks))
+	disks := make([]int, len(refs))
+	sweep := func(fn func(pos int, b placement.BlockRef, d int)) {
+		pos, n := 0, 0
+		flush := func() {
+			placement.SnapshotInto(s, refs[:n], disks)
+			for i, b := range refs[:n] {
+				fn(pos+i, b, disks[i])
+			}
+			pos, n = pos+n, 0
+		}
+		src(func(b placement.BlockRef) {
+			if refs[n], n = b, n+1; n == len(refs) {
+				flush()
+			}
+		})
+		flush()
+	}
+	sweep(func(pos int, _ placement.BlockRef, d int) { before[pos] = int32(d) })
+	if err := mutate(); err != nil {
+		return nil, err
+	}
+	plan.NAfter = s.N()
+	for old := 0; len(removed) > 0 && old < plan.NBefore; old++ {
+		if !slices.Contains(removed, old) { // survivors ascending: a survivor's rank is its new index
+			plan.PreOf = append(plan.PreOf, old)
+		}
+	}
+	hint := plan.Blocks // a complete redistribution: the count stands still, nearly all move
+	if plan.NAfter != plan.NBefore {
+		hint = min(hint, int(plan.OptimalFraction()*float64(hint))+hint/64+64) // RO1's z_j, and slack
+	}
+	plan.Moves = make([]Move, 0, hint)
+	sweep(func(pos int, b placement.BlockRef, d int) {
+		if plan.PreOf != nil {
+			d = plan.PreOf[d]
+		}
+		if from := int(before[pos]); from != d {
+			plan.Moves = append(plan.Moves, Move{Block: b, From: from, To: d})
+		}
+	})
+	return plan, nil
+}
+
 // PlanAdd applies an addition of count disks to the strategy and returns the
 // resulting plan. The strategy is mutated; the physical array must be grown
 // before the plan is executed.
 func PlanAdd(s placement.Strategy, blocks []placement.BlockRef, count int) (*Plan, error) {
-	nBefore := s.N()
-	before := placement.Snapshot(s, blocks)
-	if err := s.AddDisks(count); err != nil {
-		return nil, err
-	}
-	after := placement.Snapshot(s, blocks)
-	plan := &Plan{NBefore: nBefore, NAfter: s.N(), Blocks: len(blocks)}
-	for i, b := range blocks {
-		if before[i] != after[i] {
-			plan.Moves = append(plan.Moves, Move{Block: b, From: before[i], To: after[i]})
-		}
-	}
-	return plan, nil
+	return PlanAddFrom(s, sliceSource(blocks), count)
+}
+
+// PlanAddFrom is PlanAdd over an enumeration of the blocks.
+func PlanAddFrom(s placement.Strategy, src Source, count int) (*Plan, error) {
+	return planFrom(s, src, nil, func() error { return s.AddDisks(count) })
 }
 
 // PlanRemove applies a removal of the given logical indices to the strategy
@@ -86,33 +153,12 @@ func PlanAdd(s placement.Strategy, blocks []placement.BlockRef, count int) (*Pla
 // numbering. The strategy is mutated; the plan must be executed before the
 // physical array is shrunk.
 func PlanRemove(s placement.Strategy, blocks []placement.BlockRef, indices ...int) (*Plan, error) {
-	nBefore := s.N()
-	before := placement.Snapshot(s, blocks)
-	if err := s.RemoveDisks(indices...); err != nil {
-		return nil, err
-	}
-	after := placement.Snapshot(s, blocks)
+	return PlanRemoveFrom(s, sliceSource(blocks), indices...)
+}
 
-	// Invert the survivor compaction: post-removal logical -> pre-removal.
-	removed := make([]int, 0, len(indices))
-	removed = append(removed, indices...)
-	sortInts(removed)
-	surv := placement.SurvivorMap(nBefore, removed)
-	preOf := make([]int, s.N())
-	for old, nw := range surv {
-		if nw >= 0 {
-			preOf[nw] = old
-		}
-	}
-
-	plan := &Plan{NBefore: nBefore, NAfter: s.N(), Blocks: len(blocks)}
-	for i, b := range blocks {
-		destPre := preOf[after[i]]
-		if before[i] != destPre {
-			plan.Moves = append(plan.Moves, Move{Block: b, From: before[i], To: destPre})
-		}
-	}
-	return plan, nil
+// PlanRemoveFrom is PlanRemove over an enumeration of the blocks.
+func PlanRemoveFrom(s placement.Strategy, src Source, indices ...int) (*Plan, error) {
+	return planFrom(s, src, indices, func() error { return s.RemoveDisks(indices...) })
 }
 
 // Rebaseliner is a strategy that supports the paper's complete
@@ -127,28 +173,8 @@ type Rebaseliner interface {
 // paper recommends once the Section 4.3 budget is exhausted. The disk count
 // is unchanged; nearly all blocks move. Both endpoints are current logical
 // indices, valid immediately.
-func PlanRebaseline(s Rebaseliner, blocks []placement.BlockRef) (*Plan, error) {
-	before := placement.Snapshot(s, blocks)
-	if err := s.Rebaseline(); err != nil {
-		return nil, err
-	}
-	after := placement.Snapshot(s, blocks)
-	plan := &Plan{NBefore: s.N(), NAfter: s.N(), Blocks: len(blocks)}
-	for i, b := range blocks {
-		if before[i] != after[i] {
-			plan.Moves = append(plan.Moves, Move{Block: b, From: before[i], To: after[i]})
-		}
-	}
-	return plan, nil
-}
-
-// sortInts is a tiny insertion sort; removal groups are small.
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for k := i; k > 0 && xs[k] < xs[k-1]; k-- {
-			xs[k], xs[k-1] = xs[k-1], xs[k]
-		}
-	}
+func PlanRebaseline(s Rebaseliner, src Source) (*Plan, error) {
+	return planFrom(s, src, nil, s.Rebaseline)
 }
 
 // BlockIDFunc maps a placement block reference to the disk-layer block ID.
@@ -353,8 +379,9 @@ func (e *Executor) Step(budget []int) (moved int, err error) {
 
 // TakeMoved returns the blocks Step has executed since the last call and
 // clears the log. The caller (the CM server) journals them; replay uses
-// ExecuteBlock to re-apply exactly those moves, because pending order is not
-// deterministic across restarts.
+// ExecuteBlock to re-apply exactly those moves, whatever their place in the
+// plan: budgets skip moves, ExtractBySource removes them, and a journal may
+// predate the planner's fixed order.
 func (e *Executor) TakeMoved() []placement.BlockRef {
 	out := e.movedLog
 	e.movedLog = nil
