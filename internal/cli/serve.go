@@ -58,7 +58,7 @@ func cmdServe(args []string, w io.Writer) error {
 	fs.IntVar(&opts.n0, "n0", 8, "initial disk count")
 	fs.IntVar(&opts.objects, "objects", 12, "number of objects (0 = empty catalog, e.g. to join a cluster as a fresh shard)")
 	fs.IntVar(&opts.blocks, "blocks", 600, "blocks per object")
-	fs.DurationVar(&opts.round, "round", 100*time.Millisecond, "wall-clock round period")
+	fs.DurationVar(&opts.round, "round", 100*time.Millisecond, "round period while a stream plays or nothing is pending; a drain or rebuild on an idle array runs its rounds back to back")
 	fs.StringVar(&opts.redundancy, "redundancy", "none", "protection scheme: none | mirror | parity")
 	fs.Float64Var(&opts.utilization, "utilization", 0.8, "admission-control utilization target in (0,1]")
 	fs.IntVar(&opts.mailbox, "mailbox", 64, "control-plane mailbox depth")

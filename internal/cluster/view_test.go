@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"scaddar/internal/cm"
+	"scaddar/internal/dataplane"
 	"scaddar/internal/obs"
+	"scaddar/internal/placement"
 	"scaddar/internal/prng"
 )
 
@@ -498,5 +500,121 @@ func TestViewRefusedWhenItDisagrees(t *testing.T) {
 	}
 	if n := logged.Load(); n != 1 {
 		t.Errorf("the refusal was logged %d times over %d refused checks, want once", n, slot.viewRefused.Value())
+	}
+}
+
+// TestFollowerAcrossUnpacedDrain follows one shard's locator feed twice — a
+// FollowHTTP client on the shard itself and the router's own view — across a
+// scale-up nobody plays over, whose rounds therefore run back to back and
+// outnumber the feed's ring (1,024 deltas). However far either falls behind,
+// every answer on the way is a disk the block was on or is going to (a 410
+// resync, and a routed read falling back to the hop, are correct and are
+// counted), and once the drain is delivered both agree, block for block, with
+// a locator bootstrapped from the shard's snapshot and with the pure function.
+func TestFollowerAcrossUnpacedDrain(t *testing.T) {
+	const n0, add, objects, blocks = 4, 2, 8, 900
+	sh := bootShard(t, shardOpts{n0: n0, cm: func(c *cm.Config) { c.Round = 20 * time.Millisecond }}) // 1 block per disk per round
+	c := &testCluster{router: routerOver(t, sh.srv.URL), shards: []*testShard{sh}}
+	c.seedObjects(t, objects, blocks)
+	c.settle(t)
+	loc := dataplane.NewClientLocator(testFactory)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	resyncs, err := loc.FollowHTTP(ctx, http.DefaultClient, sh.srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The pure function: each block's disk before and after.
+	strat, err := placement.NewScaddar(n0, placement.NewX0Func(testFactory))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after [objects][blocks]int
+	place := func(into *[objects][blocks]int) {
+		for id := range into {
+			for idx := range into[id] {
+				into[id][idx] = strat.Disk(placement.BlockRef{Seed: uint64(1000 + id), Index: uint64(idx)})
+			}
+		}
+	}
+	place(&before)
+	if err := strat.AddDisks(add); err != nil {
+		t.Fatal(err)
+	}
+	place(&after)
+
+	var stop atomic.Bool
+	var followed, routed atomic.Int64
+	var wg sync.WaitGroup
+	h := c.router.Handler()
+	probe := func(answer func(id, idx int) (int, error), n *atomic.Int64) {
+		defer wg.Done()
+		for i := 0; !stop.Load(); i++ {
+			id, idx := i%objects, (i*31)%blocks
+			if d, err := answer(id, idx); err != nil || d != before[id][idx] && d != after[id][idx] {
+				t.Errorf("block %d/%d answered disk %d (%v): it was on %d and goes to %d", id, idx, d, err, before[id][idx], after[id][idx])
+				return
+			}
+			n.Add(1)
+		}
+	}
+	wg.Add(2)
+	go probe(loc.Locate, &followed)
+	go probe(func(id, idx int) (int, error) {
+		rec := rawReq(h, http.MethodGet, fmt.Sprintf("/v1/objects/%d/blocks/%d", id, idx))
+		var reply struct{ Disk int }
+		if err := jsonDecode(rec, &reply); err != nil || rec.Code != http.StatusOK {
+			return -1, fmt.Errorf("%d %s (%v)", rec.Code, rec.Body, err)
+		}
+		return reply.Disk, nil
+	}, &routed)
+	forwardedBefore := c.forwardedReads()
+	if rec := c.do(t, http.MethodPost, "/v1/scale", map[string]any{"shard": 0, "add": add}); rec.Code != http.StatusAccepted {
+		t.Fatalf("scale: %d %s", rec.Code, rec.Body)
+	}
+	for deadline := time.Now().Add(60 * time.Second); sh.g.Status().Reorganizing || sh.g.Status().Disks != n0+add; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the drain did not finish: %d moves pending", sh.g.Status().MigrationRemaining)
+		}
+	}
+	c.settle(t)
+	for deadline := time.Now().Add(10 * time.Second); loc.Pos() != sh.g.Feed().Pos(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the follower stands at %+v, the feed at %+v", loc.Pos(), sh.g.Feed().Pos())
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	cancel() // resyncs waits for the follower to exit
+
+	rounds := sh.g.Registry().NewCounterVec("gateway_rounds_total", "", "pace") // registered: these are the gateway's cells
+	background, paced := rounds.With("background").Value(), rounds.With("paced").Value()
+	t.Logf("%d background rounds (%d on the clock since boot); follower: %d answers, %d resyncs; router: %d answers, forwarded %v %v → %v",
+		background, paced, followed.Load(), resyncs(), routed.Load(), fwdReasonLabels, forwardedBefore, c.forwardedReads())
+	if background <= 1024 {
+		t.Errorf("%d background rounds: the drain did not outrun the feed's ring", background)
+	}
+	fresh := dataplane.NewClientLocator(testFactory)
+	if err := fresh.ApplySnapshot(sh.g.LocatorSnapshotWire()); err != nil {
+		t.Fatal(err)
+	}
+	if loc.Pos() != fresh.Pos() || loc.N() != fresh.N() || loc.PendingCount() != 0 || len(loc.Objects()) != objects {
+		t.Errorf("the follower ends at %+v on %d disks with %d pending and %d objects; a bootstrap at %+v on %d",
+			loc.Pos(), loc.N(), loc.PendingCount(), len(loc.Objects()), fresh.Pos(), fresh.N())
+	}
+	for id := 0; id < objects; id++ {
+		for idx := 0; idx < blocks; idx++ {
+			want := after[id][idx]
+			if got, err := loc.Locate(id, idx); err != nil || got != want {
+				t.Fatalf("follower: block %d/%d on disk %d (%v), the function says %d", id, idx, got, err, want)
+			}
+			if got, err := fresh.Locate(id, idx); err != nil || got != want {
+				t.Fatalf("bootstrap: block %d/%d on disk %d (%v), the function says %d", id, idx, got, err, want)
+			}
+			path := fmt.Sprintf("/v1/objects/%d/blocks/%d", id, idx)
+			if diff := sameReply(rawReq(h, http.MethodGet, path), rawReq(sh.g.Handler(), http.MethodGet, path)); diff != "" {
+				t.Fatalf("router: GET %s: %s", path, diff)
+			}
+		}
 	}
 }

@@ -271,7 +271,7 @@ func (s *Server) deliver(st *Stream, p bufpool.Payload) {
 	}
 	s.metrics.PayloadBytesServed += int64(len(p.Data))
 	if s.delivery.Deliver(st.ID, st.Object, st.Position, p) {
-		st.State = StreamStopped
+		s.setState(st, StreamStopped)
 		s.metrics.SessionsEvicted++
 	}
 }

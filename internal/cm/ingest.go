@@ -68,6 +68,7 @@ func (s *Server) StartIngest(obj workload.Object, rate int) (*Ingest, error) {
 	}
 	in := &Ingest{Object: obj, Rate: rate}
 	s.ingests = append(s.ingests, in)
+	s.recording++
 	// Reserve the identity immediately so concurrent AddObject/StartIngest
 	// calls cannot collide.
 	s.seedOf[obj.Seed] = obj.ID
@@ -75,14 +76,7 @@ func (s *Server) StartIngest(obj workload.Object, rate int) (*Ingest, error) {
 }
 
 // Ingesting reports whether any recording session is still active.
-func (s *Server) Ingesting() bool {
-	for _, in := range s.ingests {
-		if !in.Done {
-			return true
-		}
-	}
-	return false
-}
+func (s *Server) Ingesting() bool { return s.recording > 0 }
 
 // stepIngests writes up to each session's rate this round, consuming spare
 // per-disk budget tracked in used against the per-disk capacities.
@@ -123,6 +117,7 @@ func (s *Server) stepIngests(used []int, caps []int) error {
 		}
 		if in.Written == in.Object.Blocks {
 			in.Done = true
+			s.recording--
 			s.listObject(in.Object)
 			s.emit(Event{Kind: EventIngestCommitted, Object: in.Object})
 		}

@@ -208,7 +208,11 @@ type Server struct {
 	seedOf  map[uint64]int // object seed -> object ID, for block IDs
 	streams map[int]*Stream
 	nextSID int
-	metrics Metrics
+	// playing and recording count the streams in StreamPlaying and the
+	// ingests not yet Done, kept at the transitions (setState, ingest.go) so
+	// the round driver's per-round questions cost no walk.
+	playing, recording int
+	metrics            Metrics
 
 	// migration is the in-progress reorganization, if any.
 	migration *reorg.Executor
@@ -528,7 +532,7 @@ func (s *Server) StopObjectStreams(object int) int {
 	n := 0
 	for _, st := range s.streams {
 		if st.Object == object && st.State == StreamPlaying {
-			st.State = StreamStopped
+			s.setState(st, StreamStopped)
 			n++
 		}
 	}
@@ -666,14 +670,18 @@ func (s *Server) capacityStreams() int {
 }
 
 // ActiveStreams returns the number of playing streams.
-func (s *Server) ActiveStreams() int {
-	n := 0
-	for _, st := range s.streams {
-		if st.State == StreamPlaying {
-			n++
-		}
+func (s *Server) ActiveStreams() int { return s.playing }
+
+// setState moves a stream to a new lifecycle state, keeping the playing
+// count: every assignment to Stream.State goes through it.
+func (s *Server) setState(st *Stream, to StreamState) {
+	if st.State == StreamPlaying {
+		s.playing--
 	}
-	return n
+	if to == StreamPlaying {
+		s.playing++
+	}
+	st.State = to
 }
 
 // StartStream admits a new playback session for an object, or rejects it if
@@ -701,7 +709,8 @@ func (s *Server) startStream(object int, state StreamState) (*Stream, error) {
 		return nil, fmt.Errorf("%w: object %d (%d active, capacity %d)",
 			ErrAdmissionRejected, object, s.admittedStreams(), s.capacityStreams())
 	}
-	st := &Stream{ID: s.nextSID, Object: object, State: state}
+	st := &Stream{ID: s.nextSID, Object: object, State: StreamPaused}
+	s.setState(st, state) // counted when admitted playing
 	s.nextSID++
 	s.streams[st.ID] = st
 	return st, nil
@@ -728,7 +737,7 @@ func (s *Server) ResumeStream(id int) error {
 	}
 	switch st.State {
 	case StreamPaused:
-		st.State = StreamPlaying
+		s.setState(st, StreamPlaying)
 	case StreamPlaying:
 	default:
 		return fmt.Errorf("cannot resume stream %d: %s", id, st.State)
@@ -743,7 +752,7 @@ func (s *Server) StopStream(id int) error {
 		return fmt.Errorf("%w: stream %d", ErrUnknownStream, id)
 	}
 	if st.State == StreamPlaying || st.State == StreamPaused {
-		st.State = StreamStopped
+		s.setState(st, StreamStopped)
 	}
 	return nil
 }
@@ -1086,7 +1095,7 @@ func (s *Server) advanceStream(st *Stream, blocks int, delivered bool) {
 	}
 	st.Position++
 	if st.Position >= blocks {
-		st.State = StreamDone
+		s.setState(st, StreamDone)
 		s.metrics.StreamsCompleted++
 	}
 }

@@ -3,6 +3,7 @@ package cm
 import (
 	"testing"
 
+	"scaddar/internal/bufpool"
 	"scaddar/internal/prng"
 	"scaddar/internal/workload"
 )
@@ -98,5 +99,88 @@ func TestVCRChurn(t *testing.T) {
 	}
 	if err := srv.VerifyIntegrity(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// evictingSink is a delivery sink that evicts a stream now and then.
+type evictingSink struct{ rnd *prng.SplitMix64 }
+
+func (evictingSink) WantsPayload(int) bool { return true }
+func (e evictingSink) Deliver(_, _, _ int, p bufpool.Payload) bool {
+	p.Release()
+	return e.rnd.Next()%50 == 0
+}
+func (evictingSink) StreamClosed(int, StreamState) {}
+
+// TestPlayingCountMatchesWalk drives every transition that changes what
+// ActiveStreams and Ingesting answer — admission playing and paused, resume,
+// stop, forced stop by object, eviction by the sink, playing to the end,
+// recordings starting and committing — in a seeded random order, and after
+// each step compares the counts kept at the transitions with a walk.
+func TestPlayingCountMatchesWalk(t *testing.T) {
+	srv := newServer(t, 6)
+	loadObjects(t, srv, 6, 12) // short objects: streams reach their end
+	rnd := prng.NewSplitMix64(27)
+	srv.SetDeliverySink(evictingSink{rnd: prng.NewSplitMix64(28)})
+	check := func(step int, what string) {
+		t.Helper()
+		playing, recording := 0, false
+		for _, st := range srv.streams {
+			if st.State == StreamPlaying {
+				playing++
+			}
+		}
+		for _, in := range srv.ingests {
+			recording = recording || !in.Done
+		}
+		if srv.ActiveStreams() != playing || srv.Ingesting() != recording {
+			t.Fatalf("step %d (%s): ActiveStreams %d, Ingesting %v; the walk finds %d playing, recording %v",
+				step, what, srv.ActiveStreams(), srv.Ingesting(), playing, recording)
+		}
+	}
+	seen := map[string]bool{}
+	for step, nextObj := 0, 100; step < 3000; step++ {
+		id := int(rnd.Next() % uint64(max(srv.nextSID, 1)))
+		var what string
+		switch rnd.Next() % 8 {
+		case 0:
+			what = "start"
+			_, _ = srv.StartStream(int(rnd.Next() % 6))
+		case 1:
+			what = "start paused"
+			_, _ = srv.StartStreamPaused(int(rnd.Next() % 6))
+		case 2:
+			what = "resume"
+			_ = srv.ResumeStream(id)
+		case 3:
+			what = "stop"
+			_ = srv.StopStream(id)
+		case 4:
+			what = "stop object"
+			srv.StopObjectStreams(int(rnd.Next() % 6))
+		case 5:
+			what = "ingest"
+			if _, err := srv.StartIngest(testObject(nextObj, 5), 2); err == nil {
+				nextObj++
+			}
+		default:
+			what = "tick"
+			if err := srv.Tick(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seen[what] = true
+		check(step, what)
+	}
+	for i := 0; srv.Ingesting() && i < 10; i++ { // the last recordings commit
+		if err := srv.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		check(3000+i, "tick")
+	}
+	m := srv.Metrics()
+	if len(seen) != 7 || m.StreamsCompleted == 0 || m.SessionsEvicted == 0 || m.BlocksIngested == 0 || srv.Ingesting() {
+		t.Errorf("the walk missed a transition: %v, %d completed, %d evicted, %d ingested, still recording %v",
+			seen, m.StreamsCompleted, m.SessionsEvicted, m.BlocksIngested, srv.Ingesting())
 	}
 }

@@ -1,7 +1,9 @@
 // Package gateway turns the round-based cm.Server simulator into a live
 // concurrent network service. The server itself is single-owner: one
 // goroutine may call Tick and the control surface. The gateway supplies
-// that owner — a wall-clock round driver running Tick on a real ticker —
+// that owner — a round driver that paces Tick by the wall clock while
+// anything is played or recorded and runs a drain or a rebuild on an
+// otherwise idle array back to back (nextRound) —
 // and serializes every control operation (open/seek/close session, scaling,
 // failure drills) into it through a bounded command mailbox: a channel of
 // closures with per-command reply channels.
@@ -61,8 +63,11 @@ type Config struct {
 	// must match the generator family of the server strategy's X0Func.
 	// Required.
 	Factory scaddar.SourceFactory
-	// Round is the wall-clock round period driven by the ticker. Zero
-	// means the server's configured (simulated) round length.
+	// Round is the period of a round while something is paced by it: a
+	// playing stream, a recording, or nothing to do at all. A migration or
+	// rebuild nobody plays across runs its rounds back to back instead
+	// (ARCHITECTURE.md, "The round driver"). Zero means the server's
+	// configured (simulated) round length.
 	Round time.Duration
 	// MailboxDepth bounds the command backlog; commands beyond it are
 	// rejected with ErrOverloaded. Zero means 64.
@@ -235,8 +240,11 @@ type Gateway struct {
 	dp *dataPlane
 
 	// inFlight tracks a started scaling operation until it is finished and
-	// cleared; owner-goroutine only.
-	inFlight bool
+	// cleared, drainBegan and drainFrom when it was accepted and the server's
+	// metrics then; owner-goroutine only.
+	inFlight   bool
+	drainBegan time.Time
+	drainFrom  cm.Metrics
 }
 
 // New wraps a server in a gateway and starts the round driver. The gateway
@@ -328,36 +336,83 @@ func (g *Gateway) logf(format string, args ...any) {
 	}
 }
 
-// run is the owner goroutine: the only code that touches g.srv. It
-// advances rounds on the wall-clock ticker and executes mailbox commands
-// between them.
+// run is the owner goroutine: the only code that touches g.srv. It starts
+// each round when nextRound says to and executes mailbox commands between
+// rounds; the decision is taken again after a command, so a stream admitted
+// mid-drain is paced from the round before it.
 func (g *Gateway) run() {
 	defer close(g.closed)
 	// Unblock every streaming handler on exit: nobody else will ever close
 	// their chunk channels once the owner loop is gone.
 	defer g.dp.closeAll(dataplane.CloseStopped)
-	ticker := time.NewTicker(g.round)
-	defer ticker.Stop()
+	atOnce := make(chan time.Time)
+	close(atOnce)
+	timer := time.NewTimer(g.round)
+	defer timer.Stop()
+	start := time.Now() // the last round's start, as scheduled
+	began, advanced := start, false
 	for {
+		next, background := g.nextRound(start, advanced)
+		due := (<-chan time.Time)(atOnce)
+		if !background {
+			if !timer.Stop() {
+				select {
+				case <-timer.C:
+				default:
+				}
+			}
+			timer.Reset(time.Until(next))
+			due = timer.C
+		}
 		select {
 		case <-g.halting.Done():
 			return
-		case <-ticker.C:
-			g.tick()
+		case <-due:
+			now := time.Now()
+			g.m.roundInterval.ObserveDuration(now.Sub(began))
+			g.m.rounds[background].Inc()
+			// A background round, or a paced one a whole Round late, restarts
+			// the schedule from now; any other late round keeps it, so wake-up
+			// jitter never accumulates into drift.
+			if late := now.Sub(next); background || late > g.round {
+				if !background {
+					g.m.roundOverruns.Inc()
+				}
+				next = now
+			}
+			start, began, advanced = next, now, g.tick(now)
 		case c := <-g.cmds:
 			g.execute(c)
 		}
 	}
 }
 
-// tick advances one round and keeps the published views fresh.
-func (g *Gateway) tick() {
-	start := time.Now()
+// nextRound is the owner loop's one scheduling decision: when the round
+// after the one that started at start begins, and whether that is at once
+// (ARCHITECTURE.md, "The round driver"). advanced says the round just
+// finished migrated or rebuilt something; without it a drain waiting on a
+// repair would spin.
+func (g *Gateway) nextRound(start time.Time, advanced bool) (at time.Time, background bool) {
+	switch {
+	case g.srv.ActiveStreams() > 0 || g.srv.Ingesting():
+		return start.Add(g.round), false // paced: one block per session per Round
+	case advanced && (g.inFlight || g.srv.RebuildRemaining() > 0):
+		return start, true // background: the slack is the whole round
+	default:
+		return start.Add(g.round), false // idle or stalled
+	}
+}
+
+// tick runs the round that began at start, keeps the published views fresh,
+// and reports whether the round migrated or rebuilt anything.
+func (g *Gateway) tick(start time.Time) (advanced bool) {
 	defer func() { g.m.tickTime.ObserveDuration(time.Since(start)) }()
+	before := g.srv.Metrics()
 	if err := g.srv.Tick(); err != nil {
 		g.m.tickErrors.Inc()
 		g.logf("gateway: tick: %v", err)
 	}
+	after := g.srv.Metrics()
 	// Clear a drained migration: a completed scale-up immediately, a
 	// drained scale-down once its rebuild backlog (if any) is empty too —
 	// until then FinishReorganization refuses and we retry next round.
@@ -365,7 +420,11 @@ func (g *Gateway) tick() {
 		if err := g.srv.FinishReorganization(); err == nil {
 			g.inFlight = false
 			g.republish()
-			g.logf("gateway: reorganization complete, %d disks", g.srv.N())
+			took := time.Since(g.drainBegan)
+			g.m.drainTime.ObserveDuration(took)
+			moves := after.BlocksMigrated - g.drainFrom.BlocksMigrated
+			g.logf("gateway: reorganization complete, %d disks: %d moves in %d rounds, %.3fs, %.0f blocks/s",
+				g.srv.N(), moves, after.Rounds-g.drainFrom.Rounds, took.Seconds(), float64(moves)/took.Seconds())
 		}
 	}
 	// A degraded snapshot is rebuilt too: the round that ends a rebuild leaves
@@ -381,6 +440,7 @@ func (g *Gateway) tick() {
 	deltas, bytes := g.dp.feed.Retained()
 	g.m.feedDeltas.SetInt(deltas)
 	g.m.feedBytes.SetInt(bytes)
+	return after.BlocksMigrated+after.RebuildIOs > before.BlocksMigrated+before.RebuildIOs
 }
 
 // syncStore is the journal's group-commit point: every event this round

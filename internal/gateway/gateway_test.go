@@ -412,6 +412,11 @@ func TestRequestDeadlineReturns504(t *testing.T) {
 func TestScaleOverHTTP(t *testing.T) {
 	g := newTestGateway(t, 4, 4, 100, nil, nil)
 	h := g.Handler()
+	// A playing stream (100 rounds of it) keeps the scale-up's three rounds on
+	// the Round clock, so the second operation below arrives mid-drain.
+	if _, err := g.Exec(context.Background(), func(s *cm.Server) (any, error) { return s.StartStream(0) }); err != nil {
+		t.Fatal(err)
+	}
 
 	rec, body := doJSON(t, h, "POST", "/v1/scale", map[string]any{"add": 2})
 	if rec.Code != http.StatusAccepted {

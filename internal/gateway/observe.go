@@ -32,6 +32,14 @@ type gwMetrics struct {
 	deltaPolls      *obs.Counter
 
 	tickTime *obs.Histogram
+	// The round driver timing itself (gateway.go, run): start-to-start
+	// intervals, rounds by pace (indexed by nextRound's background), paced
+	// rounds that started more than a Round late, and accept-to-finish time
+	// of each scaling operation.
+	roundInterval *obs.Histogram
+	rounds        map[bool]*obs.Counter
+	roundOverruns *obs.Counter
+	drainTime     *obs.Histogram
 
 	// The payload pool's gauges as of the end of the last round: what the
 	// chunks in flight through this process's sessions pin (internal/bufpool).
@@ -52,6 +60,8 @@ func newGwMetrics(reg *obs.Registry) *gwMetrics {
 	phases := reg.NewHistogramVec("gateway_read_phase_seconds",
 		"Read-path latency split by phase: admission (parse+validate), locate (snapshot lookup), service (response delivery).",
 		"phase", obs.LatencyBuckets())
+	rounds := reg.NewCounterVec("gateway_rounds_total",
+		"Rounds started, by pace: paced (on the Round clock: something is played or recorded, or nothing is pending) or background (at once: a migration or rebuild on an array nobody plays from).", "pace")
 	return &gwMetrics{
 		reads:            reg.NewCounter("gateway_reads_total", "Block-location lookups served from the snapshot."),
 		readErrors:       reg.NewCounter("gateway_read_errors_total", "Lookups that failed (bad object or index)."),
@@ -72,6 +82,12 @@ func newGwMetrics(reg *obs.Registry) *gwMetrics {
 
 		tickTime: reg.NewHistogram("gateway_tick_seconds",
 			"Wall-clock time the owner goroutine spent executing one round.", obs.LatencyBuckets()),
+		roundInterval: reg.NewHistogram("gateway_round_interval_seconds",
+			"Wall-clock time from one round's start to the next round's.", obs.LatencyBuckets()),
+		rounds:        map[bool]*obs.Counter{false: rounds.With("paced"), true: rounds.With("background")},
+		roundOverruns: reg.NewCounter("gateway_round_overruns_total", "Paced rounds that started more than one Round after they were due."),
+		drainTime: reg.NewHistogram("gateway_reorg_drain_seconds",
+			"Wall-clock time from a scaling operation's accept to the round that finished it.", obs.LatencyBuckets()),
 
 		poolBuffers: reg.NewGauge("bufpool_in_use_buffers", "Pooled payload buffers referenced at the end of the last round."),
 		poolBytes:   reg.NewGauge("bufpool_in_use_bytes", "Backing capacity of the pooled payload buffers referenced at the end of the last round."),

@@ -26,7 +26,13 @@ func newStreamGateway(t testing.TB, n0, objects, blocks int, gmutate func(*Confi
 // newStreamGatewayOf is newStreamGateway at a given block size.
 func newStreamGatewayOf(t testing.TB, n0, objects, blocks int, blockBytes int64, gmutate func(*Config)) (*Gateway, *httptest.Server) {
 	t.Helper()
-	srv := newTestServer(t, n0, objects, blocks, func(c *cm.Config) { c.BlockBytes = blockBytes })
+	return newStreamGatewayWith(t, n0, objects, blocks, func(c *cm.Config) { c.BlockBytes = blockBytes }, gmutate)
+}
+
+// newStreamGatewayWith is newStreamGateway over a server configured by mutate.
+func newStreamGatewayWith(t testing.TB, n0, objects, blocks int, mutate func(*cm.Config), gmutate func(*Config)) (*Gateway, *httptest.Server) {
+	t.Helper()
+	srv := newTestServer(t, n0, objects, blocks, mutate)
 	mgr, err := dataplane.NewManager(t.TempDir(), dataplane.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -448,6 +454,14 @@ func TestStreamSurvivesScaleUp(t *testing.T) {
 // published snapshot is a point-in-time value whenever it is materialised.
 func TestLocatorSnapshotBuiltOnDemand(t *testing.T) {
 	g := newTestGateway(t, 4, 4, 2000, func(c *cm.Config) { c.Round = 100 * time.Millisecond }, nil)
+	// A playing stream (2,000 rounds of it) keeps the drain on the Round
+	// clock; with nothing playing its rounds run back to back and the Execs
+	// below would land in one or two of them.
+	if _, err := g.Exec(context.Background(), func(s *cm.Server) (any, error) {
+		return s.StartStream(g.LocatorSnapshotWire().Objects[0].ID)
+	}); err != nil {
+		t.Fatal(err)
+	}
 	rec, out := doJSON(t, g.Handler(), http.MethodPost, "/v1/scale", map[string]any{"add": 2})
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("scale: %d %v", rec.Code, out)
