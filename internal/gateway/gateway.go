@@ -13,8 +13,8 @@
 // handlers against an immutable cm.LocatorSnapshot — one probe of the
 // shared placement.Catalog for the object's seed and extent, then the
 // compiled REMAP chain, the paper's O(j) directory-free access function —
-// republished through an atomic pointer after every placement-changing
-// event and after each round while a migration drains. This is the
+// republished through an atomic pointer, once the journal holds it, after
+// every placement-changing event and each round of a drain. This is the
 // architectural payoff of SCADDAR's AO1 property: because lookup needs no
 // directory and no lock, the hot path scales with cores while scaling
 // operations proceed underneath it.
@@ -76,14 +76,11 @@ type Config struct {
 	// submits to the owner goroutine (504 past it). Zero means 5s.
 	RequestTimeout time.Duration
 	// Store, when non-nil, is the durable state store the server journals
-	// into. The gateway calls its Sync once per round: a no-op at the
-	// store's default SyncEvery of 1, where every append is already
-	// durable, and the group-commit point of a store opened with
-	// SyncEvery > 1, where a crash loses at most the current round's data
-	// events. It also syncs before acknowledging mutating control
-	// operations (scale, fail, repair), checkpoints automatically, and
-	// exposes POST /v1/admin/checkpoint.
-	// The server must already be bootstrapped into or recovered from it.
+	// into; the server must already be bootstrapped into or recovered from
+	// it, and the gateway becomes its event sink. What a reader can see is
+	// durable and every command is durable before its reply (ARCHITECTURE.md,
+	// "Events and replay — the durability contract"). The gateway also
+	// checkpoints automatically and exposes POST /v1/admin/checkpoint.
 	Store *store.Store
 	// CheckpointEvery triggers an automatic checkpoint once that many
 	// events accumulate past the last one (attempted at quiescent rounds;
@@ -239,12 +236,18 @@ type Gateway struct {
 	// server's delivery sink, and the snapshot+delta locator feed (stream.go).
 	dp *dataPlane
 
-	// inFlight tracks a started scaling operation until it is finished and
-	// cleared, drainBegan and drainFrom when it was accepted and the server's
-	// metrics then; owner-goroutine only.
-	inFlight   bool
-	drainBegan time.Time
-	drainFrom  cm.Metrics
+	// pubs is the publication queue (publish.go), oldest first; owner only.
+	// commit wakes the committer, and commitd the owner after a commit.
+	pubs            []pub
+	commit, commitd chan struct{}
+
+	// drain times the scaling operation of the placement epoch it began in:
+	// when, and the server's metrics and journal fsyncs then. Owner only.
+	drain struct {
+		epoch, fsyncs uint64
+		began         time.Time
+		from          cm.Metrics
+	}
 }
 
 // New wraps a server in a gateway and starts the round driver. The gateway
@@ -288,14 +291,16 @@ func New(srv *cm.Server, cfg Config) (*Gateway, error) {
 		trace = obs.NewRing(TraceSpans)
 	}
 	g := &Gateway{
-		cfg:    cfg,
-		srv:    srv,
-		round:  cfg.Round,
-		cmds:   make(chan command, cfg.MailboxDepth),
-		closed: make(chan struct{}),
-		reg:    reg,
-		trace:  trace,
-		m:      newGwMetrics(reg),
+		cfg:     cfg,
+		srv:     srv,
+		round:   cfg.Round,
+		cmds:    make(chan command, cfg.MailboxDepth),
+		closed:  make(chan struct{}),
+		reg:     reg,
+		trace:   trace,
+		m:       newGwMetrics(reg),
+		commit:  make(chan struct{}, 1),
+		commitd: make(chan struct{}, 1),
 	}
 	g.halting, g.haltNow = context.WithCancel(context.Background())
 	// Wire the server and store into the shared registry and ring. The
@@ -304,14 +309,26 @@ func New(srv *cm.Server, cfg Config) (*Gateway, error) {
 	// server already populated reuses its cells.
 	srv.SetObserver(cm.NewObserver(reg))
 	srv.SetTraceRing(trace)
-	if cfg.Store != nil {
-		cfg.Store.Observe(reg)
-		cfg.Store.SetTraceRing(trace)
+	if st := cfg.Store; st != nil {
+		st.Observe(reg)
+		st.SetTraceRing(trace)
+		srv.SetEventSink(func(ev cm.Event) { // moves go behind, for the committer; errors stick in st
+			if ev.Kind != cm.EventBlocksMigrated {
+				_, _ = st.Append(ev)
+			} else {
+				_, _ = st.AppendBehind(ev)
+			}
+		})
+		if err := st.Sync(); err != nil { // what New publishes is durable too
+			return nil, err
+		}
 	}
 	// Fail fast if the strategy cannot produce concurrent locators.
-	if err := g.publishSnapshot(); err != nil {
+	sn, err := srv.BuildSnapshot(cfg.Factory)
+	if err != nil {
 		return nil, err
 	}
+	g.snap.Store(sn)
 	// Wire the streaming data plane: delivery sink, event-sink tee, and the
 	// initial wire-format locator snapshot (fails fast for the same reason).
 	dp, err := newDataPlane(g, srv)
@@ -324,7 +341,8 @@ func New(srv *cm.Server, cfg Config) (*Gateway, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.publishStatus()
+	g.capture(false) // the status, and the drain clock
+	g.release()
 	g.routes()
 	go g.run()
 	return g, nil
@@ -339,12 +357,18 @@ func (g *Gateway) logf(format string, args ...any) {
 // run is the owner goroutine: the only code that touches g.srv. It starts
 // each round when nextRound says to and executes mailbox commands between
 // rounds; the decision is taken again after a command, so a stream admitted
-// mid-drain is paced from the round before it.
+// mid-drain is paced from the round before it; and after each of the
+// committer's group commits, it publishes what that made durable.
 func (g *Gateway) run() {
 	defer close(g.closed)
 	// Unblock every streaming handler on exit: nobody else will ever close
 	// their chunk channels once the owner loop is gone.
 	defer g.dp.closeAll(dataplane.CloseStopped)
+	if g.cfg.Store != nil {
+		committed := make(chan struct{})
+		go g.commitLoop(committed)
+		defer func() { <-committed }()
+	}
 	atOnce := make(chan time.Time)
 	close(atOnce)
 	timer := time.NewTimer(g.round)
@@ -383,6 +407,8 @@ func (g *Gateway) run() {
 			start, began, advanced = next, now, g.tick(now)
 		case c := <-g.cmds:
 			g.execute(c)
+		case <-g.commitd:
+			g.release()
 		}
 	}
 }
@@ -391,20 +417,20 @@ func (g *Gateway) run() {
 // after the one that started at start begins, and whether that is at once
 // (ARCHITECTURE.md, "The round driver"). advanced says the round just
 // finished migrated or rebuilt something; without it a drain waiting on a
-// repair would spin.
+// repair would spin. Whether a drain is pending is the server's to say.
 func (g *Gateway) nextRound(start time.Time, advanced bool) (at time.Time, background bool) {
 	switch {
 	case g.srv.ActiveStreams() > 0 || g.srv.Ingesting():
 		return start.Add(g.round), false // paced: one block per session per Round
-	case advanced && (g.inFlight || g.srv.RebuildRemaining() > 0):
+	case advanced && (g.srv.Reorganizing() || g.srv.RebuildRemaining() > 0):
 		return start, true // background: the slack is the whole round
 	default:
 		return start.Add(g.round), false // idle or stalled
 	}
 }
 
-// tick runs the round that began at start, keeps the published views fresh,
-// and reports whether the round migrated or rebuilt anything.
+// tick runs the round that began at start, queues its views for publication
+// once durable, and reports whether the round migrated or rebuilt anything.
 func (g *Gateway) tick(start time.Time) (advanced bool) {
 	defer func() { g.m.tickTime.ObserveDuration(time.Since(start)) }()
 	before := g.srv.Metrics()
@@ -413,28 +439,13 @@ func (g *Gateway) tick(start time.Time) (advanced bool) {
 		g.logf("gateway: tick: %v", err)
 	}
 	after := g.srv.Metrics()
-	// Clear a drained migration: a completed scale-up immediately, a
-	// drained scale-down once its rebuild backlog (if any) is empty too —
-	// until then FinishReorganization refuses and we retry next round.
-	if g.inFlight && !g.srv.Reorganizing() {
-		if err := g.srv.FinishReorganization(); err == nil {
-			g.inFlight = false
-			g.republish()
-			took := time.Since(g.drainBegan)
-			g.m.drainTime.ObserveDuration(took)
-			moves := after.BlocksMigrated - g.drainFrom.BlocksMigrated
-			g.logf("gateway: reorganization complete, %d disks: %d moves in %d rounds, %.3fs, %.0f blocks/s",
-				g.srv.N(), moves, after.Rounds-g.drainFrom.Rounds, took.Seconds(), float64(moves)/took.Seconds())
-		}
-	}
-	// A degraded snapshot is rebuilt too: the round that ends a rebuild leaves
-	// the server healthy and the published health vector saying otherwise.
-	if g.inFlight || g.srv.Degraded() || g.snap.Load().Degraded() {
-		g.republish()
-	}
-	g.dp.flush()
-	g.syncStore()
-	g.publishStatus()
+	// The snapshot is rebuilt while a migration drains and when one ends, and
+	// while the published one is degraded: the round that ends a rebuild
+	// leaves the server healthy and that snapshot saying otherwise.
+	finished := g.finish(after)
+	g.capture(finished || g.srv.Reorganizing() || g.srv.Degraded() || g.snap.Load().Degraded())
+	g.checkpoint()
+	g.release()
 	g.m.poolBuffers.SetInt(int(bufpool.InUse()))
 	g.m.poolBytes.SetInt(int(bufpool.InUseBytes()))
 	deltas, bytes := g.dp.feed.Retained()
@@ -443,38 +454,60 @@ func (g *Gateway) tick(start time.Time) (advanced bool) {
 	return after.BlocksMigrated+after.RebuildIOs > before.BlocksMigrated+before.RebuildIOs
 }
 
-// syncStore is the journal's group-commit point: every event this round
-// becomes durable here, and once enough events accumulate past the last
-// checkpoint a new one is cut. A mid-reorganization or degraded server
-// refuses to checkpoint (cm.ErrBusy); the attempt simply repeats next
-// round, once the migration and any rebuild backlog have drained.
-func (g *Gateway) syncStore() {
+// finish clears a drained migration — a scale-up at once, a scale-down once
+// its rebuild backlog is empty too (FinishReorganization refuses until then)
+// — and reports whether it did, with the operation's log line.
+func (g *Gateway) finish(after cm.Metrics) bool {
+	epoch := g.srv.PlacementEpoch()
+	if g.srv.Reorganizing() || g.srv.FinishReorganization() != nil || g.srv.PlacementEpoch() == epoch {
+		return false // nothing installed, still draining, or refused
+	}
+	d := g.drain
+	took := time.Since(d.began)
+	g.m.drainTime.ObserveDuration(took)
+	moves := after.BlocksMigrated - d.from.BlocksMigrated
+	g.logf("gateway: reorganization complete, %d disks: %d moves in %d rounds, %d fsyncs, %.3fs, %.0f blocks/s",
+		g.srv.N(), moves, after.Rounds-d.from.Rounds, g.fsyncs()-d.fsyncs, took.Seconds(), float64(moves)/took.Seconds())
+	return true
+}
+
+// startClock starts the drain clock at the current placement epoch.
+func (g *Gateway) startClock() {
+	d := &g.drain
+	d.epoch, d.fsyncs, d.began, d.from = g.srv.PlacementEpoch(), g.fsyncs(), time.Now(), g.srv.Metrics()
+}
+
+// fsyncs is the journal's fsync count so far; 0 without a store.
+func (g *Gateway) fsyncs() uint64 {
+	if st := g.cfg.Store; st != nil {
+		return st.Status().Fsyncs
+	}
+	return 0
+}
+
+// checkpoint cuts a checkpoint once enough events accumulate past the last
+// one; a server mid-reorganization or degraded refuses (cm.ErrBusy), and the
+// attempt repeats next round.
+func (g *Gateway) checkpoint() {
 	st := g.cfg.Store
-	if st == nil {
+	if st == nil || st.EventsSinceCheckpoint() < uint64(g.cfg.CheckpointEvery) {
 		return
 	}
-	if err := st.Sync(); err != nil {
-		g.logf("gateway: journal sync: %v", err)
-		return
-	}
-	if st.EventsSinceCheckpoint() >= uint64(g.cfg.CheckpointEvery) {
-		lsn, err := st.Checkpoint(g.srv)
-		switch {
-		case err == nil:
-			g.logf("gateway: checkpoint at LSN %d", lsn)
-		case errors.Is(err, cm.ErrBusy):
-			// Reorganizing: retry once the drain completes.
-		default:
-			g.logf("gateway: checkpoint: %v", err)
-		}
+	lsn, err := st.Checkpoint(g.srv)
+	switch {
+	case err == nil:
+		g.logf("gateway: checkpoint at LSN %d", lsn)
+	case errors.Is(err, cm.ErrBusy):
+		// Reorganizing: retry once the drain completes.
+	default:
+		g.logf("gateway: checkpoint: %v", err)
 	}
 }
 
-// execute runs one mailbox command in the owner goroutine. Mutating
-// commands — explicit operator actions like scale, fail, and repair — are
-// made durable before the reply is sent, so the acknowledgement never
-// outruns the journal; group commit stays for per-round data events only.
-// A failed sync is sticky in the store and surfaces via healthz.
+// execute runs one mailbox command in the owner goroutine and makes the
+// journal durable before the reply is sent, so an acknowledgement never
+// outruns the journal and the views the command changed are published by
+// then. A failed sync is sticky in the store and surfaces via healthz.
 //
 // A command abandoned by its submitter (context already expired while it
 // sat in the queue) is answered with the context error and never run: the
@@ -488,38 +521,20 @@ func (g *Gateway) execute(c command) {
 		return
 	}
 	v, err := c.fn(g.srv)
-	if err == nil && c.mutates {
-		g.republish()
-		g.dp.flush()
-		if st := g.cfg.Store; st != nil {
-			if serr := st.Sync(); serr != nil {
-				g.logf("gateway: journal sync after control op: %v", serr)
-			}
+	g.capture(err == nil && c.mutates)
+	if st := g.cfg.Store; st != nil {
+		if serr := st.Sync(); serr != nil {
+			g.logf("gateway: journal sync after a command: %v", serr)
 		}
 	}
-	g.publishStatus()
+	g.release()
 	c.reply <- cmdResult{v: v, err: err}
 }
 
-// republish rebuilds the locator snapshot, keeping the old one on error.
-func (g *Gateway) republish() {
-	if err := g.publishSnapshot(); err != nil {
-		g.logf("gateway: snapshot: %v", err)
-	}
-}
-
-func (g *Gateway) publishSnapshot() error {
-	sn, err := g.srv.BuildSnapshot(g.cfg.Factory)
-	if err != nil {
-		return err
-	}
-	g.snap.Store(sn)
-	return nil
-}
-
-func (g *Gateway) publishStatus() {
+// statusNow is the server's status as of now.
+func (g *Gateway) statusNow() *Status {
 	m := g.srv.Metrics()
-	st := &Status{
+	return &Status{
 		Rounds:             m.Rounds,
 		Disks:              g.srv.N(),
 		Objects:            g.srv.Objects(),
@@ -530,7 +545,6 @@ func (g *Gateway) publishStatus() {
 		RebuildRemaining:   g.srv.RebuildRemaining(),
 		Server:             m,
 	}
-	g.status.Store(st)
 }
 
 // Snapshot returns the current read-path locator snapshot.

@@ -583,7 +583,6 @@ func (g *Gateway) handleScale(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		g.inFlight, g.drainBegan, g.drainFrom = true, time.Now(), s.Metrics()
 		return scaleResponse{
 			Op:           op,
 			NBefore:      plan.NBefore,

@@ -40,6 +40,9 @@ type gwMetrics struct {
 	rounds        map[bool]*obs.Counter
 	roundOverruns *obs.Counter
 	drainTime     *obs.Histogram
+	// The publication queue (publish.go).
+	publishQueued *obs.Gauge
+	publishDelay  *obs.Histogram
 
 	// The payload pool's gauges as of the end of the last round: what the
 	// chunks in flight through this process's sessions pin (internal/bufpool).
@@ -88,6 +91,8 @@ func newGwMetrics(reg *obs.Registry) *gwMetrics {
 		roundOverruns: reg.NewCounter("gateway_round_overruns_total", "Paced rounds that started more than one Round after they were due."),
 		drainTime: reg.NewHistogram("gateway_reorg_drain_seconds",
 			"Wall-clock time from a scaling operation's accept to the round that finished it.", obs.LatencyBuckets()),
+		publishQueued: reg.NewGauge("gateway_publish_queued", "Rounds' and commands' views waiting for the journal to be durable up to them."),
+		publishDelay:  reg.NewHistogram("gateway_publish_delay_seconds", "Wall-clock time from capturing a round's or a command's views to publishing them.", obs.LatencyBuckets()),
 
 		poolBuffers: reg.NewGauge("bufpool_in_use_buffers", "Pooled payload buffers referenced at the end of the last round."),
 		poolBytes:   reg.NewGauge("bufpool_in_use_bytes", "Backing capacity of the pooled payload buffers referenced at the end of the last round."),

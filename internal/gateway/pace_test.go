@@ -5,8 +5,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,7 +12,6 @@ import (
 	"scaddar/internal/cm"
 	"scaddar/internal/dataplane"
 	"scaddar/internal/placement"
-	"scaddar/internal/store"
 )
 
 // The contract of the round driver (gateway.go, run and nextRound): a round
@@ -364,136 +361,4 @@ func placementOf(t testing.TB, sn *cm.LocatorSnapshot) []int {
 		}
 	}
 	return out
-}
-
-// TestCrashMidUnpacedDrain kills a journalled gateway's store at points
-// through a back-to-back drain: the journal is cut on record boundaries and
-// inside records, and what recovers must be the live server's placement as
-// of the last record that survived — the drain's rounds lose nothing by
-// running without a pause between them, each round's moves being durable
-// before the next begins. The whole journal recovers to the placement the
-// pure function gives for six disks.
-func TestCrashMidUnpacedDrain(t *testing.T) {
-	dir := t.TempDir()
-	srv := newTestServer(t, 4, 4, 300, func(c *cm.Config) { c.Round = 100 * time.Millisecond })
-	st, err := store.Open(store.Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if err := st.Bootstrap(srv); err != nil {
-		t.Fatal(err)
-	}
-	// After every journalled event: the journal's size and the live placement.
-	type point struct {
-		size   int64
-		places []int
-	}
-	golden := map[uint64]point{}
-	var order []uint64
-	journalSize := func() (n int64) {
-		segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
-		for _, s := range segs {
-			if fi, err := os.Stat(s); err == nil {
-				n += fi.Size()
-			}
-		}
-		return n
-	}
-	capture := func() point {
-		sn, err := srv.BuildSnapshot(testFactory)
-		if err != nil {
-			t.Error(err)
-			return point{}
-		}
-		return point{size: journalSize(), places: placementOf(t, sn)}
-	}
-	golden[st.LSN()] = capture()
-	inner := st.Sink()
-	srv.SetEventSink(func(ev cm.Event) {
-		inner(ev)
-		golden[st.LSN()] = capture()
-		order = append(order, st.LSN())
-	})
-	g, err := New(srv, Config{Factory: testFactory, Round: 200 * time.Millisecond, Store: st, CheckpointEvery: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	want := ro1ScaleUp(t, g, 4, 2)
-	scaleUp(t, g, 2)
-	waitStatus(t, g, "back-to-back drain", func(st Status) bool { return !st.Reorganizing && st.Disks == 6 })
-	final := placementOf(t, g.Snapshot())
-	if paced, background := paceCounts(g); paced > 2 || background < 10 || g.Status().Server.BlocksMigrated != want {
-		t.Fatalf("%d rounds on the clock, %d in the background, %d migrated (optimum %d)", paced, background, g.Status().Server.BlocksMigrated, want)
-	}
-	g.Close()
-	if len(order) < 12 || golden[order[len(order)-1]].size != journalSize() {
-		t.Fatalf("%d journalled events, sizes %d recorded and %d on disk: one segment expected", len(order), golden[order[len(order)-1]].size, journalSize())
-	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
-	if len(segs) != 1 {
-		t.Fatalf("%d journal segments, the cuts below assume one", len(segs))
-	}
-	recoverAt := func(cut int64) []int {
-		clone := t.TempDir()
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if filepath.Join(dir, e.Name()) == segs[0] && cut < int64(len(data)) {
-				data = data[:cut]
-			}
-			if err := os.WriteFile(filepath.Join(clone, e.Name()), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		st2, err := store.Open(store.Config{Dir: clone})
-		if err != nil {
-			t.Fatalf("cut at %d: open: %v", cut, err)
-		}
-		defer st2.Close()
-		srv2, info, err := st2.Recover(placement.NewX0Func(testFactory))
-		if err != nil {
-			t.Fatalf("cut at %d: recover: %v", cut, err)
-		}
-		pt, ok := golden[info.LSN]
-		if !ok {
-			t.Fatalf("cut at %d: recovered to LSN %d, which the gateway never journalled", cut, info.LSN)
-		}
-		sn, err := srv2.BuildSnapshot(testFactory)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := placementOf(t, sn)
-		for i := range pt.places {
-			if got[i] != pt.places[i] {
-				t.Fatalf("cut at %d (LSN %d): block %d recovered on disk %d, live on %d", cut, info.LSN, i, got[i], pt.places[i])
-			}
-		}
-		if err := srv2.VerifyIntegrity(); err != nil {
-			t.Fatalf("cut at %d (LSN %d): %v", cut, info.LSN, err)
-		}
-		return got
-	}
-	kills := 0
-	for k := 0; k < len(order); k += 1 + len(order)/12 {
-		end := golden[order[k]].size
-		prev := golden[order[k]-1].size
-		recoverAt(end)              // a clean record boundary
-		recoverAt((prev + end) / 2) // inside the record
-		kills += 2
-	}
-	got := recoverAt(journalSize())
-	for i := range final {
-		if got[i] != final[i] {
-			t.Fatalf("block %d recovered on disk %d, the finished drain left it on %d", i, got[i], final[i])
-		}
-	}
-	t.Logf("%d kill points over %d journalled events", kills, len(order))
 }

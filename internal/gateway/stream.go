@@ -15,8 +15,9 @@ package gateway
 //     backpressure protects the round, never the laggard.
 //   - cm.EventSink (teed via AddEventSink): migrated-block events accumulate
 //     into per-round "moves" deltas, epoch events (scale start/finish,
-//     catalog changes) mark the feed dirty; flush — called after every tick
-//     and mutating command — publishes them and re-points the state that
+//     catalog changes) mark the feed dirty; capture — called after every tick
+//     and command — takes them as the feed's next step, published once
+//     durable (publish.go), which re-points the state that
 //     GET /v1/locator/snapshot serves without touching the mailbox.
 //
 // The pacer is the round driver itself: chunks arrive at session buffers
@@ -32,6 +33,7 @@ import (
 	"scaddar/internal/bufpool"
 	"scaddar/internal/cm"
 	"scaddar/internal/dataplane"
+	"scaddar/internal/reorg"
 )
 
 // ErrStreamAttached is returned when a second consumer tries to attach to a
@@ -42,7 +44,7 @@ var ErrStreamAttached = fmt.Errorf("gateway: stream already has a consumer")
 type dataPlane struct {
 	g    *Gateway
 	feed *dataplane.Feed
-	// wire builds what the snapshot endpoint serves, re-pointed by flush so
+	// wire builds what the snapshot endpoint serves, re-pointed by capture's step so
 	// a fetch never pays for the mailbox (10k clients fetching their
 	// baseline must not serialize behind the round driver).
 	wire atomic.Pointer[func() *dataplane.Snapshot]
@@ -53,7 +55,7 @@ type dataPlane struct {
 	mu       sync.Mutex
 	sessions map[int]*dataplane.Session // stream ID → attached consumer
 
-	// moves and dirty accumulate event-sink updates between flushes.
+	// moves and dirty accumulate event-sink updates between captures.
 	// Owner-goroutine only.
 	moves []dataplane.MovedBlock
 	dirty bool
@@ -78,17 +80,16 @@ func newDataPlane(g *Gateway, srv *cm.Server) (*dataPlane, error) {
 	if dp.base, err = srv.LocatorStateExport(); err != nil {
 		return nil, err
 	}
-	dp.publish(dp.feed.Pos())
+	dp.publish(dp.base, srv.PendingView(), dp.feed.Pos())
 	return dp, nil
 }
 
-// publish re-points the snapshot endpoint at {base, the migration's pending
-// set as of now, pos} and returns the builder. Rounds that only move blocks
-// change nothing else, so this tuple — O(1) on the owner goroutine — is all a
-// round publishes; the wire snapshot, pending list and all, is built off the
-// owner by the first fetch that wants it, once per sequence. Owner only.
-func (dp *dataPlane) publish(pos dataplane.FeedPos) func() *dataplane.Snapshot {
-	base, view := dp.base, dp.g.srv.PendingView()
+// publish re-points the snapshot endpoint at {base as of view, pos} and
+// returns the builder. Rounds that only move blocks change nothing else, so
+// this tuple — O(1) on the owner goroutine — is all a round publishes; the
+// wire snapshot, pending list and all, is built off the owner by the first
+// fetch that wants it, once per sequence. Owner only.
+func (dp *dataPlane) publish(base *cm.LocatorState, view reorg.PendingView, pos dataplane.FeedPos) func() *dataplane.Snapshot {
 	build := sync.OnceValue(func() *dataplane.Snapshot { return wireSnapshot(base.AsOf(view), pos) })
 	dp.wire.Store(&build)
 	return build
@@ -253,7 +254,7 @@ func (dp *dataPlane) closeAll(reason dataplane.CloseReason) {
 // onEvent is the cm.EventSink tee: accumulate migrated blocks for the next
 // moves delta; mark the feed dirty at every boundary that changes the
 // placement function or the catalog. Owner goroutine only; must not call
-// back into the server (flush does that, after the mutation completes).
+// back into the server (capture does that, after the mutation completes).
 func (dp *dataPlane) onEvent(ev cm.Event) {
 	switch ev.Kind {
 	case cm.EventBlocksMigrated:
@@ -271,45 +272,48 @@ func (dp *dataPlane) onEvent(ev cm.Event) {
 	}
 }
 
-// flush publishes accumulated deltas and keeps the served snapshot current.
-// Owner goroutine only, called after every tick and mutating command.
+// capture takes the feed's next step from what the event sink accumulated and
+// returns what publishes it, nil for none. Owner goroutine only, both.
 //
-// Moves publish before any snapshot: within a round the server migrates
-// blocks and may then complete the reorganization, and a client replaying
-// the feed must see the same order. A round that only moved blocks then
-// re-points the served snapshot at the new pending view and sequence, so a
-// freshly connecting client starts at the current sequence instead of
-// replaying the whole drain — which is also what keeps long migrations from
-// outrunning the bounded feed ring and forcing ErrDeltaGone resyncs. Only an
-// epoch or catalog boundary, or a disk changing health (compared, not evented:
-// a rebuild can end without one), pays for a full export: its delta carries one.
-func (dp *dataPlane) flush() {
-	moved := len(dp.moves) > 0
-	if moved {
-		dp.feed.Publish(dataplane.Delta{Kind: dataplane.DeltaMoves, Moves: dp.moves})
-		dp.g.m.deltasPublished.Inc()
-		dp.moves = nil
-	}
-	if !dp.dirty && slices.Equal(dp.base.Unhealthy, dp.g.srv.UnhealthyDisks()) {
-		if moved {
-			dp.publish(dp.feed.Pos())
+// Moves go before any snapshot: within a round the server migrates blocks
+// and may then complete the reorganization, and a client replaying the feed
+// must see the same order. A round that only moved blocks re-points the
+// served snapshot at the new pending view and sequence, so a freshly
+// connecting client starts at the current sequence instead of replaying the
+// whole drain — which is also what keeps long migrations from outrunning the
+// bounded feed ring and forcing ErrDeltaGone resyncs. Only an epoch or
+// catalog boundary, or a disk changing health (compared, not evented: a
+// rebuild can end without one), pays for a full export: its delta carries
+// one, stamped with the sequence the step (the feed's only publisher) is
+// about to give it, and built before — in the ring, pollers encode it.
+func (dp *dataPlane) capture() func() {
+	moves, view, full := dp.moves, dp.g.srv.PendingView(), false
+	dp.moves = nil
+	if dp.dirty || !slices.Equal(dp.base.Unhealthy, dp.g.srv.UnhealthyDisks()) {
+		if base, err := dp.g.srv.LocatorStateExport(); err != nil {
+			dp.g.logf("gateway: locator snapshot: %v", err)
+		} else {
+			dp.base, dp.dirty, full = base, false, true
 		}
-		return
 	}
-	base, err := dp.g.srv.LocatorStateExport()
-	if err != nil {
-		dp.g.logf("gateway: locator snapshot: %v", err)
-		return
+	if base := dp.base; full || len(moves) > 0 {
+		return func() {
+			if len(moves) > 0 {
+				dp.feed.Publish(dataplane.Delta{Kind: dataplane.DeltaMoves, Moves: moves})
+				dp.g.m.deltasPublished.Inc()
+			}
+			if !full {
+				dp.publish(base, view, dp.feed.Pos())
+				return
+			}
+			next := dp.feed.Pos()
+			next.Seq++
+			snap := dp.publish(base, view, next)()
+			dp.feed.Publish(dataplane.Delta{Kind: dataplane.DeltaSnapshot, Snapshot: snap})
+			dp.g.m.deltasPublished.Inc()
+		}
 	}
-	dp.base, dp.dirty = base, false
-	// Stamped with the sequence Publish is about to assign (flush is the
-	// feed's only publisher) and built before it goes in: once the delta is
-	// in the ring, concurrent pollers encode the shared snapshot.
-	next := dp.feed.Pos()
-	next.Seq++
-	snap := dp.publish(next)()
-	dp.feed.Publish(dataplane.Delta{Kind: dataplane.DeltaSnapshot, Snapshot: snap})
-	dp.g.m.deltasPublished.Inc()
+	return nil
 }
 
 // Feed returns the locator delta feed (exposed for tests and embedding).

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -124,7 +125,7 @@ func TestPendingSetMatchesReferenceModel(t *testing.T) {
 				for _, m := range want {
 					wantLog = append(wantLog, m.Block)
 				}
-				if got := exec.TakeMoved(); moved != len(want) || !reflect.DeepEqual(got, wantLog) {
+				if got := exec.TakeMoved(); moved != len(want) || !slices.Equal(got, wantLog) {
 					t.Fatalf("seed %d step %d: Step moved %d (log %d), model %d", seed, step, moved, len(got), len(want))
 				}
 			case op < 9:

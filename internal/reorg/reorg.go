@@ -263,7 +263,9 @@ type Executor struct {
 	// order lists plan positions still to scan, in plan order, so Step keeps
 	// its scan order without touching the shared set. It may hold positions
 	// ExecuteBlock already retired; scans drop those.
-	order   []int32
+	order []int32
+	// roles has bit 0 set for each disk the plan reads from, bit 1 if it writes.
+	roles   []uint8
 	retired uint32 // moves executed or extracted so far: the stamp clock
 	moved   int
 	rounds  int
@@ -286,11 +288,17 @@ func NewExecutor(plan *Plan, blockID BlockIDFunc, diskOf DiskFunc) (*Executor, e
 		doneAt: make([]atomic.Uint32, len(plan.Moves)),
 	}
 	order := make([]int32, len(plan.Moves))
+	var roles []uint8
 	for i, m := range plan.Moves {
 		set.index[m.Block] = int32(i)
 		order[i] = int32(i)
+		if n := max(m.From, m.To) + 1; n > len(roles) {
+			roles = append(roles, make([]uint8, n-len(roles))...)
+		}
+		roles[m.From] |= 1
+		roles[m.To] |= 2
 	}
-	return &Executor{blockID: blockID, diskOf: diskOf, set: set, order: order}, nil
+	return &Executor{blockID: blockID, diskOf: diskOf, set: set, order: order, roles: roles}, nil
 }
 
 // SetPayloadMover installs the optional hook that moves each block's real
@@ -347,10 +355,30 @@ func (e *Executor) ExecuteAll() (int, error) {
 // whose source or destination budget is exhausted are skipped and stay
 // pending for the next round, so one saturated disk does not stall the whole
 // migration. A move that fails stays pending too, like everything after it.
+// The scan stops once every disk the plan reads from, or every disk it writes
+// to, is out of budget: no move further on could run.
 func (e *Executor) Step(budget []int) (moved int, err error) {
 	e.rounds++
+	// src and dst count the plan's disks with budget left to read, to write;
+	// a disk past the budget's end fails its moves, so the scan reaches them.
+	src, dst := 0, 0
+	stops := len(budget) >= len(e.roles)
+	for d, r := range e.roles {
+		if stops && budget[d] > 0 {
+			src, dst = src+int(r&1), dst+int(r>>1)
+		}
+	}
+	spend := func(d int) {
+		if budget[d]--; budget[d] == 0 {
+			src, dst = src-int(e.roles[d]&1), dst-int(e.roles[d]>>1)
+		}
+	}
 	kept := e.order[:0]
 	for k, i := range e.order {
+		if stops && (src == 0 || dst == 0) {
+			kept = append(kept, e.order[k:]...)
+			break
+		}
 		if e.set.doneAt[i].Load() != 0 {
 			continue
 		}
@@ -369,22 +397,22 @@ func (e *Executor) Step(budget []int) (moved int, err error) {
 			return moved, err
 		}
 		e.movedLog = append(e.movedLog, m.Block)
-		budget[m.From]--
-		budget[m.To]--
+		spend(m.From)
+		spend(m.To)
 		moved++
 	}
 	e.order = kept
 	return moved, nil
 }
 
-// TakeMoved returns the blocks Step has executed since the last call and
-// clears the log. The caller (the CM server) journals them; replay uses
-// ExecuteBlock to re-apply exactly those moves, whatever their place in the
-// plan: budgets skip moves, ExtractBySource removes them, and a journal may
-// predate the planner's fixed order.
+// TakeMoved returns the blocks Step has executed since the last call, in a
+// slice the next Step reuses. The caller (the CM server) journals them; replay
+// uses ExecuteBlock to re-apply exactly those moves, whatever their place in
+// the plan: budgets skip moves, ExtractBySource removes them, and a journal
+// may predate the planner's fixed order.
 func (e *Executor) TakeMoved() []placement.BlockRef {
 	out := e.movedLog
-	e.movedLog = nil
+	e.movedLog = e.movedLog[:0]
 	return out
 }
 

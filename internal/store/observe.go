@@ -98,6 +98,7 @@ func (s *Store) observeAppend(n int) {
 // observeSync records one group commit that made batch records durable in
 // elapsed time. Caller holds mu.
 func (s *Store) observeSync(batch int, elapsed time.Duration) {
+	s.fsyncs++
 	if s.metrics == nil {
 		return
 	}

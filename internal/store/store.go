@@ -10,12 +10,13 @@
 // checkpoint + event sink) or Recover the server it holds (newest valid
 // checkpoint, then journal tail replay). At the default Config.SyncEvery of
 // 1 every Append fsyncs before it returns, so a crash loses no event Append
-// returned from, and the Sync the gateway calls once per scheduling round
-// finds nothing to do. SyncEvery > 1 turns that into group commit: fsync
-// runs once that many records have accumulated and on the round's Sync, and
-// a crash can lose the events appended since — at most a round's worth,
-// never checkpointed or synced state. Recovery truncates the journal at the
-// first torn or corrupt record rather than failing.
+// returned from. SyncEvery > 1 turns that into group commit: fsync runs once
+// that many records have accumulated and on Sync, and a crash can lose the
+// events appended since, never checkpointed or synced state. AppendBehind
+// and a Sync run beside the writer are group commit for a writer that shows
+// nothing before it is durable (the gateway's drain rounds; ARCHITECTURE.md,
+// "Events and replay — the durability contract"). Recovery truncates the
+// journal at the first torn or corrupt record rather than failing.
 package store
 
 import (
@@ -111,6 +112,8 @@ type Status struct {
 	LSN uint64 `json:"lsn"`
 	// DurableLSN is the last LSN covered by an fsync.
 	DurableLSN uint64 `json:"durableLsn"`
+	// Fsyncs counts the journal fsyncs issued since Open.
+	Fsyncs uint64 `json:"fsyncs"`
 	// CheckpointLSN is the LSN of the newest checkpoint.
 	CheckpointLSN uint64 `json:"checkpointLsn"`
 	// Epoch is the replication epoch: scaling-operation events journaled
@@ -127,8 +130,8 @@ type Status struct {
 }
 
 // Store is an open data directory. Methods are safe for concurrent use; the
-// intended topology is one writer (the server's owner goroutine) plus
-// concurrent Status readers.
+// intended topology is one writer (the server's owner goroutine), Syncs
+// beside it, and concurrent Status readers.
 type Store struct {
 	mu  sync.Mutex
 	cfg Config
@@ -161,7 +164,10 @@ type Store struct {
 	tail      []record     // journal records past the checkpoint
 
 	unsynced int
-	err      error // sticky: first append/sync failure kills the journal
+	fsyncs   uint64    // journal fsyncs issued (Status)
+	syncing  bool      // a Sync's fsync is in flight outside mu
+	synced   sync.Cond // on mu: wakes whoever waits to fsync next
+	err      error     // sticky: first append/sync failure kills the journal
 
 	recovery RecoveryInfo
 
@@ -192,6 +198,7 @@ func Open(cfg Config) (*Store, error) {
 		}
 	}
 	s := &Store{cfg: cfg, nextLSN: 1, notify: make(chan struct{})}
+	s.synced.L = &s.mu
 	if err := s.load(); err != nil {
 		return nil, err
 	}
@@ -461,6 +468,7 @@ func (s *Store) Status() Status {
 		Dir:                   s.cfg.Dir,
 		LSN:                   s.nextLSN - 1,
 		DurableLSN:            s.durableLSN,
+		Fsyncs:                s.fsyncs,
 		CheckpointLSN:         s.ckptLSN,
 		Epoch:                 s.epoch,
 		Segments:              len(s.segments),
@@ -487,7 +495,14 @@ func (s *Store) fail(err error) error {
 // durable once a group-commit fsync covers it (every SyncEvery appends, or
 // an explicit Sync). After any failure the store refuses further appends —
 // a journal with a hole cannot be replayed.
-func (s *Store) Append(ev cm.Event) (uint64, error) {
+func (s *Store) Append(ev cm.Event) (uint64, error) { return s.append(ev, true) }
+
+// AppendBehind is Append without its fsync, whatever SyncEvery says: for a
+// writer that shows nobody the event until a Sync or a synced Append has
+// made it durable (ARCHITECTURE.md, "Events and replay").
+func (s *Store) AppendBehind(ev cm.Event) (uint64, error) { return s.append(ev, false) }
+
+func (s *Store) append(ev cm.Event, sync bool) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
@@ -528,7 +543,7 @@ func (s *Store) Append(ev cm.Event) (uint64, error) {
 	s.nextLSN++
 	s.unsynced++
 	s.observeAppend(len(rec))
-	if s.unsynced >= s.cfg.SyncEvery {
+	if sync && s.unsynced >= s.cfg.SyncEvery {
 		if err := s.syncLocked(); err != nil {
 			return 0, s.fail(err)
 		}
@@ -544,27 +559,53 @@ func (s *Store) Sink() cm.EventSink {
 	return func(ev cm.Event) { _, _ = s.Append(ev) }
 }
 
-// Sync flushes and fsyncs the journal — the group-commit point. The gateway
-// calls it once per scheduling round. With nothing appended since the last
-// sync it returns at once: everything is durable already, and an idle round
-// must not pay for an fsync. (Durable-before-ack is untouched — an
-// acknowledged operation appended an event.)
+// Sync flushes and fsyncs the journal — the group-commit point: when it
+// returns, every record appended before it is durable. It fsyncs outside the
+// store's mutex, so appends go on meanwhile and a goroutine beside the writer
+// can commit for it. With every record durable it returns at once. One fsync
+// runs at a time: another Sync, a synced Append, a checkpoint, rotation or
+// Close waits for the one in flight, and any fsync error fails the journal —
+// the kernel reports a lost write-back once per open file, so a later fsync
+// that succeeds vouches for nothing the failed one flushed.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.err != nil {
+	for s.syncing {
+		s.synced.Wait()
+	}
+	if s.err != nil || s.cfg.ReadOnly || s.durableLSN == s.nextLSN-1 {
 		return s.err
 	}
-	if s.cfg.ReadOnly || s.unsynced == 0 {
-		return nil
-	}
-	if err := s.syncLocked(); err != nil {
+	if err := s.w.Flush(); err != nil {
 		return s.fail(err)
 	}
+	f, lsn, epoch, batch := s.active, s.nextLSN-1, s.epoch, int(s.nextLSN-1-s.durableLSN)
+	s.unsynced, s.syncing = 0, true
+	s.mu.Unlock()
+	start := time.Now()
+	err := fsync(f)
+	took := time.Since(start)
+	s.mu.Lock()
+	s.syncing = false
+	s.synced.Broadcast()
+	if err != nil {
+		return s.fail(err)
+	}
+	s.advance(lsn, epoch)
+	s.observeSync(batch, took)
 	return nil
 }
 
+// fsync is the fsync Sync runs outside the mutex; tests hold it or fail it.
+var fsync = (*os.File).Sync
+
 func (s *Store) syncLocked() error {
+	for s.syncing {
+		s.synced.Wait()
+	}
+	if s.err != nil {
+		return s.err
+	}
 	start := time.Now()
 	if s.w != nil {
 		if err := s.w.Flush(); err != nil {
@@ -577,17 +618,20 @@ func (s *Store) syncLocked() error {
 		}
 	}
 	batch := s.unsynced
-	advanced := s.nextLSN-1 > s.durableLSN
-	s.durableLSN = s.nextLSN - 1
-	s.durableEpoch = s.epoch
 	s.unsynced = 0
-	if advanced {
-		// Wake journal tails blocked on DurableNotify.
-		close(s.notify)
-		s.notify = make(chan struct{})
-	}
+	s.advance(s.nextLSN-1, s.epoch)
 	s.observeSync(batch, time.Since(start))
 	return nil
+}
+
+// advance moves the durable frontier forward to lsn (at epoch) and wakes tails.
+func (s *Store) advance(lsn, epoch uint64) {
+	if lsn <= s.durableLSN {
+		return
+	}
+	s.durableLSN, s.durableEpoch = lsn, epoch
+	close(s.notify)
+	s.notify = make(chan struct{})
 }
 
 // ensureActive opens or creates the segment appends go to.
